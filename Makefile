@@ -24,17 +24,14 @@ race:
 race-experiments:
 	$(GO) test -race -count 1 ./internal/experiments/...
 
-# Focused race pass on the event kernel and the windowed lane executor:
-# lane workers publish frontiers through atomics and hand heads back to
-# the coordinator over channels, so the lane tests (including the
-# cross-engine equivalence suites — kernel lanes, RunJobs wave lanes and
-# the laned load/store phases, each running four lane goroutines per
-# simulation — plus the AccessPrivate classifier oracles backing tail
-# absorption) stay under the race detector even if the full-module sweep
-# is ever trimmed (see DESIGN.md §13).
+# Focused race pass on the simulation core: the event kernel, the
+# accelerator (PE interleave, RunJobs waves) and the caches. Each
+# simulation runs on one goroutine; the shared state this pass guards is
+# the process-wide cache line-storage pool that concurrent experiment
+# workers draw from, kept under the race detector even if the
+# full-module sweep is ever trimmed.
 race-sim:
 	$(GO) test -race -count 1 ./internal/sim/... ./internal/accel/... ./internal/cache/...
-	$(GO) test -race -count 1 -run 'Laned' ./internal/system/...
 
 # Full benchmark sweep; BenchmarkAllExperiments is the top-level number
 # to track (serial vs parallel over the shared result cache).
@@ -49,7 +46,7 @@ bench:
 # only ever slow a deterministic benchmark, so min-of-means is the
 # noise-robust estimator where the old single shot flapped ±20%).
 bench-json:
-	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkLaneEngine|BenchmarkFig|BenchmarkTable|BenchmarkSec5)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5)' \
 		-benchmem -benchtime 5x -count 5 . | $(GO) run ./tools/benchjson -out BENCH_suite.json
 
 # Perf regression gate: rerun the suite benchmarks (same min-of-means
@@ -58,7 +55,7 @@ bench-json:
 # 10%. Host timings are still noisy, so this is an optional CI target
 # (ci-full), not part of the default `make ci` gate.
 bench-compare:
-	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkLaneEngine|BenchmarkFig|BenchmarkTable|BenchmarkSec5)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5)' \
 		-benchmem -benchtime 5x -count 5 . | $(GO) run ./tools/benchjson -compare BENCH_suite.json
 
 # Latency distribution baseline: the reference run's full histogram

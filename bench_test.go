@@ -69,13 +69,13 @@ func fastOpts() dramless.ExperimentOptions { return dramless.FastExperiments() }
 // ---- Full suite ----
 
 // BenchmarkAllExperiments regenerates every table and figure through one
-// shared engine, serial versus pool-parallel versus lane-parallel - the
-// top-level numbers to track across PRs. All variants share the same
-// cross-experiment result cache, so the ratios isolate the worker pool
-// and the intra-simulation lane executor; sims/cache-hits metrics expose
-// the dedup itself, and events/sec is the dispatch throughput of the
-// event kernel (total kernel-phase events over host wall-clock), which
-// attributes suite speedups to the kernel rather than to caching.
+// shared engine, serial versus pool-parallel - the top-level numbers to
+// track across PRs. Both variants share the same cross-experiment
+// result cache, so the ratio isolates the worker pool; sims/cache-hits
+// metrics expose the dedup itself, and events/sec is the dispatch
+// throughput of the event kernel (total kernel-phase events over host
+// wall-clock), which attributes suite speedups to the kernel rather than
+// to caching.
 //
 // Worker counts are sized from the benchmark's visible GOMAXPROCS: a
 // parallel pool wider than the host only adds scheduling overhead (the
@@ -83,24 +83,19 @@ func fastOpts() dramless.ExperimentOptions { return dramless.FastExperiments() }
 // workers on a single-CPU runner losing to serial, 1.42s vs 1.28s). On
 // such hosts the serial/parallel comparison is a no-op; that degenerate
 // case is reported as a metric instead of failed, because the host -
-// not the harness - decides the core count. The serial and parallel
-// variants pin the legacy engine (Lanes: -1) so their numbers stay
-// comparable across PRs; the laned variant gives every core to the lane
-// executor instead of the pool.
+// not the harness - decides the core count.
 func BenchmarkAllExperiments(b *testing.B) {
 	parallel := runtime.GOMAXPROCS(0)
 	for _, bc := range []struct {
-		name       string
-		par, lanes int
+		name string
+		par  int
 	}{
-		{"serial", 1, -1},
-		{"parallel", parallel, -1},
-		{"laned", 1, parallel},
+		{"serial", 1},
+		{"parallel", parallel},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			o := fastOpts()
 			o.Parallelism = bc.par
-			o.Lanes = bc.lanes
 			var st dramless.ExperimentRunStats
 			var events int64
 			for i := 0; i < b.N; i++ {
@@ -126,45 +121,6 @@ func BenchmarkAllExperiments(b *testing.B) {
 			b.ReportMetric(float64(st.Runs), "sims")
 			b.ReportMetric(float64(st.Hits), "cache-hits")
 			b.ReportMetric(float64(st.Workers), "workers")
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(events)/sec, "events/sec")
-			}
-		})
-	}
-}
-
-// BenchmarkLaneEngine pins the lane executor against the legacy serial
-// loop on the suite's heaviest cell (DRAM-less x adi, per -slowest): one
-// full end-to-end run per iteration at each engine setting, same
-// simulated result by the TestLanedMatchesSerial gate. events/sec is the
-// kernel-phase dispatch throughput; on multi-core hosts the laned4
-// variant is the number that should pull ahead, on a single-CPU runner
-// it only measures coordination overhead.
-func BenchmarkLaneEngine(b *testing.B) {
-	w, err := dramless.WorkloadByName("adi")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name  string
-		lanes int
-	}{
-		{"legacy", 0},
-		{"laned-serial", 1},
-		{"laned4", 4},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var events int64
-			for i := 0; i < b.N; i++ {
-				cfg := dramless.NewSystemConfig(dramless.DRAMLess)
-				cfg.Scale = 512 << 10
-				cfg.Accel.Lanes = bc.lanes
-				res, err := dramless.RunSystem(cfg, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Report.Events
-			}
 			if sec := b.Elapsed().Seconds(); sec > 0 {
 				b.ReportMetric(float64(events)/sec, "events/sec")
 			}

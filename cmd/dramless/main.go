@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dramless experiments [-full] [-scale N] [-kernels a,b,c] [-parallel N] [-lanes N] [id ...]
+//	dramless experiments [-full] [-scale N] [-kernels a,b,c] [-parallel N] [id ...]
 //	dramless run -system DRAM-less -kernel gemver [-scale N]
 //	dramless blame -system DRAM-less -kernel gemver [-top N]
 //	dramless arena [-policies a,b] [-systems x,y] [-kernels a,b,c]
@@ -99,19 +99,17 @@ func usage() {
 
 commands:
   experiments [-full] [-scale bytes] [-kernels a,b,c] [-parallel N]
-        [-lanes N] [-scheduler name] [-slowest N] [id ...]
+        [-scheduler name] [-slowest N] [id ...]
         regenerate the paper's tables/figures (default: all of them);
         -scheduler overrides the DRAM-less PRAM scheduling policy for
         every cell (any registered policy name);
         -parallel bounds the simulation worker pool (0 = GOMAXPROCS,
-        1 = serial) and -lanes the deterministic event lanes inside
-        each simulation (0 = share leftover cores with the pool,
-        -1 = legacy engine) - output is byte-identical at any setting
-        of either; -slowest lists the N slowest cells by host
-        wall-clock, each tagged with whether it forked a cached
-        populate/load prefix checkpoint or simulated it cold
+        1 = serial) - output is byte-identical at any setting;
+        -slowest lists the N slowest cells by host wall-clock, each
+        tagged with whether it forked a cached populate/load prefix
+        checkpoint or simulated it cold
   arena [-full] [-scale bytes] [-kernels a,b,c] [-policies a,b]
-        [-systems x,y] [-parallel N] [-lanes N] [-json]
+        [-systems x,y] [-parallel N] [-json]
         scheduler tournament: run every registered scheduling policy
         (or the -policies subset) x every kernel on the -systems
         organizations (default DRAM-less) and rank them against the
@@ -119,7 +117,6 @@ commands:
         from the histogram layer; byte-identical at any -parallel
   run   -system <name> -kernel <name> [-scale bytes] [-scheduler name]
         [-trace out.json] [-hist out.json] [-series out.json] [-counters]
-        [-lanes N]
         one end-to-end system simulation with full breakdowns;
         -trace records a simulated-time timeline (open the JSON in
         chrome://tracing), -hist exports per-instrument latency
@@ -171,7 +168,6 @@ func cmdExperiments(args []string) {
 	scale := fs.Int64("scale", 0, "override footprint scale in bytes")
 	kernels := fs.String("kernels", "", "comma-separated kernel subset")
 	parallel := fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	lanes := fs.Int("lanes", 0, "event lanes inside each simulation (0 = share cores with the pool, -1 = legacy engine)")
 	schedName := fs.String("scheduler", "", "override the DRAM-less PRAM scheduling policy for every cell (registry name)")
 	slowest := fs.Int("slowest", 0, "report the N slowest simulation cells with prefix cache hit/miss")
 	startProf := profileFlags(fs)
@@ -190,7 +186,6 @@ func cmdExperiments(args []string) {
 		o.Kernels = strings.Split(*kernels, ",")
 	}
 	o.Parallelism = *parallel
-	o.Lanes = *lanes
 	if *schedName != "" {
 		p, err := dramless.PolicyByName(*schedName)
 		if err != nil {
@@ -241,19 +236,13 @@ func cmdExperiments(args []string) {
 			if ct.PrefixHit {
 				tag = "prefix-fork"
 			}
-			// Laned cells append their kernel-phase fold coverage: the
-			// share of dispatched events lane tails absorbed inline.
-			fold := ""
-			if ct.LaneEvents > 0 {
-				fold = fmt.Sprintf("  fold %4.1f%%", 100*float64(ct.LaneFolded)/float64(ct.LaneEvents))
-			}
 			// The blame column names where the cell's kernel wall went:
 			// its largest kernel-phase account and that account's share.
 			blame := ""
 			if ct.BlameTop != "" {
 				blame = fmt.Sprintf("  kernel: %s %.1f%%", ct.BlameTop, float64(ct.BlameTopMille)/10)
 			}
-			fmt.Printf("  %-10v %-22s %-8s %s%s%s\n", ct.Wall.Round(time.Microsecond), ct.Kind, ct.Kernel, tag, fold, blame)
+			fmt.Printf("  %-10v %-22s %-8s %s%s\n", ct.Wall.Round(time.Microsecond), ct.Kind, ct.Kernel, tag, blame)
 		}
 	}
 }
@@ -318,7 +307,6 @@ func cmdArena(args []string) {
 	scale := fs.Int64("scale", 0, "override footprint scale in bytes")
 	kernels := fs.String("kernels", "", "comma-separated kernel subset")
 	parallel := fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	lanes := fs.Int("lanes", 0, "event lanes inside each simulation (0 = share cores with the pool, -1 = legacy engine)")
 	policies := fs.String("policies", "", "comma-separated policy subset (default: every registered policy)")
 	systems := fs.String("systems", "", "comma-separated organizations (default: DRAM-less)")
 	startProf := profileFlags(fs)
@@ -337,7 +325,6 @@ func cmdArena(args []string) {
 		o.Kernels = strings.Split(*kernels, ",")
 	}
 	o.Parallelism = *parallel
-	o.Lanes = *lanes
 
 	var pols []string
 	if *policies != "" {
@@ -400,7 +387,6 @@ func cmdRun(args []string) {
 	histOut := fs.String("hist", "", "export latency histograms to this file (.csv for CSV, else JSON)")
 	seriesOut := fs.String("series", "", "export simulated-time series to this file (.csv for CSV, else JSON)")
 	counters := fs.Bool("counters", false, "print the run's hardware counters")
-	lanes := fs.Int("lanes", 0, "event lanes inside the simulation (0 = legacy engine, 1 = laned serial, N = windowed parallel)")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
 	stopProf := startProf()
@@ -431,7 +417,6 @@ func cmdRun(args []string) {
 	observer := dramless.NewObserver(obsOpts...)
 	cfg := dramless.NewSystemConfig(kind, dramless.WithObserver(observer))
 	cfg.Scale = *scale
-	cfg.Accel.Lanes = *lanes
 	if *schedName != "" {
 		p, err := dramless.PolicyByName(*schedName)
 		if err != nil {

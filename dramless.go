@@ -15,17 +15,15 @@
 //   - System level: RunSystem executes a workload end to end on any of
 //     the Table I organizations (Hetero, Heterodirect, Integrated-*,
 //     PAGE-buffer, NOR-intf, DRAM-less, ...), returning time and energy
-//     decompositions; Experiment regenerates any of the paper's tables
-//     and figures.
+//     decompositions; NewExperimentEngine regenerates any of the paper's
+//     tables and figures.
 //
 // All simulation is deterministic: identical inputs produce identical
 // schedules, timings and energies.
 package dramless
 
 import (
-	"fmt"
 	"io"
-	"sync"
 
 	"dramless/internal/accel"
 	"dramless/internal/experiments"
@@ -423,10 +421,9 @@ func RunSystem(cfg SystemConfig, w Workload) (*SystemResult, error) {
 type ExperimentTable = experiments.Table
 
 // ExperimentOptions scales the experiment harness. Parallelism bounds
-// the run engine's worker pool (0 = GOMAXPROCS, 1 = serial) and Lanes
-// the deterministic lane parallelism inside each simulation (0 = share
-// the remaining cores with the pool, -1 = legacy serial engine);
-// rendered tables are byte-identical at any setting of either.
+// the run engine's worker pool (0 = GOMAXPROCS, 1 = serial); rendered
+// tables are byte-identical at any setting. Validate reports unknown
+// kernel names, which the engine also returns from every table request.
 type ExperimentOptions = experiments.Options
 
 // ExperimentEngine is the parallel experiment run engine: one shared,
@@ -451,45 +448,6 @@ func NewExperimentEngine(o ExperimentOptions) *ExperimentEngine {
 	return experiments.NewEngine(o)
 }
 
-// defaultEngines shares one engine per distinct ExperimentOptions among
-// the deprecated free functions, so repeated Experiment calls in one
-// process hit the engine's simulation cache instead of re-simulating.
-// Options holds a slice (Kernels) and so is not comparable; the map
-// keys on a canonical rendering instead.
-var defaultEngines struct {
-	sync.Mutex
-	m map[string]*ExperimentEngine
-}
-
-// defaultEngine returns the process-wide engine for o, building it on
-// first use.
-func defaultEngine(o ExperimentOptions) *ExperimentEngine {
-	key := fmt.Sprintf("%d|%q|%d|%d|%q", o.Scale, o.Kernels, o.Parallelism, o.Lanes, o.Policy)
-	defaultEngines.Lock()
-	defer defaultEngines.Unlock()
-	if defaultEngines.m == nil {
-		defaultEngines.m = make(map[string]*ExperimentEngine)
-	}
-	eng, ok := defaultEngines.m[key]
-	if !ok {
-		eng = experiments.NewEngine(o)
-		defaultEngines.m[key] = eng
-	}
-	return eng
-}
-
-// Experiments regenerates the identified tables and figures - all of
-// them, in paper order, when ids is empty - through one shared engine,
-// so common simulations run once and independent ones run in parallel.
-//
-// Deprecated: use NewExperimentEngine(o).Tables(ids...). The engine
-// form makes the simulation cache's lifetime explicit and lets several
-// regenerations share one cache; this function delegates to a
-// process-wide engine keyed by o.
-func Experiments(o ExperimentOptions, ids ...string) ([]*ExperimentTable, error) {
-	return defaultEngine(o).Tables(ids...)
-}
-
 // ExperimentIDs lists every reproducible table and figure.
 func ExperimentIDs() []string {
 	all := experiments.All()
@@ -498,26 +456,6 @@ func ExperimentIDs() []string {
 		out = append(out, e.ID)
 	}
 	return out
-}
-
-// Experiment regenerates the identified table or figure ("fig15",
-// "table2", "sec5-selerase", ...) at the given options.
-//
-// Deprecated: use NewExperimentEngine(o).Table(id). This function
-// delegates to a process-wide engine keyed by o, so repeated ids reuse
-// cached simulations, but the engine form makes that sharing explicit.
-func Experiment(id string, o ExperimentOptions) (*ExperimentTable, error) {
-	known := false
-	for _, e := range experiments.All() {
-		if e.ID == id {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil, fmt.Errorf("dramless: unknown experiment %q (have %v)", id, ExperimentIDs())
-	}
-	return defaultEngine(o).Table(id)
 }
 
 // FastExperiments returns options sized for quick runs; FullExperiments

@@ -176,14 +176,22 @@ func TestExperimentDispatch(t *testing.T) {
 	if len(ids) != 16 {
 		t.Fatalf("%d experiments, want 16", len(ids))
 	}
-	tab, err := dramless.Experiment("table2", dramless.FastExperiments())
+	eng := dramless.NewExperimentEngine(dramless.FastExperiments())
+	tab, err := eng.Table("table2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.ID != "table2" || len(tab.Rows) == 0 {
 		t.Fatal("table2 empty")
 	}
-	if _, err := dramless.Experiment("nope", dramless.FastExperiments()); err == nil {
+	tabs, err := eng.Tables("table1", "table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tabs) != 2 || tabs[0].ID != "table1" || tabs[1].ID != "table2" {
+		t.Fatalf("Tables returned %d tables out of request order", len(tabs))
+	}
+	if _, err := eng.Table("nope"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -36,13 +36,14 @@ type Config struct {
 	LaunchOverhead sim.Duration
 	// SampleInterval enables IPC/power series when positive.
 	SampleInterval sim.Duration
-	// Lanes selects RunKernel's execution kernel: 0 runs the legacy
-	// serial min-scan interleave, 1 the single-goroutine lane executor
-	// (per-PE event lanes, private heads absorbed inline), and >= 2 the
-	// conservative windowed parallel executor with up to Lanes
-	// concurrent tail goroutines. Every setting produces byte- and
-	// picosecond-identical results; sampled, traced and unbatched runs
-	// always fall back to the legacy loop (see DESIGN.md §13).
+	// Lanes must be zero, and only Validate reads it: the lane
+	// executors it once selected were removed, and every kernel
+	// interleaves on the serial min-scan loop (runAll). The field stays
+	// only because the benchmark harness (perfbench/) still sets it to
+	// 0; Validate rejects any other value.
+	//
+	// Deprecated: the lane executors were removed. Leave it 0; the
+	// field goes once perfbench/ stops setting it.
 	Lanes int
 	// Obs attaches the observability layer: per-PE kernel/flush spans
 	// when its tracer is on, and CountersInto snapshots. Nil disables
@@ -86,8 +87,8 @@ func (c Config) Validate() error {
 	if c.MCULatency < 0 || c.LaunchOverhead < 0 {
 		return fmt.Errorf("accel: negative overheads")
 	}
-	if c.Lanes < 0 {
-		return fmt.Errorf("accel: negative lane count %d", c.Lanes)
+	if c.Lanes != 0 {
+		return fmt.Errorf("accel: Lanes = %d, but the lane executors were removed; leave it 0", c.Lanes)
 	}
 	return nil
 }
@@ -109,16 +110,6 @@ type Accelerator struct {
 	events         int64
 	eventsRecycled int64
 	queueWait      sim.Duration
-
-	// Lane-executor totals of the RunJobs waves that ran laned
-	// (jobLaneWorkers > 0 once any wave did). Wave lane stats are
-	// per-wave, not per-job — disjoint jobs interleave in one wave —
-	// so they accumulate on the device and export as sim.lane.jobs.*.
-	jobLaneEvents  int64
-	jobLaneFolded  int64
-	jobLaneWindows int64
-	jobLaneStalls  int64
-	jobLaneWorkers int
 }
 
 // mcuFetchBytes is the server's aggregated request size: "512 bytes per
@@ -310,18 +301,6 @@ type Report struct {
 	// (the PE interleave no longer is).
 	Events         int64
 	EventsRecycled int64
-	// Lane-executor statistics, populated only when the lane kernel ran
-	// (Config.Lanes > 0 and no legacy fallback): per-lane event shares,
-	// heads absorbed inline by tails (fold coverage), lookahead windows
-	// crossed, cross-lane barrier stalls and per-lane parked windows.
-	// All are deterministic functions of the simulation — identical at
-	// every worker count — so they export as counters (sim.lane.*).
-	LaneEvents        []int64
-	LaneFolded        int64
-	LaneWindows       int64
-	LaneBarrierStalls int64
-	LaneParkedWindows []int64
-	LaneWorkers       int
 }
 
 // ExecTime returns the wall-clock duration of the run.
@@ -348,20 +327,6 @@ func (r *Report) CountersInto(c *obs.Counters) {
 	c.Add("accel.stall_ps", int64(r.Stall))
 	c.Add("sim.events_dispatched", r.Events)
 	c.Add("sim.events_recycled", r.EventsRecycled)
-	if r.LaneWorkers > 0 {
-		for i, n := range r.LaneEvents {
-			c.Add(fmt.Sprintf("sim.lane.pe%d.events", i), n)
-		}
-		for i, n := range r.LaneParkedWindows {
-			c.Add(fmt.Sprintf("sim.lane.pe%d.parked_windows", i), n)
-		}
-		c.Add("sim.lane.windows", r.LaneWindows)
-		c.Add("sim.lane.barrier_stalls", r.LaneBarrierStalls)
-		c.Add("sim.lane.folded_events", r.LaneFolded)
-		if r.Events > 0 {
-			c.SetGauge("sim.lane.fold_ratio", float64(r.LaneFolded)/float64(r.Events))
-		}
-	}
 }
 
 // CountersInto writes the accelerator's lifetime activity into the
@@ -377,12 +342,6 @@ func (a *Accelerator) CountersInto(c *obs.Counters) {
 	c.Add("accel.mcu_busy_ps", int64(a.mcu.BusyTime()))
 	c.Add("accel.events_dispatched", a.events)
 	c.Add("accel.events_recycled", a.eventsRecycled)
-	if a.jobLaneWorkers > 0 {
-		c.Add("sim.lane.jobs.events", a.jobLaneEvents)
-		c.Add("sim.lane.jobs.folded_events", a.jobLaneFolded)
-		c.Add("sim.lane.jobs.windows", a.jobLaneWindows)
-		c.Add("sim.lane.jobs.barrier_stalls", a.jobLaneStalls)
-	}
 }
 
 // TotalIPC returns aggregate retired instructions per core cycle across
@@ -427,80 +386,6 @@ func runAll(pes []*pe.PE) (processed, recycled int64, err error) {
 		}
 	}
 	return processed, recycled, nil
-}
-
-// laneHorizon returns the conservative lookahead of the windowed lane
-// executor: the minimum time any cross-lane interaction can take — a
-// 32 B request message on the crossbar wire, one NoC hop, and the MCU's
-// handling latency before the shared backend is even reached. It feeds
-// only the deterministic window/stall statistics; dispatch safety uses
-// exact per-lane frontiers (see internal/sim/lane.go).
-func (a *Accelerator) laneHorizon() sim.Duration {
-	wire := sim.Duration(32 / a.cfg.NoC.BytesPerSec * float64(sim.Second))
-	return wire + a.cfg.NoC.HopLatency + a.cfg.MCULatency
-}
-
-// runAllLanes executes the cores as per-PE event lanes on the windowed
-// executor. With more than one worker, each lane's caches and series
-// record into lane-private shadow instrument sets while tails run
-// concurrently; the shadows merge back into the main observer in lane
-// order, which — registration order being fixed by construction and
-// merges being commutative integer sums — keeps every export
-// byte-identical to the serial run.
-func (a *Accelerator) runAllLanes(pes []*pe.PE, l1s, l2s []*cache.Cache) (sim.LaneStats, error) {
-	workers := a.cfg.Lanes
-	if workers > len(pes) {
-		workers = len(pes)
-	}
-	lanes := make([]sim.LaneModel, len(pes))
-	for i, core := range pes {
-		lanes[i] = core
-	}
-	var shHists []*obs.HistogramSet
-	var shSeries []*obs.SeriesSet
-	if workers > 1 {
-		if hs := a.cfg.Obs.Histograms(); hs != nil {
-			shHists = make([]*obs.HistogramSet, len(pes))
-			for i := range pes {
-				sh := &obs.HistogramSet{}
-				// Rebind in construction order (L2 then L1) so the shadow
-				// registers names in the main set's order.
-				l2s[i].RebindHists(sh)
-				l1s[i].RebindHists(sh)
-				shHists[i] = sh
-			}
-		}
-		if ss := a.cfg.Obs.Series(); ss != nil {
-			shSeries = make([]*obs.SeriesSet, len(pes))
-			for i := range pes {
-				sh := obs.NewSeriesSet(ss.Window())
-				pes[i].ObserveSeries(sh.Get(obs.SeriesPEBusy), sh.Get(obs.SeriesPEStall))
-				shSeries[i] = sh
-			}
-		}
-	}
-	st, err := sim.RunLanes(lanes, workers, a.laneHorizon())
-	if err != nil {
-		return st, err
-	}
-	if hs := a.cfg.Obs.Histograms(); hs != nil && shHists != nil {
-		// Rebind to the main set first: the flush loop after this run
-		// records further cache samples, which must not land in shadows
-		// that have already been merged.
-		for i := range pes {
-			l2s[i].RebindHists(hs)
-			l1s[i].RebindHists(hs)
-		}
-		for _, sh := range shHists {
-			hs.Merge(sh)
-		}
-	}
-	if ss := a.cfg.Obs.Series(); ss != nil {
-		for _, sh := range shSeries {
-			ss.Merge(sh)
-		}
-	}
-	return st, nil
 }
 
 // RunKernel executes kernel k with params p across the agents, starting
@@ -567,32 +452,12 @@ func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Pa
 		l2s = append(l2s, l2)
 	}
 
-	// Interleave agent execution in time order: per-PE event lanes when
-	// enabled, the legacy serial min-scan otherwise. Sampled, traced and
-	// unbatched runs stay on the legacy loop — sampling disables run
-	// folding (lane tails would absorb nothing) and the tracer is a
-	// coordinator-owned appender the equivalence precedent keeps serial.
-	useLanes := a.cfg.Lanes > 0 && !collectSpans && !a.cfg.PE.Unbatched &&
-		!a.cfg.Obs.Tracer().Enabled()
-	if useLanes {
-		st, err := a.runAllLanes(pes, l1s, l2s)
-		if err != nil {
-			return nil, err
-		}
-		rep.Events = st.Events
-		rep.LaneEvents = st.LaneEvents
-		rep.LaneFolded = st.Folded
-		rep.LaneWindows = st.Windows
-		rep.LaneBarrierStalls = st.BarrierStalls
-		rep.LaneParkedWindows = st.LaneParkedWindows
-		rep.LaneWorkers = st.Workers
-	} else {
-		processed, recycled, err := runAll(pes)
-		if err != nil {
-			return nil, err
-		}
-		rep.Events, rep.EventsRecycled = processed, recycled
+	// Interleave agent execution in time order.
+	processed, recycled, err := runAll(pes)
+	if err != nil {
+		return nil, err
 	}
+	rep.Events, rep.EventsRecycled = processed, recycled
 	a.events += rep.Events
 	a.eventsRecycled += rep.EventsRecycled
 

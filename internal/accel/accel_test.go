@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"strings"
 	"testing"
 
 	"dramless/internal/mem"
@@ -31,6 +32,13 @@ func TestConfigValidate(t *testing.T) {
 	c.NoC.Ports = 3
 	if err := c.Validate(); err == nil {
 		t.Error("undersized crossbar accepted")
+	}
+	for _, lanes := range []int{-1, 1, 4} {
+		c = Default()
+		c.Lanes = lanes
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "lane executors were removed") {
+			t.Errorf("Lanes = %d: err = %v, want a removed-executor rejection", lanes, err)
+		}
 	}
 	if _, err := New(Default(), nil); err == nil {
 		t.Error("nil backend accepted")

@@ -78,7 +78,6 @@ func (a *Accelerator) RunJobs(start sim.Time, jobs []Job) ([]*JobResult, error) 
 
 		// Build every wave job's PEs, then interleave all of them.
 		var cores []*pe.PE
-		var l1s, l2s []*cache.Cache
 		for w := range wave {
 			job := jobs[wave[w].jobIdx]
 			p := job.Params
@@ -105,37 +104,14 @@ func (a *Accelerator) RunJobs(start sim.Time, jobs []Job) ([]*JobResult, error) 
 			wave[w].runners = runners
 			for _, r := range runners {
 				cores = append(cores, r.core)
-				l1s = append(l1s, r.l1)
-				l2s = append(l2s, r.l2)
 			}
 		}
-		// Interleave the wave: per-PE event lanes when enabled (disjoint
-		// jobs' PEs run as concurrent lanes in global (time, lane)
-		// order), the legacy serial min-scan otherwise. Same gating as
-		// RunKernel — sampled and unbatched runs disable folding, the
-		// tracer is a coordinator-owned appender.
-		if a.cfg.Lanes > 0 && a.cfg.SampleInterval <= 0 && !a.cfg.PE.Unbatched &&
-			!a.cfg.Obs.Tracer().Enabled() {
-			st, err := a.runAllLanes(cores, l1s, l2s)
-			if err != nil {
-				return nil, err
-			}
-			a.events += st.Events
-			a.jobLaneEvents += st.Events
-			a.jobLaneFolded += st.Folded
-			a.jobLaneWindows += st.Windows
-			a.jobLaneStalls += st.BarrierStalls
-			if st.Workers > a.jobLaneWorkers {
-				a.jobLaneWorkers = st.Workers
-			}
-		} else {
-			processed, recycled, err := runAll(cores)
-			if err != nil {
-				return nil, err
-			}
-			a.events += processed
-			a.eventsRecycled += recycled
+		processed, recycled, err := runAll(cores)
+		if err != nil {
+			return nil, err
 		}
+		a.events += processed
+		a.eventsRecycled += recycled
 
 		// Collect per-job reports and release the agents.
 		for w := range wave {

@@ -3,7 +3,6 @@ package accel
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dramless/internal/obs"
@@ -135,15 +134,12 @@ func TestRunJobsManyJobsFIFO(t *testing.T) {
 	}
 }
 
-// TestLanedRunJobsMatchesSerial is RunJobs' equivalence oracle for the
-// laned wave dispatch: the same FIFO job mix — concurrent disjoint-agent
-// waves plus queued waves — run at Lanes 0, 1 and 4 must produce
-// identical per-job reports and placements, an identical counter
-// registry save the lane executor's own sim.lane.* statistics, and
-// byte-identical histogram and series exports. The two laned runs must
-// also agree on the sim.lane.jobs.* counters themselves: lane stats are
-// worker-count-invariant.
-func TestLanedRunJobsMatchesSerial(t *testing.T) {
+// TestRunJobsDeterministic pins RunJobs' repeatability: the same FIFO
+// job mix — concurrent disjoint-agent waves plus queued waves — run on
+// two fresh accelerators must produce identical per-job reports and
+// placements, an identical counter registry, and byte-identical
+// histogram and series exports.
+func TestRunJobsDeterministic(t *testing.T) {
 	names := []string{"trisolv", "durbin", "gemver", "dynpro", "jaco1d", "regd"}
 	type outcome struct {
 		res      []*JobResult
@@ -151,9 +147,8 @@ func TestLanedRunJobsMatchesSerial(t *testing.T) {
 		hist     []byte
 		series   []byte
 	}
-	run := func(lanes int) outcome {
+	run := func() outcome {
 		cfg := Default()
-		cfg.Lanes = lanes
 		cfg.Obs = obs.New()
 		a := MustNew(cfg, fastBackend())
 		var jobs []Job
@@ -162,7 +157,7 @@ func TestLanedRunJobsMatchesSerial(t *testing.T) {
 		}
 		res, err := a.RunJobs(0, jobs)
 		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
+			t.Fatal(err)
 		}
 		var o outcome
 		o.res = res
@@ -177,66 +172,33 @@ func TestLanedRunJobsMatchesSerial(t *testing.T) {
 		o.hist, o.series = hb.Bytes(), sb.Bytes()
 		return o
 	}
-	laneless := func(c *obs.Counters) []obs.Entry {
-		out := make([]obs.Entry, 0, c.Len())
-		for _, e := range c.Entries() {
-			if !strings.HasPrefix(e.Name, "sim.lane.") {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
 
-	serial := run(0)
-	byLanes := map[int]outcome{}
-	for _, lanes := range []int{1, 4} {
-		laned := run(lanes)
-		byLanes[lanes] = laned
-		if len(laned.res) != len(serial.res) {
-			t.Fatalf("lanes=%d: %d results, want %d", lanes, len(laned.res), len(serial.res))
+	first, again := run(), run()
+	if len(again.res) != len(first.res) {
+		t.Fatalf("%d results, then %d", len(first.res), len(again.res))
+	}
+	for i := range again.res {
+		if !reflect.DeepEqual(again.res[i].AgentIDs, first.res[i].AgentIDs) {
+			t.Errorf("job %d placement differs: %v != %v", i, again.res[i].AgentIDs, first.res[i].AgentIDs)
 		}
-		for i := range laned.res {
-			if !reflect.DeepEqual(laned.res[i].AgentIDs, serial.res[i].AgentIDs) {
-				t.Errorf("lanes=%d: job %d placement differs: %v != %v",
-					lanes, i, laned.res[i].AgentIDs, serial.res[i].AgentIDs)
-			}
-			if !reflect.DeepEqual(*laned.res[i].Report, *serial.res[i].Report) {
-				t.Errorf("lanes=%d: job %d report differs:\n  laned:  %+v\n  serial: %+v",
-					lanes, i, *laned.res[i].Report, *serial.res[i].Report)
-			}
-		}
-		le, se := laneless(&laned.counters), laneless(&serial.counters)
-		if len(le) != len(se) {
-			t.Fatalf("lanes=%d: counter registries differ in size: %d != %d", lanes, len(le), len(se))
-		}
-		for i := range le {
-			if le[i] != se[i] {
-				t.Errorf("lanes=%d: counter %q: laned %+v != serial %+v", lanes, le[i].Name, le[i], se[i])
-			}
-		}
-		if !bytes.Equal(laned.hist, serial.hist) {
-			t.Errorf("lanes=%d: histogram JSON export is not byte-identical to serial", lanes)
-		}
-		if !bytes.Equal(laned.series, serial.series) {
-			t.Errorf("lanes=%d: series CSV export is not byte-identical to serial", lanes)
+		if !reflect.DeepEqual(*again.res[i].Report, *first.res[i].Report) {
+			t.Errorf("job %d report differs:\n  again: %+v\n  first: %+v",
+				i, *again.res[i].Report, *first.res[i].Report)
 		}
 	}
-
-	one, four := byLanes[1].counters, byLanes[4].counters
-	oe, fe := one.Entries(), four.Entries()
-	if len(oe) != len(fe) {
-		t.Fatalf("laned counter registries differ in size: lanes=1 %d != lanes=4 %d", len(oe), len(fe))
+	ae, fe := again.counters.Entries(), first.counters.Entries()
+	if len(ae) != len(fe) {
+		t.Fatalf("counter registries differ in size: %d != %d", len(ae), len(fe))
 	}
-	for i := range oe {
-		if oe[i] != fe[i] {
-			t.Errorf("counter %q differs across worker counts: lanes=1 %+v != lanes=4 %+v",
-				oe[i].Name, oe[i], fe[i])
+	for i := range ae {
+		if ae[i] != fe[i] {
+			t.Errorf("counter %q: %+v != %+v", ae[i].Name, ae[i], fe[i])
 		}
 	}
-	if v := four.Get("sim.lane.jobs.events"); v <= 0 {
-		t.Errorf("sim.lane.jobs.events = %d, want > 0", v)
+	if !bytes.Equal(again.hist, first.hist) {
+		t.Error("histogram JSON export is not byte-identical")
 	}
-	if v := four.Get("sim.lane.jobs.windows"); v <= 0 {
-		t.Errorf("sim.lane.jobs.windows = %d, want > 0", v)
+	if !bytes.Equal(again.series, first.series) {
+		t.Error("series CSV export is not byte-identical")
 	}
 }

@@ -151,15 +151,6 @@ type storage struct {
 	slab  []byte
 	lines []line
 	sets  [][]line
-
-	// AccessPrivate's per-set probe scratch: epoch-stamped touch/miss
-	// marks, giving the multi-line classifier one O(1) membership test
-	// per touched line instead of a quadratic same-set rescan. The
-	// epoch lives with the arrays and only ever grows, so recycled
-	// storage never carries a stale stamp that matches a live probe.
-	probeEpoch uint64
-	probeTouch []uint64
-	probeMiss  []uint64
 }
 
 // storagePools recycles storage per cache shape (size, line, ways), so a
@@ -197,11 +188,9 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 	st, _ := pool.Get().(*storage)
 	if st == nil {
 		st = &storage{
-			slab:       make([]byte, cfg.SizeBytes),
-			lines:      make([]line, nsets*cfg.Ways),
-			sets:       make([][]line, nsets),
-			probeTouch: make([]uint64, nsets),
-			probeMiss:  make([]uint64, nsets),
+			slab:  make([]byte, cfg.SizeBytes),
+			lines: make([]line, nsets*cfg.Ways),
+			sets:  make([][]line, nsets),
 		}
 	}
 	c := &Cache{
@@ -450,75 +439,6 @@ func (c *Cache) wouldHit(addr uint64, n int) bool {
 		return false
 	}
 	return c.lookup(set, tag) >= 0
-}
-
-// AccessPrivate reports whether a whole access of n bytes at addr —
-// including one spanning multiple lines, which the run-folding fast
-// paths refuse — would be serviced entirely by this cache and a lower
-// private *Cache: every touched line is either resident here or a
-// privateMiss. It is a pure probe (no stats, LRU or residency changes),
-// used by the lane executor to classify a fold-stopping access as
-// lane-private (executable inside a tail) versus shared (a head the
-// coordinator must dispatch).
-//
-// Multi-line spans walk an epoch-stamped per-set scratch (O(1) per
-// line) instead of rescanning earlier lines. The set rule is exactly as
-// tight as eviction requires: any number of resident lines may share a
-// set — hits never evict and never touch the lower level — but a miss
-// sharing a set with any other touched line reports false, because its
-// fill evicts (invalidating an expected hit) and the other line's LRU
-// bump invalidates the victim the miss probe inspected. A non-Cache
-// lower level still fails the miss arm, so a true result remains exact:
-// the access cannot reach shared state.
-func (c *Cache) AccessPrivate(addr uint64, n int) bool {
-	if n <= 0 {
-		return true
-	}
-	first := addr >> c.lineShift
-	last := (addr + uint64(n) - 1) >> c.lineShift
-	if first == last {
-		set := int(first & c.setMask)
-		tag := first >> c.setShift
-		return c.lookup(set, tag) >= 0 || c.privateMiss(set, tag)
-	}
-	st := c.store
-	st.probeEpoch++
-	ep := st.probeEpoch
-	for la := first; la <= last; la++ {
-		set := int(la & c.setMask)
-		tag := la >> c.setShift
-		if c.lookup(set, tag) >= 0 {
-			if st.probeMiss[set] == ep {
-				return false // an earlier miss's fill could evict this hit
-			}
-			st.probeTouch[set] = ep
-			continue
-		}
-		if st.probeTouch[set] == ep {
-			return false // this miss's fill could evict an earlier line
-		}
-		st.probeTouch[set] = ep
-		st.probeMiss[set] = ep
-		if !c.privateMiss(set, tag) {
-			return false
-		}
-	}
-	return true
-}
-
-// RebindHists re-resolves the per-access hit/miss latency instruments
-// against hs, replacing the set resolved from Config.Obs at
-// construction (nil detaches them). The lane executor uses this to give
-// each lane's caches a private shadow set while tails run concurrently;
-// the shadows merge back into the main set afterwards.
-func (c *Cache) RebindHists(hs *obs.HistogramSet) {
-	if hs == nil {
-		c.hHit, c.hMiss = nil, nil
-		return
-	}
-	lvl := c.cfg.histLevel()
-	c.hHit = hs.Get("cache." + lvl + ".hit_ps")
-	c.hMiss = hs.Get("cache." + lvl + ".miss_ps")
 }
 
 // privateMiss reports whether a miss on (set, tag) would be serviced

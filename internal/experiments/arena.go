@@ -58,6 +58,9 @@ func (c *arenaCell) readHist(dst *obs.Histogram) {
 // worker pool; assembly order is fixed, so the table is byte-identical
 // at any parallelism.
 func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
 	if len(policies) == 0 {
 		policies = memctrl.PolicyNames()
 	}

@@ -32,8 +32,9 @@ type runKey struct {
 // single-goroutine sim.Engine, so results - and therefore every rendered
 // table - are byte-identical to a serial run at any worker count.
 type Engine struct {
-	o Options
-	r *runner.Runner[runKey, *system.Result]
+	o   Options
+	err error // o.Validate(), reported by every table request
+	r   *runner.Runner[runKey, *system.Result]
 
 	// pr is the second-level cache: one captured populate/load
 	// checkpoint per distinct system.Prefix. Many cells share a prefix
@@ -63,12 +64,6 @@ type CellTiming struct {
 	Kernel    string
 	Wall      time.Duration
 	PrefixHit bool // the cell forked an already-captured checkpoint
-	// Lane fold coverage of the cell's kernel and storage phases:
-	// total dispatched events and the share absorbed inline by lane
-	// tails. Zero events means the cell ran the legacy serial engine
-	// (no lane stats).
-	LaneEvents int64
-	LaneFolded int64
 	// Blame summary from the run's always-on time account: the largest
 	// kernel-phase account (phase prefix stripped) and its share of the
 	// kernel wall in parts per thousand.
@@ -77,10 +72,13 @@ type CellTiming struct {
 }
 
 // NewEngine builds an engine for one experiment invocation. Experiments
-// regenerated through the same engine share its result cache.
+// regenerated through the same engine share its result cache. Invalid
+// options (Options.Validate) make every Table, Tables and Arena call
+// return the validation error.
 func NewEngine(o Options) *Engine {
 	e := &Engine{
 		o:    o,
+		err:  o.Validate(),
 		seen: map[system.Prefix]bool{},
 	}
 	e.pr = runner.New(o.Parallelism, func(pr system.Prefix) (*system.Checkpoint, error) {
@@ -117,17 +115,6 @@ func NewEngine(o Options) *Engine {
 			Kernel:    k.kernel,
 			Wall:      time.Since(start),
 			PrefixHit: hit,
-		}
-		if res.Report != nil && res.Report.LaneWorkers > 0 {
-			ct.LaneEvents = res.Report.Events
-			ct.LaneFolded = res.Report.LaneFolded
-		}
-		// Storage-phase lanes fold dependent drain ops the kernel
-		// report never sees; forked cells only ever have the store
-		// side (the load phase lives in the shared prefix).
-		for _, ph := range []string{"sim.lane.load.", "sim.lane.store."} {
-			ct.LaneEvents += res.Counters.Get(ph + "events")
-			ct.LaneFolded += res.Counters.Get(ph + "folded_events")
 		}
 		if top := res.Blame.TopShares("kernel/", 1); len(top) == 1 {
 			ct.BlameTop = strings.TrimPrefix(top[0].Name, "kernel/")
@@ -235,6 +222,9 @@ func (e *Engine) prefetchCfg(cfg system.Config, kernels ...workload.Kernel) {
 
 // Table regenerates one experiment by id through the shared cache.
 func (e *Engine) Table(id string) (*Table, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
 	for _, x := range Registry() {
 		if x.ID == id {
 			return x.Gen(e)
@@ -253,6 +243,9 @@ func (e *Engine) Table(id string) (*Table, error) {
 // returned; a panicking generator re-panics on the calling goroutine,
 // matching serial behaviour.
 func (e *Engine) Tables(ids ...string) ([]*Table, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
 	if len(ids) == 0 {
 		for _, x := range Registry() {
 			ids = append(ids, x.ID)

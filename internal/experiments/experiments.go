@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -32,14 +31,14 @@ type Options struct {
 	// 0 selects GOMAXPROCS; 1 forces serial execution. Rendered tables
 	// are byte-identical at any setting.
 	Parallelism int
-	// Lanes bounds lane parallelism *inside* each simulation
-	// (system.Config.Accel.Lanes). 0 is automatic: the host is divided
-	// between the worker pool and intra-simulation lanes
-	// (GOMAXPROCS/workers), falling back to the legacy serial engine
-	// when the pool already covers every core. -1 forces the legacy
-	// engine; >= 1 sets the lane goroutine bound exactly. The lane
-	// executor is deterministic, so rendered tables are byte-identical
-	// at any setting.
+	// Lanes is read only by Validate: the lane executors it once sized
+	// were removed, and every simulation interleaves its PEs on one
+	// serial loop. The field stays only because the benchmark harness
+	// (perfbench/) still sets it to -1; Validate rejects positive
+	// values.
+	//
+	// Deprecated: the lane executors were removed. Leave it 0; the
+	// field goes once perfbench/ stops setting it.
 	Lanes int
 	// Policy overrides the DRAM-less PRAM scheduling policy by registry
 	// name ("palp", "pause-aware", ...; see memctrl.PolicyNames).
@@ -55,6 +54,21 @@ func Fast() Options { return Options{Scale: 128 << 10} }
 // Full returns options sized closer to the paper's volumes.
 func Full() Options { return Options{Scale: 2 << 20} }
 
+// Validate reports option errors: an unknown kernel name (the error
+// lists the valid ones) or a positive Lanes.
+func (o Options) Validate() error {
+	for _, n := range o.Kernels {
+		if _, err := workload.ByName(n); err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
+	}
+	if o.Lanes > 0 {
+		return fmt.Errorf("experiments: Lanes = %d, but the lane executors were removed; leave it 0", o.Lanes)
+	}
+	return nil
+}
+
+// kernels resolves the workload set of validated options.
 func (o Options) kernels() []workload.Kernel {
 	if len(o.Kernels) == 0 {
 		return workload.Suite()
@@ -73,37 +87,8 @@ func (o Options) config(kind system.Kind) system.Config {
 	for cfg.SSDCapacity < uint64(6*o.Scale) {
 		cfg.SSDCapacity *= 2
 	}
-	cfg.Accel.Lanes = o.laneBudget()
 	cfg.Policy = o.Policy
 	return cfg
-}
-
-// workers resolves Options.Parallelism the way the runner pool does.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// laneBudget resolves Options.Lanes into the per-simulation
-// Accel.Lanes setting, sharing the host budget with the worker pool in
-// automatic mode: cores not claimed by cross-cell workers become
-// intra-cell lanes, and when the pool already covers the host the
-// legacy engine runs exactly as before (at the fast suite scale the
-// lane executor's per-dispatch classification only pays for itself
-// once it buys real parallelism).
-func (o Options) laneBudget() int {
-	switch {
-	case o.Lanes > 0:
-		return o.Lanes
-	case o.Lanes < 0:
-		return 0 // forced legacy
-	}
-	if n := runtime.GOMAXPROCS(0) / o.workers(); n >= 2 {
-		return n
-	}
-	return 0
 }
 
 // Row is one printable result row.

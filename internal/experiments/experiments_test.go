@@ -228,15 +228,35 @@ func TestFig20Fig21Shape(t *testing.T) {
 	}
 }
 
-func TestUnknownKernelPanicsInOptions(t *testing.T) {
+// TestUnknownKernelErrorsInOptions pins option validation at the
+// exported entry points: an unknown kernel name comes back as an error
+// listing the valid names (never a panic), and so does a positive Lanes.
+func TestUnknownKernelErrorsInOptions(t *testing.T) {
 	o := quickOpts()
 	o.Kernels = []string{"nope"}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown kernel did not panic via MustByName")
+	e := NewEngine(o)
+	for name, call := range map[string]func() error{
+		"Table":  func() error { _, err := e.Table("table3"); return err },
+		"Tables": func() error { _, err := e.Tables(); return err },
+		"Arena":  func() error { _, err := e.Arena(nil, nil); return err },
+		"Fig15":  func() error { _, err := Fig15(o); return err },
+		"Table3": func() error { _, err := Table3(o); return err },
+	} {
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "gemver") {
+			t.Errorf("%s: err = %v, want an unknown-kernel error listing the valid names", name, err)
 		}
-	}()
-	o.kernels()
+	}
+
+	o = quickOpts()
+	o.Lanes = 2
+	if _, err := NewEngine(o).Table("table3"); err == nil || !strings.Contains(err.Error(), "Lanes") {
+		t.Errorf("Lanes = 2: err = %v, want a rejection", err)
+	}
+	o.Lanes = -1
+	if _, err := NewEngine(o).Table("table3"); err != nil {
+		t.Errorf("Lanes = -1: %v", err)
+	}
 }
 
 func TestTableJSON(t *testing.T) {

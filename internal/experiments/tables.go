@@ -75,7 +75,11 @@ func Table2(Options) (*Table, error) {
 
 // Table3 renders the workload characteristics: write intensity (output
 // per input volume), data volume and class for every kernel.
-func Table3(o Options) (*Table, error) {
+func Table3(o Options) (*Table, error) { return NewEngine(o).Table("table3") }
+
+// Table3 generates Table III from the engine's options.
+func (e *Engine) Table3() (*Table, error) {
+	o := e.o
 	t := &Table{ID: "table3", Title: "workload characteristics"}
 	p := workload.Params{Scale: o.Scale, Agents: 7}
 	for _, k := range o.kernels() {
@@ -212,7 +216,7 @@ func Registry() []Experiment {
 		{"fig21", (*Engine).Fig21},
 		{"table1", optionsOnly(Table1)},
 		{"table2", optionsOnly(Table2)},
-		{"table3", optionsOnly(Table3)},
+		{"table3", (*Engine).Table3},
 		{"sec5-interleave", optionsOnly(Sec5Interleave)},
 		{"sec5-selerase", optionsOnly(Sec5SelErase)},
 	}

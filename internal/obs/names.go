@@ -111,15 +111,6 @@ func init() {
 		"accel.psc.boots", "accel.psc.transitions", "accel.job_queue_wait_ps",
 		"accel.mcu_busy_ps", "accel.events_dispatched", "accel.events_recycled",
 		"sim.events_dispatched", "sim.events_recycled",
-		"sim.lane.peN.events", "sim.lane.peN.parked_windows",
-		"sim.lane.windows", "sim.lane.barrier_stalls",
-		"sim.lane.folded_events", "sim.lane.fold_ratio",
-		"sim.lane.jobs.events", "sim.lane.jobs.folded_events",
-		"sim.lane.jobs.windows", "sim.lane.jobs.barrier_stalls",
-		"sim.lane.load.events", "sim.lane.load.folded_events",
-		"sim.lane.load.windows", "sim.lane.load.parked_windows",
-		"sim.lane.store.events", "sim.lane.store.folded_events",
-		"sim.lane.store.windows", "sim.lane.store.parked_windows",
 		"pcie.accel.dmas", "pcie.accel.bytes", "pcie.accel.busy_ps",
 		"pcie.ssd.dmas", "pcie.ssd.bytes", "pcie.ssd.busy_ps",
 		"dram.reads", "dram.writes", "dram.bytes_read", "dram.bytes_written",

@@ -115,21 +115,6 @@ type PE struct {
 	stallS *obs.Series
 	onOp   func(start, end sim.Time) // run-path recorder (uses curGap)
 	curGap sim.Duration              // Gap of the run being executed
-
-	// classify reports whether an access would be serviced entirely by
-	// the core-private cache hierarchy (cache.AccessPrivate), letting
-	// TailRun absorb fold-stopping private heads inline — including
-	// line-spanning accesses the run fast paths refuse, which the
-	// classifier probes per set with an epoch-stamped occupancy scratch.
-	// Nil (unbatched builds, or a memory without the probe) parks at
-	// every fold stop.
-	classify func(addr uint64, n int) bool
-}
-
-// privateClassifier is the optional probe a memory device exposes for
-// lane-mode head classification.
-type privateClassifier interface {
-	AccessPrivate(addr uint64, n int) bool
 }
 
 // New returns a PE executing stream against memory, starting at `start`.
@@ -150,9 +135,6 @@ func New(id int, cfg Config, memory mem.Device, stream workload.Stream, start si
 	if !cfg.Unbatched {
 		p.batches = workload.Coalesce(stream)
 		p.batcher, _ = memory.(mem.Batcher)
-		if pc, ok := memory.(privateClassifier); ok {
-			p.classify = pc.AccessPrivate
-		}
 	}
 	return p, nil
 }
@@ -316,138 +298,6 @@ func (p *PE) Step() (bool, error) {
 			// The next access leaves the private fast path: yield so it
 			// executes in its own event at the correct global time.
 			return true, nil
-		}
-	}
-}
-
-// StepHead implements the head half of sim.LaneModel: it executes
-// exactly the next operation of the stream — the one whose start time
-// equals the dispatch time and which may touch shared state — and
-// reports false once the stream is exhausted. A StepHead followed by
-// TailRun covers the same work as one legacy Step, except that TailRun
-// additionally absorbs provably private follow-on heads.
-func (p *PE) StepHead() (bool, error) {
-	if p.done {
-		return false, nil
-	}
-	if p.batches == nil {
-		op, ok := p.stream.Next()
-		if !ok {
-			p.done = true
-			return false, nil
-		}
-		return true, p.exec(op)
-	}
-	if p.bpos >= p.batch.Count {
-		b, ok := p.batches.NextBatch()
-		if !ok {
-			p.done = true
-			return false, nil
-		}
-		p.batch, p.bpos = b, 0
-	}
-	if err := p.exec(p.batch.At(p.bpos)); err != nil {
-		return false, err
-	}
-	p.bpos++
-	return true, nil
-}
-
-// TailRun implements the tail half of sim.LaneModel: it mirrors Step's
-// fold loop (identical state evolution, op for op), and where the fold
-// stops on an access the private classifier clears — a line-crossing
-// access still serviced entirely by this core's caches — it executes
-// that head inline and keeps folding, counting one extra event per
-// absorbed head. It parks (returns) only at a genuinely shared access,
-// which the coordinator then dispatches via StepHead in global time
-// order. publish, when non-nil, receives the core's advancing clock as
-// the executor's frontier.
-func (p *PE) TailRun(publish func(sim.Time)) (int64, error) {
-	if p.done || p.batches == nil {
-		return 0, nil
-	}
-	var extra int64
-	for {
-		if publish != nil {
-			publish(p.now)
-		}
-		if p.bpos >= p.batch.Count {
-			b, ok := p.batches.NextBatch()
-			if !ok {
-				p.done = true
-				return extra, nil
-			}
-			p.batch, p.bpos = b, 0
-		}
-		rest := p.batch.Count - p.bpos
-		op := p.batch.At(p.bpos)
-		// Sampled runs never fold (see Step); lane mode is gated off for
-		// them, but keep the contract identical regardless.
-		if p.ipc != nil || p.onSpan != nil {
-			return extra, nil
-		}
-		if op.Size == 0 {
-			if op.Compute > 0 {
-				dur := p.durOf(op.Compute)
-				if p.busyS != nil {
-					p.busyS.AddSpan(p.now, p.now+sim.Duration(rest)*dur)
-				}
-				p.now += sim.Duration(rest) * dur
-				p.compute += sim.Duration(rest) * dur
-				p.instrs += int64(rest) * op.Compute
-			}
-			p.bpos = p.batch.Count
-			continue
-		}
-		if p.batcher == nil {
-			return extra, nil
-		}
-		run := mem.Run{
-			Addr:   op.Addr,
-			Stride: p.batch.Stride,
-			Size:   op.Size,
-			Count:  rest,
-			Issue:  p.issue,
-			OnOp:   p.onOp,
-		}
-		if op.Compute > 0 {
-			run.Gap = p.durOf(op.Compute)
-		}
-		p.curGap = run.Gap
-		var res mem.RunResult
-		var err error
-		if op.Write {
-			res, err = p.batcher.WriteRun(p.now, run, p.payload(op.Size))
-		} else {
-			if len(p.loadBuf) < op.Size {
-				p.loadBuf = make([]byte, op.Size)
-			}
-			res, err = p.batcher.ReadRun(p.now, run, p.loadBuf[:op.Size])
-		}
-		if err != nil {
-			return extra, fmt.Errorf("pe %d: %w", p.ID, err)
-		}
-		if res.Done > 0 {
-			p.now = res.Now
-			p.compute += sim.Duration(res.Done) * run.Gap
-			p.stall += res.Stall
-			p.instrs += int64(res.Done) * (op.Compute + 1)
-			p.bpos += res.Done
-		}
-		if p.bpos < p.batch.Count {
-			// The fold stopped. A private stop (all touched lines served
-			// by this core's L1/L2) executes inline as its own event —
-			// its timing and state effects cannot depend on other lanes.
-			// A shared stop parks the lane for coordinated dispatch.
-			stop := p.batch.At(p.bpos)
-			if p.classify == nil || !p.classify(stop.Addr, stop.Size) {
-				return extra, nil
-			}
-			if err := p.exec(stop); err != nil {
-				return extra, err
-			}
-			p.bpos++
-			extra++
 		}
 	}
 }

@@ -51,9 +51,9 @@ func TestBlameSumsEqualPhaseWalls(t *testing.T) {
 	}
 }
 
-// TestBlameByteDeterministic pins the export contract: serial, laned
-// and checkpoint-forked executions of the same cell produce
-// byte-identical blame JSON.
+// TestBlameByteDeterministic pins the export contract: cold and
+// checkpoint-forked executions of the same cell produce byte-identical
+// blame JSON.
 func TestBlameByteDeterministic(t *testing.T) {
 	for _, kind := range []Kind{DRAMLess, IntegratedMLC, Hetero} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -73,16 +73,6 @@ func TestBlameByteDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := export(serial)
-
-			lcfg := cfg
-			lcfg.Accel.Lanes = 4
-			laned, err := Run(lcfg, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := export(laned); !bytes.Equal(got, ref) {
-				t.Errorf("lanes=4 blame differs from serial:\n%s", laned.Blame.Diff(serial.Blame))
-			}
 
 			cp, err := CapturePrefix(PrefixOf(cfg, k))
 			if err != nil {
@@ -131,9 +121,9 @@ func TestBlameRecordedOnObserver(t *testing.T) {
 }
 
 // TestTracedRunMatchesUntraced pins the traced-run fallback contract
-// (DESIGN.md §9): attaching a tracer disables checkpoint-fork reuse and
-// lane parallelism but must not perturb the simulation — walls, energy
-// and blame stay byte-equal to the untraced run.
+// (DESIGN.md §9): attaching a tracer disables checkpoint-fork reuse but
+// must not perturb the simulation — walls, energy and blame stay
+// byte-equal to the untraced run.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, kind := range []Kind{DRAMLess, IntegratedMLC} {
 		t.Run(kind.String(), func(t *testing.T) {

@@ -38,11 +38,6 @@ func PrefixOf(cfg Config, k workload.Kernel) Prefix {
 	norm := cfg
 	norm.Obs = nil
 	norm.SampleInterval = 0
-	// The lane knob changes only how the kernel phase executes, never
-	// its result (TestLanedMatchesSerial), and the populate/load prefix
-	// does not run kernels at all — every lane setting shares one
-	// checkpoint.
-	norm.Accel.Lanes = 0
 	// Scheduler policy: only the DRAM-less kind reads the
 	// Scheduler/Policy pair (the firmware-managed build forces
 	// bare-metal, every other kind has no PRAM controller), and a legacy

@@ -16,13 +16,12 @@ var policyEquivKernels = []string{"gemver", "doitg"}
 
 // policyExports runs kernel kname on a DRAM-less system under the named
 // policy and returns the run plus byte exports of its distributions.
-func policyExports(t *testing.T, name, kname string, lanes int) (*Result, []byte, []byte) {
+func policyExports(t *testing.T, name, kname string) (*Result, []byte, []byte) {
 	t.Helper()
 	k := workload.MustByName(kname)
 	cfg := testConfig(DRAMLess)
 	cfg.Scale = 128 << 10
 	cfg.Policy = name
-	cfg.Accel.Lanes = lanes
 	cfg.Obs = obs.New()
 	res, err := Run(cfg, k)
 	if err != nil {
@@ -40,27 +39,14 @@ func policyExports(t *testing.T, name, kname string, lanes int) (*Result, []byte
 
 // TestPolicyConformance is the policy registry's system-level oracle:
 // every registered policy must run deterministically — byte-identical
-// histogram/series exports and identical phase walls under the legacy
-// serial engine, the laned engine at 1 and at 4 goroutines, and a run
-// forked from its populate/load checkpoint.
+// histogram/series exports and identical phase walls for a cold run and
+// a run forked from its populate/load checkpoint.
 func TestPolicyConformance(t *testing.T) {
 	for _, name := range memctrl.PolicyNames() {
 		for _, kname := range policyEquivKernels {
 			name, kname := name, kname
 			t.Run(name+"/"+kname, func(t *testing.T) {
-				serial, sh, ss := policyExports(t, name, kname, 0)
-				for _, lanes := range []int{1, 4} {
-					laned, lh, ls := policyExports(t, name, kname, lanes)
-					if laned.Total != serial.Total || laned.Kernel != serial.Kernel {
-						t.Errorf("lanes=%d: walls differ: total %v != %v", lanes, laned.Total, serial.Total)
-					}
-					if !bytes.Equal(lh, sh) {
-						t.Errorf("lanes=%d: histogram export not byte-identical", lanes)
-					}
-					if !bytes.Equal(ls, ss) {
-						t.Errorf("lanes=%d: series export not byte-identical", lanes)
-					}
-				}
+				serial, sh, ss := policyExports(t, name, kname)
 
 				// Forked from the shared checkpoint: identical again.
 				k := workload.MustByName(kname)
@@ -86,6 +72,13 @@ func TestPolicyConformance(t *testing.T) {
 				}
 				if !bytes.Equal(fb.Bytes(), sh) {
 					t.Error("forked histogram export not byte-identical to cold")
+				}
+				fb.Reset()
+				if err := cfg.Obs.Series().WriteCSV(&fb); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(fb.Bytes(), ss) {
+					t.Error("forked series export not byte-identical to cold")
 				}
 			})
 		}

@@ -101,16 +101,6 @@ type build struct {
 	// bytes landing in the devices stay all-zero as before.
 	scratch []byte
 	zeros   []byte
-
-	// Storage-phase lane statistics (the On flags are set when the
-	// phase ran on the lane executor), exported as sim.lane.load.* and
-	// sim.lane.store.* counters. Forked runs never simulate the load
-	// phase, so its counters appear only on cold laned runs — the
-	// sim.lane.* filtering precedent covers the difference.
-	laneLoad    sim.LaneStats
-	laneStore   sim.LaneStats
-	laneLoadOn  bool
-	laneStoreOn bool
 }
 
 // bufPool recycles staging buffers across runs. Zeros buffers are never
@@ -369,18 +359,6 @@ func (b *build) collectCounters(rep *accel.Report, c *obs.Counters) {
 	}
 	b.accLink.CountersInto(c)
 	b.ssdLink.CountersInto(c)
-	if b.laneLoadOn {
-		c.Add("sim.lane.load.events", b.laneLoad.Events)
-		c.Add("sim.lane.load.folded_events", b.laneLoad.Folded)
-		c.Add("sim.lane.load.windows", b.laneLoad.Windows)
-		c.Add("sim.lane.load.parked_windows", sumI64(b.laneLoad.LaneParkedWindows))
-	}
-	if b.laneStoreOn {
-		c.Add("sim.lane.store.events", b.laneStore.Events)
-		c.Add("sim.lane.store.folded_events", b.laneStore.Folded)
-		c.Add("sim.lane.store.windows", b.laneStore.Windows)
-		c.Add("sim.lane.store.parked_windows", sumI64(b.laneStore.LaneParkedWindows))
-	}
 }
 
 // populateBuf returns the shared initial-data pattern block. It is
@@ -609,46 +587,23 @@ func (b *build) release() {
 // it consumes kernel-derived scalars (input/output bytes, base address,
 // agent count) instead of the kernel itself, so a checkpoint prefix can
 // replay it from a Prefix key alone.
-//
-// Storage-bound kinds dispatch through the phase lane models
-// (stagelane.go): the host stack's chain (image submission and DMA,
-// file I/O) and the external SSD's staged reads touch disjoint devices,
-// so they run as two lanes under the frontier-windowed coordinator —
-// byte-identical to the sequential fold at every worker count, serial
-// included. The dependent suffix (deserialize, DMA, DRAM landing; or
-// P2P transfer and completion) joins the lane end times with the same
-// Max expressions as before and stays coordinator-serial.
 func (b *build) loadPhase(at sim.Time, in, out int64, base uint64, agents int) (sim.Time, error) {
 	cfg := b.cfg
 	// Kernel image delivery is common to every organization: the host
-	// packs and pushes ~64 KiB over PCIe. On laned kinds it is the first
-	// op of the host-stack lane.
-	imageDelivery := func() sim.Time {
-		return b.accLink.DMA(b.host.Submit(at), imageBytes)
-	}
+	// packs and pushes ~64 KiB over PCIe.
+	t := b.host.Submit(at)
+	t = b.accLink.DMA(t, imageBytes)
 
 	switch cfg.Kind {
 	case Hetero, HeteroPRAM:
 		// files -> host DRAM -> deserialize -> DMA to accelerator DRAM.
+		stackDone, _, _ := b.host.FileIO(at, in)
 		step := int64(cfg.Host.IOBytes)
-		buf := b.stagingBuf(int(step))
-		var imgT, stackDone, devDone sim.Time
-		hostLane := newPhaseLane(at,
-			func() (sim.Time, error) { imgT = imageDelivery(); return imgT, nil },
-			func() (sim.Time, error) {
-				stackDone, _, _ = b.host.FileIO(at, in)
-				return stackDone, nil
-			},
-		)
-		devLane := newPhaseLane(at, func() (sim.Time, error) {
-			var err error
-			devDone, err = stageRead(b.extSSD, at, base, in, step, buf)
-			return devDone, err
-		})
-		if err := b.runPhase(&b.laneLoad, &b.laneLoadOn, hostLane, devLane); err != nil {
+		devDone, err := stageRead(b.extSSD, at, base, in, step, b.stagingBuf(int(step)))
+		if err != nil {
 			return 0, err
 		}
-		t := sim.Max(imgT, sim.Max(stackDone, devDone))
+		t = sim.Max(t, sim.Max(stackDone, devDone))
 		t = b.host.Deserialize(t, in)
 		t = b.accLink.DMA(t, in)
 		// Land the data in the accelerator DRAM.
@@ -664,22 +619,13 @@ func (b *build) loadPhase(at sim.Time, in, out int64, base uint64, agents int) (
 	case Heterodirect, HeterodirectPRAM:
 		// Peer-to-peer DMA: the host only submits; data flows
 		// SSD -> switch -> accelerator.
+		t = b.host.Submit(t)
 		step := int64(cfg.Host.IOBytes)
-		buf := b.stagingBuf(int(step))
-		var subT, devDone sim.Time
-		hostLane := newPhaseLane(at, func() (sim.Time, error) {
-			subT = b.host.Submit(imageDelivery())
-			return subT, nil
-		})
-		devLane := newPhaseLane(at, func() (sim.Time, error) {
-			var err error
-			devDone, err = stageRead(b.extSSD, at, base, in, step, buf)
-			return devDone, err
-		})
-		if err := b.runPhase(&b.laneLoad, &b.laneLoadOn, hostLane, devLane); err != nil {
+		devDone, err := stageRead(b.extSSD, at, base, in, step, b.stagingBuf(int(step)))
+		if err != nil {
 			return 0, err
 		}
-		t := sim.Max(subT, devDone)
+		t = sim.Max(t, devDone)
 		t = b.p2p.Transfer(t, in)
 		t = b.host.Completion(t)
 		d, err := b.dram.Write(t, base, b.zeroBuf(int(minI64(in, 1<<20))))
@@ -693,169 +639,91 @@ func (b *build) loadPhase(at sim.Time, in, out int64, base uint64, agents int) (
 	case DRAMLess, DRAMLessFirmware:
 		// Figure 9b: doorbell, image into the PRAM image space, server
 		// unpack, and - with selective erasing - pre-RESET the declared
-		// output region while the kernel loads. One chain over the link
-		// and the PRAM subsystem: a single lane, whose tail absorbs the
-		// unpack and pre-RESET ops inline.
-		var t sim.Time
-		lane := newPhaseLane(at,
-			func() (sim.Time, error) {
-				t = b.accLink.Message(imageDelivery())
-				return t, nil
-			},
-			func() (sim.Time, error) {
-				img := &kernel.Image{
-					SharedAddr: b.backend.Size() - 4*imageBytes,
-					Shared:     make([]byte, 4<<10),
-					Apps:       make([]kernel.App, 0, agents),
-				}
-				for i := 0; i < agents; i++ {
-					img.Apps = append(img.Apps, kernel.App{
-						BootAddr: b.backend.Size() - 3*imageBytes + uint64(i*4<<10),
-						Code:     make([]byte, 2<<10),
-					})
-				}
-				push := func(at sim.Time, dst uint64, data []byte) (sim.Time, error) {
-					d := b.accLink.DMA(at, int64(len(data)))
-					return b.backend.Write(d, dst, data)
-				}
-				_, t2, err := kernel.Offload(t, img, b.backend.Size()-2*imageBytes, push, b.backend)
-				if err != nil {
-					return 0, err
-				}
-				t = t2
-				return t, nil
-			},
-			func() (sim.Time, error) {
-				if b.sub != nil {
-					outAddr := base + uint64(in)
-					d, err := b.sub.PreErase(t, outAddr, int(out))
-					if err != nil {
-						return 0, err
-					}
-					t = d
-				}
-				t = sim.Max(t, mem.DrainOf(b.backend, t))
-				return t, nil
-			},
-		)
-		if err := b.runPhase(&b.laneLoad, &b.laneLoadOn, lane); err != nil {
+		// output region while the kernel loads.
+		t = b.accLink.Message(t)
+		img := &kernel.Image{
+			SharedAddr: b.backend.Size() - 4*imageBytes,
+			Shared:     make([]byte, 4<<10),
+			Apps:       make([]kernel.App, 0, agents),
+		}
+		for i := 0; i < agents; i++ {
+			img.Apps = append(img.Apps, kernel.App{
+				BootAddr: b.backend.Size() - 3*imageBytes + uint64(i*4<<10),
+				Code:     make([]byte, 2<<10),
+			})
+		}
+		push := func(at sim.Time, dst uint64, data []byte) (sim.Time, error) {
+			d := b.accLink.DMA(at, int64(len(data)))
+			return b.backend.Write(d, dst, data)
+		}
+		_, t2, err := kernel.Offload(t, img, b.backend.Size()-2*imageBytes, push, b.backend)
+		if err != nil {
 			return 0, err
 		}
-		return t, nil
+		if b.sub != nil {
+			outAddr := base + uint64(in)
+			d, err := b.sub.PreErase(t2, outAddr, int(out))
+			if err != nil {
+				return 0, err
+			}
+			t2 = d
+		}
+		return sim.Max(t2, mem.DrainOf(b.backend, t2)), nil
 	default:
 		// Integrated systems, PAGE-buffer, NOR-intf and Ideal compute in
-		// place; only the image delivery is on the critical path — one
-		// op, nothing for a lane model to widen.
-		return imageDelivery(), nil
+		// place; only the image delivery is on the critical path.
+		return t, nil
 	}
 }
 
 // storePhase persists the kernel outputs.
-// storePhase drains the kernel's output back to persistent media. The
-// drain is one dependent chain — DRAM read-back, transfer, stage-write,
-// flush — so laned kinds model it as a single phase lane whose tail
-// absorbs everything after the first op inline (each absorbed op is a
-// folded event under the coordinator, never a dispatch), while
-// in-place kinds stay serial.
 func (b *build) storePhase(at sim.Time, k workload.Kernel, p workload.Params, out int64) (sim.Time, error) {
 	switch b.cfg.Kind {
 	case Hetero, HeteroPRAM:
 		// accel DRAM -> DMA -> host stack -> SSD.
-		drainBuf := b.stagingBuf(int(minI64(out, 1<<20)))
-		step := int64(b.cfg.Host.IOBytes)
-		stepBuf := b.zeroBuf(int(step))
-		var t sim.Time
-		lane := newPhaseLane(at,
-			func() (sim.Time, error) {
-				d, err := b.dram.ReadInto(at, k.OutputAddr(p), drainBuf)
-				if err != nil {
-					return 0, err
-				}
-				if out > 1<<20 {
-					d += b.dramWriteTime(out - 1<<20)
-				}
-				t = b.accLink.DMA(d, out)
-				return t, nil
-			},
-			func() (sim.Time, error) {
-				t, _, _ = b.host.FileIO(t, out)
-				return t, nil
-			},
-			func() (sim.Time, error) {
-				var err error
-				t, err = stageWrite(b.extSSD, t, k.OutputAddr(p), out, step, stepBuf)
-				return t, err
-			},
-			func() (sim.Time, error) {
-				var err error
-				t, err = b.extSSD.Flush(t)
-				return t, err
-			},
-		)
-		if err := b.runPhase(&b.laneStore, &b.laneStoreOn, lane); err != nil {
+		t, err := b.dram.ReadInto(at, k.OutputAddr(p), b.stagingBuf(int(minI64(out, 1<<20))))
+		if err != nil {
 			return 0, err
 		}
-		return t, nil
+		if out > 1<<20 {
+			t += b.dramWriteTime(out - 1<<20)
+		}
+		t = b.accLink.DMA(t, out)
+		stackDone, _, _ := b.host.FileIO(t, out)
+		step := int64(b.cfg.Host.IOBytes)
+		t, err = stageWrite(b.extSSD, stackDone, k.OutputAddr(p), out, step, b.zeroBuf(int(step)))
+		if err != nil {
+			return 0, err
+		}
+		return b.extSSD.Flush(t)
 	case Heterodirect, HeterodirectPRAM:
-		drainBuf := b.stagingBuf(int(minI64(out, 1<<20)))
-		step := int64(b.cfg.Host.IOBytes)
-		stepBuf := b.zeroBuf(int(step))
-		var t sim.Time
-		lane := newPhaseLane(at,
-			func() (sim.Time, error) {
-				d, err := b.dram.ReadInto(at, k.OutputAddr(p), drainBuf)
-				if err != nil {
-					return 0, err
-				}
-				if out > 1<<20 {
-					d += b.dramWriteTime(out - 1<<20)
-				}
-				t = b.host.Submit(d)
-				return t, nil
-			},
-			func() (sim.Time, error) {
-				t = b.p2p.Transfer(t, out)
-				return t, nil
-			},
-			func() (sim.Time, error) {
-				var err error
-				t, err = stageWrite(b.extSSD, t, k.OutputAddr(p), out, step, stepBuf)
-				return t, err
-			},
-			func() (sim.Time, error) {
-				d, err := b.extSSD.Flush(t)
-				if err != nil {
-					return 0, err
-				}
-				t = b.host.Completion(d)
-				return t, nil
-			},
-		)
-		if err := b.runPhase(&b.laneStore, &b.laneStoreOn, lane); err != nil {
+		t, err := b.dram.ReadInto(at, k.OutputAddr(p), b.stagingBuf(int(minI64(out, 1<<20))))
+		if err != nil {
 			return 0, err
 		}
-		return t, nil
+		if out > 1<<20 {
+			t += b.dramWriteTime(out - 1<<20)
+		}
+		t = b.host.Submit(t)
+		t = b.p2p.Transfer(t, out)
+		step := int64(b.cfg.Host.IOBytes)
+		t, err = stageWrite(b.extSSD, t, k.OutputAddr(p), out, step, b.zeroBuf(int(step)))
+		if err != nil {
+			return 0, err
+		}
+		d, err := b.extSSD.Flush(t)
+		if err != nil {
+			return 0, err
+		}
+		return b.host.Completion(d), nil
 	case IntegratedSLC, IntegratedMLC, IntegratedTLC, PageBuffer:
 		// Dirty buffer pages must reach the medium.
 		return b.intSSD.Flush(at)
 	case DRAMLess, DRAMLessFirmware:
 		// Cache flush happened in RunKernel; wait out the posted
 		// programs and notify the host.
-		var t sim.Time
-		lane := newPhaseLane(at,
-			func() (sim.Time, error) {
-				t = mem.DrainOf(b.backend, at)
-				return t, nil
-			},
-			func() (sim.Time, error) {
-				t = b.accLink.Message(t)
-				return t, nil
-			},
-		)
-		if err := b.runPhase(&b.laneStore, &b.laneStoreOn, lane); err != nil {
-			return 0, err
-		}
-		return t, nil
+		t := mem.DrainOf(b.backend, at)
+		return b.accLink.Message(t), nil
 	case NORIntf:
 		t := b.nor.Drain()
 		return b.accLink.Message(sim.Max(at, t)), nil

@@ -54,9 +54,9 @@ type result struct {
 
 // document is the emitted file. GOMAXPROCS and NumCPU pin the host
 // shape the numbers were recorded on: min-of-N ns/op is only comparable
-// between runs with the same available parallelism (the laned-serial
-// executors and the experiment engine's worker pool both scale with
-// it), so -compare warns when they differ instead of silently flapping.
+// between runs with the same available parallelism (the experiment
+// engine's worker pool scales with it), so -compare warns when they
+// differ instead of silently flapping.
 type document struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
