@@ -46,7 +46,7 @@ bench:
 # only ever slow a deterministic benchmark, so min-of-means is the
 # noise-robust estimator where the old single shot flapped ±20%).
 bench-json:
-	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5|BenchmarkPRAM|BenchmarkCache)' \
 		-benchmem -benchtime 5x -count 5 . | $(GO) run ./tools/benchjson -out BENCH_suite.json
 
 # Perf regression gate: rerun the suite benchmarks (same min-of-means
@@ -55,7 +55,7 @@ bench-json:
 # 10%. Host timings are still noisy, so this is an optional CI target
 # (ci-full), not part of the default `make ci` gate.
 bench-compare:
-	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5|BenchmarkPRAM|BenchmarkCache)' \
 		-benchmem -benchtime 5x -count 5 . | $(GO) run ./tools/benchjson -compare BENCH_suite.json
 
 # Latency distribution baseline: the reference run's full histogram

@@ -109,12 +109,21 @@ func (s Stats) CountersInto(c *obs.Counters, prefix string) {
 	}
 }
 
-type line struct {
-	valid, dirty bool
-	tag          uint64
-	data         []byte
-	lastUse      int64
+// Line state lives in one flat set-major array indexed by i = set*Ways +
+// way, with no pointers for the collector to scan: ways[i] holds the
+// way's tag key and LRU stamp, and the line's bytes are
+// slab[i<<lineShift:]. A probe reads a few contiguous words - one host
+// cache line for a 4-way set - instead of a struct per way (DESIGN.md
+// §8, host-cache layout).
+type way struct {
+	key   uint64 // (tag+1)<<1 | dirty; 0 is an invalid way
+	stamp int64  // tick of the last access
 }
+
+// dirtyBit is the dirty flag of a way key.
+const dirtyBit = 1
+
+func tagKey(tag uint64) uint64 { return (tag + 1) << 1 }
 
 // Cache is one set-associative write-back, write-allocate cache level in
 // front of a lower mem.Device.
@@ -122,11 +131,9 @@ type Cache struct {
 	cfg     Config
 	errName string // "cache <name>", precomputed so range checks don't allocate
 	lower   mem.Device
-	sets    [][]line
-	slab    []byte // one backing array for every line's data
-	store   *storage
-	tick    int64
-	stats   Stats
+	storage
+	tick  int64
+	stats Stats
 
 	// Address-decomposition constants: line size and set count are
 	// validated powers of two, so index/lineBase run on shifts and masks
@@ -148,22 +155,35 @@ type Cache struct {
 // GC-scanning) megabytes of line arrays per cell dominated the suite's
 // wall clock once the datapath itself stopped allocating.
 type storage struct {
-	slab  []byte
-	lines []line
-	sets  [][]line
+	ways []way
+	slab []byte // one backing array for every line's data
 }
 
-// storagePools recycles storage per cache shape (size, line, ways), so a
-// Get always fits exactly.
-var storagePools sync.Map // [3]int -> *sync.Pool
+// storagePool keeps released storage per cache shape (size, line, ways),
+// so a reuse always fits exactly. A mutex-guarded free list rather than
+// a sync.Pool: which storage a construction reuses then does not depend
+// on the P its goroutine runs on or on collection timing, and the list
+// never grows beyond the most caches alive at once.
+var storagePool = struct {
+	mu   sync.Mutex
+	free map[[3]int][]storage
+}{free: map[[3]int][]storage{}}
 
-func storagePool(cfg Config) *sync.Pool {
-	key := [3]int{cfg.SizeBytes, cfg.LineBytes, cfg.Ways}
-	if p, ok := storagePools.Load(key); ok {
-		return p.(*sync.Pool)
+func shapeOf(cfg Config) [3]int { return [3]int{cfg.SizeBytes, cfg.LineBytes, cfg.Ways} }
+
+// pooledStorage returns released storage of cfg's shape, if any.
+func pooledStorage(cfg Config) (storage, bool) {
+	storagePool.mu.Lock()
+	defer storagePool.mu.Unlock()
+	list := storagePool.free[shapeOf(cfg)]
+	n := len(list)
+	if n == 0 {
+		return storage{}, false
 	}
-	p, _ := storagePools.LoadOrStore(key, &sync.Pool{})
-	return p.(*sync.Pool)
+	st := list[n-1]
+	list[n-1] = storage{}
+	storagePool.free[shapeOf(cfg)] = list[:n-1]
+	return st, true
 }
 
 var (
@@ -171,11 +191,9 @@ var (
 	_ mem.ReaderInto = (*Cache)(nil)
 )
 
-// New builds a cache over lower. All line storage comes from one slab
-// allocation (3 allocations per cache instead of sets*ways+2): the
-// experiment engine rebuilds every PE's L1/L2 for each system x kernel
-// cell, which made per-way line buffers the single largest allocation
-// source of the suite.
+// New builds a cache over lower. Line storage is two flat arrays,
+// recycled across instances through Release: the experiment engine
+// rebuilds every PE's L1/L2 for each system x kernel cell.
 func New(cfg Config, lower mem.Device) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -184,22 +202,23 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: nil lower level", cfg.Name)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	pool := storagePool(cfg)
-	st, _ := pool.Get().(*storage)
-	if st == nil {
-		st = &storage{
-			slab:  make([]byte, cfg.SizeBytes),
-			lines: make([]line, nsets*cfg.Ways),
-			sets:  make([][]line, nsets),
+	st, ok := pooledStorage(cfg)
+	if !ok {
+		st = storage{
+			ways: make([]way, nsets*cfg.Ways),
+			slab: make([]byte, cfg.SizeBytes),
 		}
+	} else {
+		// Recycled storage carries stale keys and stamps (stale slab
+		// bytes are unobservable - every line is refilled from below
+		// before its first copy-out).
+		clear(st.ways)
 	}
 	c := &Cache{
 		cfg:       cfg,
 		errName:   "cache " + cfg.Name,
 		lower:     lower,
-		sets:      st.sets,
-		slab:      st.slab,
-		store:     st,
+		storage:   st,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		lineMask:  uint64(cfg.LineBytes) - 1,
 		setShift:  uint(bits.TrailingZeros64(uint64(nsets))),
@@ -210,17 +229,6 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 		c.hHit = hs.Get("cache." + lvl + ".hit_ps")
 		c.hMiss = hs.Get("cache." + lvl + ".miss_ps")
 	}
-	for i := range c.sets {
-		ways := st.lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		for w := range ways {
-			base := (i*cfg.Ways + w) * cfg.LineBytes
-			// Full line reset: recycled storage carries stale tags and
-			// valid bits (stale slab bytes are unobservable - every line
-			// is refilled from below before its first copy-out).
-			ways[w] = line{data: c.slab[base : base+cfg.LineBytes : base+cfg.LineBytes]}
-		}
-		c.sets[i] = ways
-	}
 	return c, nil
 }
 
@@ -229,11 +237,13 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 // hierarchies per run (the accelerator) call it once stats have been
 // snapshotted.
 func (c *Cache) Release() {
-	if c.store == nil {
+	if c.ways == nil {
 		return
 	}
-	storagePool(c.cfg).Put(c.store)
-	c.store, c.sets, c.slab = nil, nil, nil
+	storagePool.mu.Lock()
+	storagePool.free[shapeOf(c.cfg)] = append(storagePool.free[shapeOf(c.cfg)], c.storage)
+	storagePool.mu.Unlock()
+	c.storage = storage{}
 }
 
 // MustNew is New for known-good configurations.
@@ -264,75 +274,84 @@ func (c *Cache) lineBase(set int, tag uint64) uint64 {
 	return (tag<<c.setShift | uint64(set)) << c.lineShift
 }
 
-// lookup returns the way holding (set, tag) or -1.
+// tagOf returns the tag held by a valid way key.
+func tagOf(key uint64) uint64 { return key>>1 - 1 }
+
+// data returns the bytes of line i.
+func (c *Cache) data(i int) []byte {
+	lo := i << c.lineShift
+	return c.slab[lo : lo+c.cfg.LineBytes : lo+c.cfg.LineBytes]
+}
+
+// lookup returns the line index holding (set, tag) or -1.
 func (c *Cache) lookup(set int, tag uint64) int {
-	ways := c.sets[set]
-	for w := range ways {
-		ln := &ways[w]
-		if ln.valid && ln.tag == tag {
-			return w
+	want := tagKey(tag) | dirtyBit
+	base := set * c.cfg.Ways
+	for w, wy := range c.ways[base : base+c.cfg.Ways] {
+		if wy.key|dirtyBit == want {
+			return base + w
 		}
 	}
 	return -1
 }
 
-// victim returns the LRU way of the set, preferring invalid ways.
+// victim returns the line index of the set's LRU way, preferring invalid
+// ways (the lowest-numbered one) and, among equal stamps, the lowest way.
 func (c *Cache) victim(set int) int {
-	best, bestUse := 0, int64(1<<62)
-	for w := range c.sets[set] {
-		if !c.sets[set][w].valid {
-			return w
+	base := set * c.cfg.Ways
+	best, bestUse := base, int64(1<<62)
+	for w, wy := range c.ways[base : base+c.cfg.Ways] {
+		if wy.key == 0 {
+			return base + w
 		}
-		if c.sets[set][w].lastUse < bestUse {
-			best, bestUse = w, c.sets[set][w].lastUse
+		if wy.stamp < bestUse {
+			best, bestUse = base+w, wy.stamp
 		}
 	}
 	return best
 }
 
-// fill ensures (set, tag) is resident, returning its way and the time the
-// line is ready. Misses fetch from below, evicting (and writing back) the
-// LRU victim first.
+// fill ensures (set, tag) is resident, returning its line index and the
+// time the line is ready. Misses fetch from below, evicting (and writing
+// back) the LRU victim first.
 func (c *Cache) fill(at sim.Time, set int, tag uint64) (int, sim.Time, error) {
-	if w := c.lookup(set, tag); w >= 0 {
+	if i := c.lookup(set, tag); i >= 0 {
 		c.stats.Hits++
 		c.stats.HitPS += int64(c.cfg.HitLatency)
 		if c.hHit != nil {
 			c.hHit.Record(int64(c.cfg.HitLatency))
 		}
-		return w, at + c.cfg.HitLatency, nil
+		return i, at + c.cfg.HitLatency, nil
 	}
 	c.stats.Misses++
-	w := c.victim(set)
-	ln := &c.sets[set][w]
+	i := c.victim(set)
 	t := at + c.cfg.HitLatency // tag check before going below
-	if ln.valid {
+	if k := c.ways[i].key; k != 0 {
 		c.stats.Evictions++
-		if ln.dirty {
+		if k&dirtyBit != 0 {
 			c.stats.Writebacks++
 			c.stats.BytesBelow += int64(c.cfg.LineBytes)
-			done, err := c.lower.Write(t, c.lineBase(set, ln.tag), ln.data)
+			done, err := c.lower.Write(t, c.lineBase(set, tagOf(k)), c.data(i))
 			if err != nil {
 				return 0, 0, fmt.Errorf("cache %s: writeback: %w", c.cfg.Name, err)
 			}
 			t = done
 		}
 	}
-	base := c.lineBase(set, tag)
 	// Fetch straight into the line's slab storage; invalidate first so an
 	// error below cannot leave a half-filled line looking resident.
-	ln.valid, ln.dirty = false, false
-	done, err := mem.ReadIntoOf(c.lower, t, base, ln.data)
+	c.ways[i].key = 0
+	done, err := mem.ReadIntoOf(c.lower, t, c.lineBase(set, tag), c.data(i))
 	if err != nil {
 		return 0, 0, fmt.Errorf("cache %s: fill: %w", c.cfg.Name, err)
 	}
 	c.stats.BytesBelow += int64(c.cfg.LineBytes)
-	ln.valid, ln.dirty, ln.tag = true, false, tag
+	c.ways[i].key = tagKey(tag)
 	c.stats.MissPS += int64(done - at)
 	if c.hMiss != nil {
 		c.hMiss.Record(int64(done - at))
 	}
-	return w, done, nil
+	return i, done, nil
 }
 
 // Read implements mem.Device.
@@ -363,13 +382,13 @@ func (c *Cache) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error)
 		if take > n-off {
 			take = n - off
 		}
-		w, d, err := c.fill(at, set, tag)
+		i, d, err := c.fill(at, set, tag)
 		if err != nil {
 			return 0, err
 		}
 		c.tick++
-		c.sets[set][w].lastUse = c.tick
-		copy(dst[off:], c.sets[set][w].data[lo:lo+take])
+		c.ways[i].stamp = c.tick
+		copy(dst[off:], c.data(i)[lo:lo+take])
 		done = sim.Max(done, d)
 		off += take
 	}
@@ -388,41 +407,41 @@ func (c *Cache) Write(at sim.Time, addr uint64, data []byte) (sim.Time, error) {
 		if take > len(data)-off {
 			take = len(data) - off
 		}
-		w, d, err := c.fill(at, set, tag)
+		i, d, err := c.fill(at, set, tag)
 		if err != nil {
 			return 0, err
 		}
 		c.tick++
-		ln := &c.sets[set][w]
-		ln.lastUse = c.tick
-		copy(ln.data[lo:], data[off:off+take])
-		ln.dirty = true
+		c.ways[i].stamp = c.tick
+		copy(c.data(i)[lo:], data[off:off+take])
+		c.ways[i].key |= dirtyBit
 		done = sim.Max(done, d)
 		off += take
 	}
 	return done, nil
 }
 
-// Flush writes every dirty line back to the lower level and invalidates
-// the cache; the accelerator does this when a kernel completes so results
-// are persistent in PRAM.
+// Flush writes every dirty line back to the lower level, in set-major
+// then way order, and invalidates the cache; the accelerator does this
+// when a kernel completes so results are persistent in PRAM. A failed
+// writeback leaves that line and every later one untouched.
 func (c *Cache) Flush(at sim.Time) (done sim.Time, err error) {
 	done = at
-	for set := range c.sets {
-		for w := range c.sets[set] {
-			ln := &c.sets[set][w]
-			if ln.valid && ln.dirty {
-				c.stats.Writebacks++
-				c.stats.BytesBelow += int64(c.cfg.LineBytes)
-				d, err := c.lower.Write(done, c.lineBase(set, ln.tag), ln.data)
-				if err != nil {
-					return 0, err
-				}
-				done = d
-			}
-			ln.valid, ln.dirty = false, false
+	for i, wy := range c.ways {
+		k := wy.key
+		if k&dirtyBit == 0 {
+			continue
 		}
+		c.stats.Writebacks++
+		c.stats.BytesBelow += int64(c.cfg.LineBytes)
+		d, err := c.lower.Write(done, c.lineBase(i/c.cfg.Ways, tagOf(k)), c.data(i))
+		if err != nil {
+			clear(c.ways[:i])
+			return 0, err
+		}
+		done = d
 	}
+	clear(c.ways)
 	return done, nil
 }
 
@@ -453,8 +472,8 @@ func (c *Cache) privateMiss(set int, tag uint64) bool {
 	if !ok {
 		return false
 	}
-	if ln := &c.sets[set][c.victim(set)]; ln.valid && ln.dirty {
-		if !lower.wouldHit(c.lineBase(set, ln.tag), c.cfg.LineBytes) {
+	if k := c.ways[c.victim(set)].key; k&dirtyBit != 0 {
+		if !lower.wouldHit(c.lineBase(set, tagOf(k)), c.cfg.LineBytes) {
 			return false
 		}
 	}
@@ -476,7 +495,7 @@ func (c *Cache) ReadRun(now sim.Time, r mem.Run, dst []byte) (mem.RunResult, err
 	// Same-line memo: runs whose stride is below the line size hit the
 	// line they just resolved; skip the way scan. Hits never move lines,
 	// so the memo stays exact until the next miss.
-	memoW, memoSet, memoTag := -1, 0, uint64(0)
+	memoI, memoSet, memoTag := -1, 0, uint64(0)
 	for res.Done < r.Count {
 		set, tag, lo := c.index(addr)
 		if lo+r.Size > c.cfg.LineBytes {
@@ -484,12 +503,12 @@ func (c *Cache) ReadRun(now sim.Time, r mem.Run, dst []byte) (mem.RunResult, err
 		}
 		start := res.Now + r.Gap
 		var done sim.Time
-		w := memoW
-		if w < 0 || set != memoSet || tag != memoTag {
-			w = c.lookup(set, tag)
+		i := memoI
+		if i < 0 || set != memoSet || tag != memoTag {
+			i = c.lookup(set, tag)
 		}
-		if w >= 0 {
-			memoW, memoSet, memoTag = w, set, tag
+		if i >= 0 {
+			memoI, memoSet, memoTag = i, set, tag
 			// Hit fast path: same stats/LRU/instrument effects as fill's
 			// hit arm.
 			c.stats.Hits++
@@ -498,15 +517,14 @@ func (c *Cache) ReadRun(now sim.Time, r mem.Run, dst []byte) (mem.RunResult, err
 				c.hHit.Record(int64(c.cfg.HitLatency))
 			}
 			c.tick++
-			ln := &c.sets[set][w]
-			ln.lastUse = c.tick
-			pend = ln.data[lo : lo+r.Size]
+			c.ways[i].stamp = c.tick
+			pend = c.data(i)[lo : lo+r.Size]
 			done = start + c.cfg.HitLatency
 		} else {
 			if !c.privateMiss(set, tag) {
 				break
 			}
-			memoW = -1 // the fill below may evict any way
+			memoI = -1 // the fill below may evict any way
 			// A fill may overwrite the pending line's slab storage
 			// (eviction reuses it); settle the deferred copy first.
 			if pend != nil {
@@ -543,7 +561,7 @@ func (c *Cache) ReadRun(now sim.Time, r mem.Run, dst []byte) (mem.RunResult, err
 func (c *Cache) WriteRun(now sim.Time, r mem.Run, src []byte) (mem.RunResult, error) {
 	res := mem.RunResult{Now: now}
 	addr := r.Addr
-	memoW, memoSet, memoTag := -1, 0, uint64(0) // same-line memo, as in ReadRun
+	memoI, memoSet, memoTag := -1, 0, uint64(0) // same-line memo, as in ReadRun
 	for res.Done < r.Count {
 		set, tag, lo := c.index(addr)
 		if lo+r.Size > c.cfg.LineBytes {
@@ -551,28 +569,27 @@ func (c *Cache) WriteRun(now sim.Time, r mem.Run, src []byte) (mem.RunResult, er
 		}
 		start := res.Now + r.Gap
 		var done sim.Time
-		w := memoW
-		if w < 0 || set != memoSet || tag != memoTag {
-			w = c.lookup(set, tag)
+		i := memoI
+		if i < 0 || set != memoSet || tag != memoTag {
+			i = c.lookup(set, tag)
 		}
-		if w >= 0 {
-			memoW, memoSet, memoTag = w, set, tag
+		if i >= 0 {
+			memoI, memoSet, memoTag = i, set, tag
 			c.stats.Hits++
 			c.stats.HitPS += int64(c.cfg.HitLatency)
 			if c.hHit != nil {
 				c.hHit.Record(int64(c.cfg.HitLatency))
 			}
 			c.tick++
-			ln := &c.sets[set][w]
-			ln.lastUse = c.tick
-			copy(ln.data[lo:lo+r.Size], src[:r.Size])
-			ln.dirty = true
+			c.ways[i].stamp = c.tick
+			copy(c.data(i)[lo:lo+r.Size], src[:r.Size])
+			c.ways[i].key |= dirtyBit
 			done = start + c.cfg.HitLatency
 		} else {
 			if !c.privateMiss(set, tag) {
 				break
 			}
-			memoW = -1 // the fill below may evict any way
+			memoI = -1 // the fill below may evict any way
 			var err error
 			done, err = c.Write(start, addr, src[:r.Size])
 			if err != nil {

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -270,5 +272,81 @@ func TestCacheCoherenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReleasedStorageIsReusedClean pins the storage free list: a
+// construction of the same shape takes the storage the last Release
+// returned, and none of the released cache's resident or dirty lines
+// survive into the new cache.
+func TestReleasedStorageIsReusedClean(t *testing.T) {
+	lowerA := flat()
+	a := small(t, lowerA)
+	if _, err := a.Write(0, 0, bytes.Repeat([]byte{0xEE}, 256)); err != nil {
+		t.Fatal(err)
+	}
+	slab := &a.slab[0]
+	a.Release()
+
+	lowerB := flat()
+	b := small(t, lowerB)
+	defer b.Release()
+	if &b.slab[0] != slab {
+		t.Fatal("a same-shape cache did not reuse the released storage")
+	}
+	got, _, err := b.Read(0, 0, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 256)) {
+		t.Fatalf("reused cache served stale lines: %x", got[:16])
+	}
+	if s := b.Stats(); s.Hits != 0 || s.Misses != 4 {
+		t.Fatalf("reused cache stats = %+v, want 4 cold misses", s)
+	}
+	done, err := b.Flush(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done != 0 || b.Stats().Writebacks != 0 {
+		t.Fatal("reused cache wrote back the released cache's dirty lines")
+	}
+}
+
+// TestStoragePoolConcurrentUse draws, exercises and releases caches of
+// one shape from several goroutines at once, as the experiment engine's
+// workers do; run under the race detector by make race-sim.
+func TestStoragePoolConcurrentUse(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				cfg := Config{Name: "T", SizeBytes: 4096, LineBytes: 64, Ways: 2, HitLatency: sim.Nanoseconds(1)}
+				c, err := New(cfg, flat())
+				if err != nil {
+					errs <- err
+					return
+				}
+				want := bytes.Repeat([]byte{byte(g*50 + i)}, 200)
+				if _, err := c.Write(0, 64, want); err != nil {
+					errs <- err
+					return
+				}
+				got, _, err := c.Read(0, 64, len(want))
+				if err != nil || !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("goroutine %d pass %d: read back %v, %x", g, i, err, got[:4])
+					return
+				}
+				c.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dramless/internal/sim"
 )
@@ -52,6 +53,16 @@ func TestDerivedTiming(t *testing.T) {
 	lat := p.RowReadLatency()
 	if lat < sim.Nanoseconds(100) || lat > sim.Nanoseconds(150) {
 		t.Errorf("row read latency = %v, want ~100-150ns", lat)
+	}
+}
+
+// TestCellStateIsOneByte pins the footprint of per-word cell state:
+// every PRAM row keeps one CellState per word, so widening the type
+// multiplies the simulator's resident set (see the pram segment
+// footprint test).
+func TestCellStateIsOneByte(t *testing.T) {
+	if n := unsafe.Sizeof(CellState(0)); n != 1 {
+		t.Fatalf("CellState is %d bytes, want 1", n)
 	}
 }
 

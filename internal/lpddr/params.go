@@ -114,7 +114,7 @@ func Default() Params {
 
 // Validate reports a descriptive error for parameter combinations the
 // model cannot represent.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.TCK <= 0:
 		return fmt.Errorf("lpddr: TCK must be positive, got %v", p.TCK)
@@ -143,27 +143,27 @@ func (p Params) Validate() error {
 // Derived timing ------------------------------------------------------
 
 // TRP returns the pre-active phase time.
-func (p Params) TRP() sim.Duration { return sim.Duration(p.TRPCycles) * p.TCK }
+func (p *Params) TRP() sim.Duration { return sim.Duration(p.TRPCycles) * p.TCK }
 
 // RL returns the read latency as a duration.
-func (p Params) RL() sim.Duration { return sim.Duration(p.RLCycles) * p.TCK }
+func (p *Params) RL() sim.Duration { return sim.Duration(p.RLCycles) * p.TCK }
 
 // WL returns the write latency as a duration.
-func (p Params) WL() sim.Duration { return sim.Duration(p.WLCycles) * p.TCK }
+func (p *Params) WL() sim.Duration { return sim.Duration(p.WLCycles) * p.TCK }
 
 // TBurst returns the time one data burst occupies the 16-bit DDR bus:
 // BurstLen beats at two beats per clock.
-func (p Params) TBurst() sim.Duration {
+func (p *Params) TBurst() sim.Duration {
 	return sim.Duration(p.BurstLen/2) * p.TCK
 }
 
 // BurstBytes returns the payload of one burst: BurstLen beats x 2 bytes
 // per beat on the x16 interface.
-func (p Params) BurstBytes() int { return p.BurstLen * 2 }
+func (p *Params) BurstBytes() int { return p.BurstLen * 2 }
 
 // BurstsPerRow returns how many read/write-phase bursts a full RDB
 // transfer takes.
-func (p Params) BurstsPerRow() int {
+func (p *Params) BurstsPerRow() int {
 	n := p.RDBBytes / p.BurstBytes()
 	if n < 1 {
 		n = 1
@@ -172,15 +172,15 @@ func (p Params) BurstsPerRow() int {
 }
 
 // ReadPreamble returns RL + tDQSCK: command to first read data.
-func (p Params) ReadPreamble() sim.Duration { return p.RL() + p.TDQSCK }
+func (p *Params) ReadPreamble() sim.Duration { return p.RL() + p.TDQSCK }
 
 // WritePreamble returns WL + tDQSS: command to first write data.
-func (p Params) WritePreamble() sim.Duration { return p.WL() + p.TDQSS }
+func (p *Params) WritePreamble() sim.Duration { return p.WL() + p.TDQSS }
 
 // RowReadLatency returns the uncontended latency of a full three-phase
 // row read: pre-active + activate + read preamble + one burst. This is
 // the paper's ~100 ns end-to-end PRAM read.
-func (p Params) RowReadLatency() sim.Duration {
+func (p *Params) RowReadLatency() sim.Duration {
 	return p.TRP() + p.TRCD + p.ReadPreamble() + p.TBurst()
 }
 
@@ -190,7 +190,7 @@ func (p Params) RowReadLatency() sim.Duration {
 //	fresh (never programmed)      -> CellProgram
 //	overwrite (programmed cells)  -> CellProgram + CellOverwriteExtra
 //	erased (selectively pre-RESET)-> CellSetOnly
-func (p Params) ProgramTime(state CellState) sim.Duration {
+func (p *Params) ProgramTime(state CellState) sim.Duration {
 	switch state {
 	case CellFresh:
 		return p.CellProgram
@@ -205,7 +205,7 @@ func (p Params) ProgramTime(state CellState) sim.Duration {
 
 // CellState describes the condition of a program unit (word) before a
 // write, which determines program latency (Section V, selective erasing).
-type CellState int
+type CellState uint8
 
 const (
 	// CellFresh cells have never been programmed since manufacture.

@@ -34,21 +34,11 @@ func pooledSeg(g Geometry) *rowSeg {
 
 // zero restores the pristine zero-value state of every slab.
 func (s *rowSeg) zero() {
-	for i := range s.data {
-		s.data[i] = 0
-	}
-	for i := range s.state {
-		s.state[i] = 0
-	}
-	for i := range s.written {
-		s.written[i] = false
-	}
-	for i := range s.lastProg {
-		s.lastProg[i] = 0
-	}
-	for i := range s.lastRead {
-		s.lastRead[i] = 0
-	}
+	clear(s.data)
+	clear(s.state)
+	clear(s.written)
+	clear(s.lastProg)
+	clear(s.lastRead)
 }
 
 // Release returns every materialized segment to the pool and detaches

@@ -398,17 +398,10 @@ func (m *Module) WriteBurst(at sim.Time, ba uint8, col int, data []byte) (done s
 	busStart := m.bus.Acquire(at+m.par.WritePreamble(), m.par.TBurst())
 	done = busStart + m.par.TBurst() + m.par.TWRA
 
-	base := m.rdbRow[ba]*uint64(m.geo.RowBytes) - m.ow.base
-	execTriggered := false
-	for i, b := range data {
-		off := base + uint64(col+i)
-		if off == RegExec {
-			execTriggered = true
-			continue
-		}
-		if err := m.ow.write(off, b); err != nil {
-			return 0, err
-		}
+	off := m.rdbRow[ba]*uint64(m.geo.RowBytes) - m.ow.base + uint64(col)
+	execTriggered, err := m.ow.write(off, data)
+	if err != nil {
+		return 0, err
 	}
 	m.stats.WriteBursts++
 	m.stats.BytesWritten += int64(len(data))

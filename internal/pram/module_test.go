@@ -129,8 +129,8 @@ func TestReadLatencyMatchesPaper(t *testing.T) {
 	if done < sim.Nanoseconds(100) || done > sim.Nanoseconds(150) {
 		t.Fatalf("three-phase read latency = %v, want ~100-150ns", done)
 	}
-	if done != m.Params().RowReadLatency() {
-		t.Fatalf("latency %v != derived RowReadLatency %v", done, m.Params().RowReadLatency())
+	if par := m.Params(); done != par.RowReadLatency() {
+		t.Fatalf("latency %v != derived RowReadLatency %v", done, par.RowReadLatency())
 	}
 }
 

@@ -88,9 +88,31 @@ func (o *overlay) containsRow(rowBase uint64, rowBytes int) bool {
 	return rowBase+uint64(rowBytes) > o.base && rowBase < o.base+WindowSize
 }
 
-// write stores one byte at window offset off, with register side effects
-// handled by the module (execute triggers are detected there).
-func (o *overlay) write(off uint64, b byte) error {
+// write stores a burst of data at window offset off and reports whether
+// it covered RegExec, whose write starts the staged operation (the module
+// runs it). Program-buffer bytes move with one copy; register bytes go
+// through writeReg one at a time. Bytes before a rejected offset stay
+// written, as they would on a device that latches each beat.
+func (o *overlay) write(off uint64, data []byte) (exec bool, err error) {
+	for len(data) > 0 {
+		if off >= ProgBufOffset && off < ProgBufOffset+ProgBufSize {
+			n := copy(o.progBuf[off-ProgBufOffset:], data)
+			data, off = data[n:], off+uint64(n)
+			continue
+		}
+		if err := o.writeReg(off, data[0]); err != nil {
+			return false, err
+		}
+		if off == RegExec {
+			exec = true
+		}
+		data, off = data[1:], off+1
+	}
+	return exec, nil
+}
+
+// writeReg stores one byte at register offset off.
+func (o *overlay) writeReg(off uint64, b byte) error {
 	switch {
 	case off < 128:
 		return fmt.Errorf("pram: overlay meta-information at +%#x is read-only", off)
@@ -103,10 +125,8 @@ func (o *overlay) write(off uint64, b byte) error {
 		sh := (off - RegMulti) * 8
 		o.multi = o.multi&^(0xFF<<sh) | uint16(b)<<sh
 	case off == RegExec:
-		// Value ignored; the act of writing starts the operation. The
-		// module intercepts this offset before calling write.
-	case off >= ProgBufOffset && off < ProgBufOffset+ProgBufSize:
-		o.progBuf[off-ProgBufOffset] = b
+		// Value ignored; the act of writing starts the operation (write
+		// reports it to the module).
 	case off > RegCode && off < RegExec:
 		// Reserved space between the register fields: real devices
 		// ignore writes there, which lets a controller update the whole
