@@ -75,12 +75,17 @@ hist-compare:
 		-hist prof/hist.current.json > /dev/null
 	$(GO) run ./tools/benchjson -hist prof/hist.current.json -hist-base HIST_baseline.json
 
-# Scheduler tournament smoke: every registered policy on one kernel.
-# Exercises the policy registry, the per-cell private observers and the
-# ranked-table assembly end to end; output is discarded (the arena tests
-# pin the table's structure and determinism).
+# Scheduler policy smoke. The tournament runs every registered policy
+# on one kernel: the policy registry, the per-cell private observers and
+# the ranked-table assembly end to end. Fig 13 then runs under a
+# -scheduler override, which its per-column policies must ignore. Output
+# is discarded: the focused tests pin Fig 13's override immunity and
+# every policy's cold-vs-forked determinism (the arena tests pin the
+# tournament table's structure).
 arena-smoke:
 	$(GO) run ./cmd/dramless arena -kernels gemver > /dev/null
+	$(GO) run ./cmd/dramless experiments -scheduler palp -kernels gemver fig13 > /dev/null
+	$(GO) test -count 1 -run 'TestFig13IgnoresPolicyOverride|TestPolicyConformance' ./internal/...
 
 # Blame attribution smoke: run the paper's two headline organizations
 # through `dramless blame` (tracing forced on, so the critical path is

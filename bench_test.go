@@ -14,7 +14,6 @@ package dramless_test
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -415,15 +414,14 @@ func BenchmarkAblation_Prefetch(b *testing.B) {
 }
 
 func BenchmarkAblation_Scheduler(b *testing.B) {
-	results := map[string]float64{}
+	var base, inter, final float64
 	for i := 0; i < b.N; i++ {
-		for _, s := range []dramless.Scheduler{dramless.BareMetal, dramless.Interleaving, dramless.Final} {
-			results[fmt.Sprint(s)] = ablationRun(b, dramless.WithScheduler(s))
-		}
+		base = ablationRun(b, dramless.WithPolicy(dramless.BareMetal))
+		inter = ablationRun(b, dramless.WithPolicy(dramless.Interleaving))
+		final = ablationRun(b, dramless.WithPolicy(dramless.Final))
 	}
-	base := results[fmt.Sprint(dramless.BareMetal)]
-	b.ReportMetric((base/results[fmt.Sprint(dramless.Interleaving)]-1)*100, "interleave-benefit-%")
-	b.ReportMetric((base/results[fmt.Sprint(dramless.Final)]-1)*100, "final-benefit-%")
+	b.ReportMetric((base/inter-1)*100, "interleave-benefit-%")
+	b.ReportMetric((base/final-1)*100, "final-benefit-%")
 }
 
 // BenchmarkAblation_DSPIntrinsics quantifies the paper's kernel
@@ -563,9 +561,9 @@ func BenchmarkAblation_WritePausing(b *testing.B) {
 	var base, paused, final float64
 	var basePT, pausedPT float64
 	for i := 0; i < b.N; i++ {
-		base, basePT = mixed(dramless.WithScheduler(dramless.BareMetal))
-		paused, pausedPT = mixed(dramless.WithScheduler(dramless.BareMetal), dramless.WithWritePausing())
-		final, _ = mixed(dramless.WithScheduler(dramless.Final))
+		base, basePT = mixed(dramless.WithPolicy(dramless.BareMetal))
+		paused, pausedPT = mixed(dramless.WithPolicy(dramless.BareMetal), dramless.WithWritePausing())
+		final, _ = mixed(dramless.WithPolicy(dramless.Final))
 	}
 	// Pausing preempts: reads get dramatically faster, but every pause
 	// re-pays program iterations (cumulative array program time grows).

@@ -102,7 +102,9 @@ commands:
         [-scheduler name] [-slowest N] [id ...]
         regenerate the paper's tables/figures (default: all of them);
         -scheduler overrides the DRAM-less PRAM scheduling policy for
-        every cell (any registered policy name);
+        every cell (any registered policy name), except in the
+        scheduler-sweep tables fig12, fig13 and sec5-interleave, which
+        set the policy per column (arena takes -policies instead);
         -parallel bounds the simulation worker pool (0 = GOMAXPROCS,
         1 = serial) - output is byte-identical at any setting;
         -slowest lists the N slowest cells by host wall-clock, each
@@ -168,7 +170,7 @@ func cmdExperiments(args []string) {
 	scale := fs.Int64("scale", 0, "override footprint scale in bytes")
 	kernels := fs.String("kernels", "", "comma-separated kernel subset")
 	parallel := fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	schedName := fs.String("scheduler", "", "override the DRAM-less PRAM scheduling policy for every cell (registry name)")
+	schedName := fs.String("scheduler", "", "override the DRAM-less PRAM scheduling policy for every cell by registry `name`; not applied to the scheduler-sweep tables fig12, fig13 and sec5-interleave, nor to the arena command")
 	slowest := fs.Int("slowest", 0, "report the N slowest simulation cells with prefix cache hit/miss")
 	startProf := profileFlags(fs)
 	fs.Parse(args)

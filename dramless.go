@@ -56,15 +56,13 @@ const (
 // completion time.
 type Memory = mem.Device
 
-// Scheduler selects the PRAM controller policy (Figure 13).
-type Scheduler = memctrl.Scheduler
-
-// Controller scheduling policies.
-const (
-	BareMetal        = memctrl.Noop
-	Interleaving     = memctrl.Interleave
-	SelectiveErasing = memctrl.SelErase
-	Final            = memctrl.Final
+// The paper's four controller scheduling policies (Figure 13), for
+// WithPolicy.
+var (
+	BareMetal        SchedulerPolicy = memctrl.BareMetal
+	Interleaving     SchedulerPolicy = memctrl.Interleaving
+	SelectiveErasing SchedulerPolicy = memctrl.SelectiveErasing
+	Final            SchedulerPolicy = memctrl.Final
 )
 
 // PRAM is the hardware-automated PRAM subsystem: two LPDDR2-NVM channels
@@ -204,22 +202,11 @@ func (w observerOption) applySystem(c *system.Config) {
 // merge into the observer and every subsystem records trace spans).
 func WithObserver(o *Observer) CommonOption { return observerOption{o: o} }
 
-// WithScheduler selects the controller scheduling policy (default Final).
-//
-// Deprecated: the enum reaches only the four legacy schedulers; use
-// WithPolicy with a registry policy (SchedulerPolicies lists them).
-func WithScheduler(s Scheduler) PRAMOption {
-	return pramOptionFunc(func(c *memctrl.Config) {
-		c.Scheduler = s
-		c.Policy = nil
-	})
-}
-
 // SchedulerPolicy is a pluggable controller scheduling policy: a named
 // capability vector the channel machinery resolves at construction
-// (memctrl.Policy). The four legacy Scheduler values map onto the
-// canonical registered policies; the registry also carries schedulers
-// the enum cannot name ("palp", "pause-aware", "wear-aware").
+// (memctrl.Policy). Besides the paper's four (BareMetal, Interleaving,
+// SelectiveErasing, Final) the registry carries "palp", "pause-aware"
+// and "wear-aware".
 type SchedulerPolicy = memctrl.Policy
 
 // SchedulerPolicies returns every registered scheduling policy in
@@ -231,13 +218,10 @@ func SchedulerPolicies() []SchedulerPolicy { return memctrl.Policies() }
 func SchedulerPolicyNames() []string { return memctrl.PolicyNames() }
 
 // PolicyByName resolves a scheduling policy by registry name,
-// case-insensitively; legacy enum display names ("Bare-metal", ...)
-// resolve to their canonical policies. Unknown names error with the
-// registered list.
+// case-insensitively. Unknown names error with the registered list.
 func PolicyByName(name string) (SchedulerPolicy, error) { return memctrl.PolicyByName(name) }
 
-// WithPolicy selects the controller scheduling policy from the registry
-// (default Final). It supersedes any WithScheduler option.
+// WithPolicy selects the controller scheduling policy (default Final).
 func WithPolicy(p SchedulerPolicy) PRAMOption {
 	return pramOptionFunc(func(c *memctrl.Config) { c.Policy = p })
 }
@@ -290,7 +274,7 @@ func WithWritePausing() PRAMOption {
 // NewPRAM builds a booted DRAM-less PRAM subsystem. The returned Memory
 // is ready for traffic at the returned time.
 func NewPRAM(opts ...PRAMOption) (*PRAM, Time, error) {
-	cfg := memctrl.DefaultConfig(memctrl.Final)
+	cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
 	cfg.Geometry.RowsPerModule = 1 << 18 // 256 MiB usable by default
 	for _, o := range opts {
 		o.applyPRAM(&cfg)

@@ -37,7 +37,7 @@ func TestNewPRAMRoundTrip(t *testing.T) {
 func TestPRAMOptions(t *testing.T) {
 	pram, _, err := dramless.NewPRAM(
 		dramless.WithCapacityRows(1<<16),
-		dramless.WithScheduler(dramless.BareMetal),
+		dramless.WithPolicy(dramless.BareMetal),
 		dramless.WithoutPhaseSkipping(),
 		dramless.WithoutPrefetch(),
 	)
@@ -45,7 +45,7 @@ func TestPRAMOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := pram.Config()
-	if cfg.Scheduler != dramless.BareMetal || cfg.PhaseSkipping || cfg.Prefetch {
+	if cfg.Policy != dramless.BareMetal || cfg.PhaseSkipping || cfg.Prefetch {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 }

@@ -23,10 +23,10 @@ func ExampleNewPRAM() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s\n", got)
-	fmt.Printf("capacity %d MiB, scheduler %v\n", pram.Size()>>20, pram.Config().Scheduler)
+	fmt.Printf("capacity %d MiB, scheduler %v\n", pram.Size()>>20, pram.Config().Policy.Name())
 	// Output:
 	// near-data processing
-	// capacity 63 MiB, scheduler Final
+	// capacity 63 MiB, scheduler final
 }
 
 // Execute a Polybench kernel near the data on the 8-PE accelerator.

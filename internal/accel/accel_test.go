@@ -138,7 +138,7 @@ func TestIPCSampling(t *testing.T) {
 
 func TestRunOnPRAMSubsystemEndToEnd(t *testing.T) {
 	// Full DRAM-less stack: PEs -> L1 -> L2 -> MCU -> FPGA -> PRAM.
-	cfg := memctrl.DefaultConfig(memctrl.Final)
+	cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
 	cfg.Geometry.RowsPerModule = 1 << 16
 	sub := memctrl.MustNew(cfg)
 	a := MustNew(Default(), sub)

@@ -146,7 +146,7 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 		gain           float64 // throughput ratio vs final
 	}
 	var best *bestCell
-	legacy := map[string]bool{"bare-metal": true, "interleaving": true, "selective-erasing": true, BaselinePolicy: true}
+	paper := map[string]bool{"bare-metal": true, "interleaving": true, "selective-erasing": true, BaselinePolicy: true}
 
 	for _, kind := range kinds {
 		baseP99 := mergedOf(kind, BaselinePolicy).Percentile(99)
@@ -164,7 +164,7 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 				r.set(k.Name, norm)
 				logSum += math.Log(norm)
 				n++
-				if !legacy[pol] && (best == nil || norm > best.gain) {
+				if !paper[pol] && (best == nil || norm > best.gain) {
 					best = &bestCell{policy: pol, kernel: k.Name, kind: kind, gain: norm}
 				}
 			}

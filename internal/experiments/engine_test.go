@@ -80,6 +80,27 @@ func TestSharedCacheAcrossExperiments(t *testing.T) {
 	}
 }
 
+// TestFig13FinalSharesFig15Cells pins the default policy's cache
+// sharing: the engine keys cells by their raw system.Config, so Fig 13's
+// "final" column and Fig 15's DRAM-less column are one cell only while
+// the default config spells its policy "final". After fig15, fig13 may
+// add only its other three policies' simulations.
+func TestFig13FinalSharesFig15Cells(t *testing.T) {
+	o := quickOpts()
+	e := NewEngine(o)
+	if _, err := e.Table("fig15"); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats().Runs
+	if _, err := e.Table("fig13"); err != nil {
+		t.Fatal(err)
+	}
+	added := e.Stats().Runs - before
+	if want := int64(3 * len(o.kernels())); added != want {
+		t.Errorf("fig13 after fig15 ran %d new simulations, want %d (3 policies x kernels; final is shared)", added, want)
+	}
+}
+
 // TestEngineSharedWithFig01 checks cross-family sharing: fig01 needs
 // Hetero cells that fig15 already ran, plus only the Ideal ones.
 func TestEngineSharedWithFig01(t *testing.T) {

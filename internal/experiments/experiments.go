@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"dramless/internal/memctrl"
 	"dramless/internal/stats"
 	"dramless/internal/system"
 	"dramless/internal/workload"
@@ -41,10 +42,12 @@ type Options struct {
 	// field goes once perfbench/ stops setting it.
 	Lanes int
 	// Policy overrides the DRAM-less PRAM scheduling policy by registry
-	// name ("palp", "pause-aware", ...; see memctrl.PolicyNames).
-	// Empty keeps the config default (the legacy Final scheduler). The
-	// policy name is part of every cell's cache key, so engines with
-	// different policies never share results.
+	// name ("palp", "pause-aware", ...; see memctrl.PolicyNames) in
+	// every table except the scheduler sweeps (fig12, fig13,
+	// sec5-interleave) and the arena, which set the policy per column.
+	// Empty keeps the config default ("final"). The policy name is part
+	// of every cell's cache key, so engines with different policies
+	// never share results.
 	Policy string
 }
 
@@ -54,11 +57,16 @@ func Fast() Options { return Options{Scale: 128 << 10} }
 // Full returns options sized closer to the paper's volumes.
 func Full() Options { return Options{Scale: 2 << 20} }
 
-// Validate reports option errors: an unknown kernel name (the error
-// lists the valid ones) or a positive Lanes.
+// Validate reports option errors: an unknown kernel or policy name
+// (the error lists the valid ones) or a positive Lanes.
 func (o Options) Validate() error {
 	for _, n := range o.Kernels {
 		if _, err := workload.ByName(n); err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
+	}
+	if o.Policy != "" {
+		if _, err := memctrl.PolicyByName(o.Policy); err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
 	}
@@ -87,7 +95,9 @@ func (o Options) config(kind system.Kind) system.Config {
 	for cfg.SSDCapacity < uint64(6*o.Scale) {
 		cfg.SSDCapacity *= 2
 	}
-	cfg.Policy = o.Policy
+	if o.Policy != "" {
+		cfg.Policy = o.Policy
+	}
 	return cfg
 }
 

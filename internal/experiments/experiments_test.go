@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -74,6 +75,38 @@ func TestFig12Shape(t *testing.T) {
 	h := tab.Rows[0].Values["hidden-frac"]
 	if h < 0.30 || h > 0.60 {
 		t.Fatalf("hidden fraction %v, want ~40%% per the paper", h)
+	}
+}
+
+// TestFig13IgnoresPolicyOverride pins that Fig 13 sweeps its four
+// policies itself: an Options.Policy override must not replace them,
+// which would flatten every column to 1.
+func TestFig13IgnoresPolicyOverride(t *testing.T) {
+	o := quickOpts()
+	plain, err := Fig13(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Policy = "palp"
+	over, err := Fig13(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj, err := plain.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oj, err := over.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pj, oj) {
+		t.Errorf("Policy override changed fig13:\nplain:\n%s\noverride:\n%s", pj, oj)
+	}
+	for _, r := range plain.Rows {
+		if v := r.Values["Interleaving"]; v <= 1 {
+			t.Errorf("%s: Interleaving %v, want > 1 over Bare-metal", r.Label, v)
+		}
 	}
 }
 
@@ -230,7 +263,8 @@ func TestFig20Fig21Shape(t *testing.T) {
 
 // TestUnknownKernelErrorsInOptions pins option validation at the
 // exported entry points: an unknown kernel name comes back as an error
-// listing the valid names (never a panic), and so does a positive Lanes.
+// listing the valid names (never a panic), and so do an unknown policy
+// name and a positive Lanes.
 func TestUnknownKernelErrorsInOptions(t *testing.T) {
 	o := quickOpts()
 	o.Kernels = []string{"nope"}
@@ -246,6 +280,13 @@ func TestUnknownKernelErrorsInOptions(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "gemver") {
 			t.Errorf("%s: err = %v, want an unknown-kernel error listing the valid names", name, err)
 		}
+	}
+
+	o = quickOpts()
+	o.Policy = "round-robin"
+	if _, err := NewEngine(o).Table("table3"); err == nil ||
+		!strings.Contains(err.Error(), `"round-robin"`) || !strings.Contains(err.Error(), "known:") {
+		t.Errorf("Policy round-robin: err = %v, want an unknown-policy error listing the registry", err)
 	}
 
 	o = quickOpts()

@@ -94,8 +94,8 @@ func (e *Engine) Fig07() (*Table, error) {
 // chip, bare-metal versus interleaved.
 func Fig12(Options) (*Table, error) {
 	t := &Table{ID: "fig12", Title: "two-request overlap on one chip (ns)"}
-	elapsed := func(s memctrl.Scheduler) (sim.Duration, error) {
-		cfg := memctrl.DefaultConfig(s)
+	elapsed := func(p memctrl.Policy) (sim.Duration, error) {
+		cfg := memctrl.DefaultPolicyConfig(p)
 		cfg.Geometry.RowsPerModule = 1 << 16
 		cfg.Prefetch = false
 		sub, err := memctrl.New(cfg)
@@ -107,11 +107,11 @@ func Fig12(Options) (*Table, error) {
 		_, done, err := sub.ReadScatter(0, []uint64{0, 1024}, 32)
 		return done, err
 	}
-	serial, err := elapsed(memctrl.Noop)
+	serial, err := elapsed(memctrl.BareMetal)
 	if err != nil {
 		return nil, err
 	}
-	over, err := elapsed(memctrl.Interleave)
+	over, err := elapsed(memctrl.Interleaving)
 	if err != nil {
 		return nil, err
 	}
@@ -126,37 +126,45 @@ func Fig12(Options) (*Table, error) {
 
 // Fig13 reproduces the scheduler study: data-processing bandwidth of the
 // DRAM-less subsystem under Bare-metal / Interleaving / Selective-erasing
-// / Final, plus each workload's write ratio (the circles).
+// / Final, plus each workload's write ratio (the circles). Each column
+// sets its own policy, so Options.Policy does not apply.
 func Fig13(o Options) (*Table, error) { return NewEngine(o).Table("fig13") }
 
 // Fig13 generates Figure 13 through the engine's shared cache.
 func (e *Engine) Fig13() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig13", Title: "scheduler bandwidth, normalized to Bare-metal"}
-	scheds := []memctrl.Scheduler{memctrl.Noop, memctrl.Interleave, memctrl.SelErase, memctrl.Final}
-	cfgs := make(map[memctrl.Scheduler]system.Config, len(scheds))
-	for _, s := range scheds {
-		cfg := o.config(system.DRAMLess)
-		cfg.Scheduler = s
-		cfgs[s] = cfg
-		e.prefetchCfg(cfg, o.kernels()...)
+	scheds := []struct {
+		label  string
+		policy memctrl.Policy
+	}{
+		{"Bare-metal", memctrl.BareMetal},
+		{"Interleaving", memctrl.Interleaving},
+		{"Selective-erasing", memctrl.SelectiveErasing},
+		{"Final", memctrl.Final},
 	}
-	gains := map[memctrl.Scheduler][]float64{}
+	cfgs := make([]system.Config, len(scheds))
+	for i, s := range scheds {
+		cfgs[i] = o.config(system.DRAMLess)
+		cfgs[i].Policy = s.policy.Name()
+		e.prefetchCfg(cfgs[i], o.kernels()...)
+	}
+	gains := make([][]float64, len(scheds))
 	for _, k := range o.kernels() {
 		row := newRow(k.Name)
 		var base float64
-		for _, s := range scheds {
-			res, err := e.getCfg(cfgs[s], k)
+		for i, s := range scheds {
+			res, err := e.getCfg(cfgs[i], k)
 			if err != nil {
 				return nil, err
 			}
 			bw := res.BandwidthMBps()
-			if s == memctrl.Noop {
+			if i == 0 {
 				base = bw
 			}
 			norm := bw / base
-			row.set(s.String(), norm)
-			gains[s] = append(gains[s], norm)
+			row.set(s.label, norm)
+			gains[i] = append(gains[i], norm)
 		}
 		p := workload.Params{Scale: o.Scale, Agents: 7}
 		row.set("write-ratio", k.WriteRatio(p))
@@ -164,9 +172,9 @@ func (e *Engine) Fig13() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"mean gain over Bare-metal: Interleaving %.0f%%, Selective-erasing %.0f%%, Final %.0f%% (paper: 54%% max / 57%% / 77%%)",
-		(stats.Mean(gains[memctrl.Interleave])-1)*100,
-		(stats.Mean(gains[memctrl.SelErase])-1)*100,
-		(stats.Mean(gains[memctrl.Final])-1)*100))
+		(stats.Mean(gains[1])-1)*100,
+		(stats.Mean(gains[2])-1)*100,
+		(stats.Mean(gains[3])-1)*100))
 	return t, nil
 }
 

@@ -100,8 +100,8 @@ func (e *Engine) Table3() (*Table, error) {
 // on a streaming 512 B channel read.
 func Sec5Interleave(Options) (*Table, error) {
 	t := &Table{ID: "sec5-interleave", Title: "interleaving latency hiding on a 512B channel read"}
-	elapsed := func(s memctrl.Scheduler) (sim.Duration, error) {
-		cfg := memctrl.DefaultConfig(s)
+	elapsed := func(p memctrl.Policy) (sim.Duration, error) {
+		cfg := memctrl.DefaultPolicyConfig(p)
 		cfg.Geometry.RowsPerModule = 1 << 16
 		cfg.Prefetch = false
 		sub, err := memctrl.New(cfg)
@@ -111,11 +111,11 @@ func Sec5Interleave(Options) (*Table, error) {
 		_, done, err := sub.Read(0, 0, 512)
 		return done, err
 	}
-	serial, err := elapsed(memctrl.Noop)
+	serial, err := elapsed(memctrl.BareMetal)
 	if err != nil {
 		return nil, err
 	}
-	over, err := elapsed(memctrl.Interleave)
+	over, err := elapsed(memctrl.Interleaving)
 	if err != nil {
 		return nil, err
 	}

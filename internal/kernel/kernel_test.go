@@ -69,7 +69,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestOffloadLoadsSegmentsIntoPRAM(t *testing.T) {
-	cfg := memctrl.DefaultConfig(memctrl.Final)
+	cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
 	cfg.Geometry.RowsPerModule = 1 << 16
 	sub := memctrl.MustNew(cfg)
 

@@ -37,7 +37,7 @@ func conformanceCases() []conformanceCase {
 			return cache.MustNew(cache.L1Data(), l2), 0
 		}},
 		{"Subsystem", func(t *testing.T) (mem.Device, sim.Time) {
-			cfg := memctrl.DefaultConfig(memctrl.Final)
+			cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
 			cfg.Geometry.RowsPerModule = 1 << 16
 			sub, err := memctrl.New(cfg)
 			if err != nil {

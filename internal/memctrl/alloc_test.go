@@ -11,11 +11,11 @@ import (
 // with an observer attached, the steady-state read records its latency
 // histogram sample and series points without allocating. The series
 // window is stretched so window growth (amortized append, exercised
-// elsewhere) stays out of the measurement; the Noop scheduler keeps the
+// elsewhere) stays out of the measurement; the bare-metal policy keeps the
 // wave-building batcher (which allocates per call by design) off the
 // path.
 func TestObservedReadAllocationFree(t *testing.T) {
-	cfg := testConfig(Noop)
+	cfg := testConfig(BareMetal)
 	cfg.Obs = obs.New(obs.WithSeriesWindow(sim.Duration(1) << 60))
 	sub := MustNew(cfg)
 
@@ -38,7 +38,7 @@ func TestObservedReadAllocationFree(t *testing.T) {
 // call sites: the nil-handle chain (nil set -> nil histogram/series ->
 // no-op Record) must not cost an allocation either.
 func TestNilObserverReadAllocationFree(t *testing.T) {
-	cfg := testConfig(Noop)
+	cfg := testConfig(BareMetal)
 	sub := MustNew(cfg)
 
 	dst := make([]byte, cfg.ChannelRequestBytes)

@@ -21,8 +21,8 @@ type channel struct {
 	dataBus *sim.Resource // shared dq[15:0]: one 32 B burst per tBURST
 	modules []*pram.Module
 
-	// modLastDone serializes operations per chip for the bare-metal
-	// (Noop) policy: a chip's next operation may not begin before its
+	// modLastDone serializes operations per chip for the BareMetal
+	// policy: a chip's next operation may not begin before its
 	// previous one fully completed (Figure 12's non-interleaved case).
 	// Different chips still proceed in parallel - that is the device's
 	// bank-level parallelism, not a scheduler optimization.
@@ -100,7 +100,7 @@ const (
 func newChannel(idx int, cfg Config) (*channel, error) {
 	ch := &channel{
 		cfg:         cfg,
-		pol:         resolvePolicy(cfg.policy()),
+		pol:         resolvePolicy(cfg.Policy),
 		cmdBus:      sim.NewResource(fmt.Sprintf("ch%d.ca", idx)),
 		dataBus:     sim.NewResource(fmt.Sprintf("ch%d.dq", idx)),
 		nextBA:      make([]uint8, cfg.Params.Packages),
@@ -193,7 +193,7 @@ func (ch *channel) gate(at sim.Time, mod int) sim.Time {
 	return at
 }
 
-// complete records an operation completion for the Noop ordering.
+// complete records an operation completion for the bare-metal ordering.
 func (ch *channel) complete(done sim.Time, mod int) {
 	if done > ch.modLastDone[mod] {
 		ch.modLastDone[mod] = done

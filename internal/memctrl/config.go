@@ -17,76 +17,17 @@ import (
 	"dramless/internal/pram"
 )
 
-// Scheduler selects the request scheduling policy of the controller,
-// matching the four configurations of Figure 13.
-//
-// Deprecated: the enum remains as a compatibility shim over the policy
-// registry — each value adapts onto its canonical registered Policy
-// (see PolicyFor). New code should set Config.Policy (or a policy name
-// at the system/experiments layer) instead; the registry also carries
-// schedulers the enum cannot name ("palp", "pause-aware",
-// "wear-aware").
-type Scheduler int
-
-const (
-	// Noop is the bare-metal baseline: requests are processed strictly in
-	// order and a read's addressing phases never overlap another read's
-	// data burst.
-	Noop Scheduler = iota
-	// Interleave is multi-resource-aware interleaving (Figure 12): while
-	// one partition senses a row (tRCD), the data burst of another
-	// already-sensed row proceeds on the bus, hiding array access behind
-	// transfer time.
-	Interleave
-	// SelErase is selective erasing (Section V-A): rows declared as
-	// write-intent are pre-programmed with all-zero words, so the later
-	// real writes need only SET pulses.
-	SelErase
-	// Final combines Interleave and SelErase; the paper applies this to
-	// DRAM-less by default.
-	Final
-)
-
-// String implements fmt.Stringer.
-func (s Scheduler) String() string {
-	switch s {
-	case Noop:
-		return "Bare-metal"
-	case Interleave:
-		return "Interleaving"
-	case SelErase:
-		return "Selective-erasing"
-	case Final:
-		return "Final"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", int(s))
-	}
-}
-
-// Interleaving reports whether the policy overlaps array access with data
-// transfer.
-func (s Scheduler) Interleaving() bool { return s == Interleave || s == Final }
-
-// SelectiveErasing reports whether the policy pre-erases write-intent rows.
-func (s Scheduler) SelectiveErasing() bool { return s == SelErase || s == Final }
-
 // Config describes one PRAM subsystem build.
 type Config struct {
 	// Params is the LPDDR2-NVM interface timing (Table II).
 	Params lpddr.Params
 	// Geometry is the per-module address layout.
 	Geometry pram.Geometry
-	// Scheduler is the legacy request scheduling policy selector.
-	// Ignored when Policy is non-nil.
-	//
-	// Deprecated: set Policy instead; the enum only reaches the four
-	// legacy schedulers.
-	Scheduler Scheduler
-	// Policy is the scheduling policy. Nil (the default) derives the
-	// policy from the legacy Scheduler enum, so existing
-	// DefaultConfig(s Scheduler) call sites behave exactly as before.
-	// The policy's capability vector is resolved once at construction
-	// (see resolvePolicy); per-request scheduling decisions stay
+	// Policy is the scheduling policy: one of the paper's four
+	// (BareMetal, Interleaving, SelectiveErasing, Final) or any other
+	// registered one (see PolicyByName). Validate rejects nil. The
+	// policy's capability vector is resolved once at construction (see
+	// resolvePolicy); per-request scheduling decisions stay
 	// allocation-free.
 	Policy Policy
 	// PhaseSkipping enables skipping pre-active/activate phases when the
@@ -114,26 +55,17 @@ type Config struct {
 	Obs *obs.Observer
 }
 
-// DefaultConfig returns the paper's DRAM-less controller configuration
-// with the given legacy scheduler. To select a registry policy
-// instead, set Policy on the returned Config (or use
-// DefaultPolicyConfig).
-func DefaultConfig(s Scheduler) Config {
+// DefaultPolicyConfig returns the paper's DRAM-less controller
+// configuration running scheduling policy p.
+func DefaultPolicyConfig(p Policy) Config {
 	return Config{
 		Params:              lpddr.Default(),
 		Geometry:            pram.DefaultGeometry(),
-		Scheduler:           s,
+		Policy:              p,
 		PhaseSkipping:       true,
 		Prefetch:            true,
 		ChannelRequestBytes: 512,
 	}
-}
-
-// DefaultPolicyConfig is DefaultConfig for a registry policy.
-func DefaultPolicyConfig(p Policy) Config {
-	cfg := DefaultConfig(Noop)
-	cfg.Policy = p
-	return cfg
 }
 
 // Validate reports configuration errors.
@@ -145,10 +77,9 @@ func (c Config) Validate() error {
 		return err
 	}
 	if c.Policy == nil {
-		if c.Scheduler < Noop || c.Scheduler > Final {
-			return fmt.Errorf("memctrl: unknown scheduler %d", c.Scheduler)
-		}
-	} else if err := c.Policy.Capabilities().Validate(); err != nil {
+		return fmt.Errorf("memctrl: no scheduling policy (set Config.Policy)")
+	}
+	if err := c.Policy.Capabilities().Validate(); err != nil {
 		return fmt.Errorf("memctrl: policy %q: %w", c.Policy.Name(), err)
 	}
 	perBank := c.Geometry.RowBytes

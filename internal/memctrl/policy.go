@@ -13,12 +13,12 @@ import (
 // dispatch adds no per-request interface calls or allocations to the
 // hot path (the zero-allocation datapath contract of DESIGN.md §8).
 //
-// The four legacy Scheduler enum values are registered as canonical
-// policies ("bare-metal", "interleaving", "selective-erasing",
-// "final"); PolicyFor adapts the enum onto them, so old call sites
-// keep compiling and behave identically. New policies register through
-// RegisterPolicy and become visible to the CLI, the experiment
-// harness and the `dramless arena` tournament by name.
+// The paper's four Figure 13 configurations are registered as
+// BareMetal ("bare-metal"), Interleaving ("interleaving"),
+// SelectiveErasing ("selective-erasing") and Final ("final"). New
+// policies register through RegisterPolicy and become visible to the
+// CLI, the experiment harness and the `dramless arena` tournament by
+// name.
 type Policy interface {
 	// Name identifies the policy in the registry, in system.Config and
 	// in rendered tables. Lookup is case-insensitive.
@@ -32,7 +32,7 @@ type Policy interface {
 
 // Capabilities is the capability vector of a scheduling policy: each
 // field enables one behavior of the channel/subsystem scheduling
-// machinery. The four legacy schedulers are points in this space; new
+// machinery. The paper's four policies are points in this space; new
 // policies compose the same axes.
 type Capabilities struct {
 	// Interleave overlaps one partition's array access with another
@@ -76,29 +76,42 @@ func (p *builtinPolicy) Description() string        { return p.desc }
 func (p *builtinPolicy) Capabilities() Capabilities { return p.caps }
 func (p *builtinPolicy) String() string             { return p.name }
 
-// The canonical policies. The first four reproduce the legacy
-// Scheduler enum values exactly; the rest are the new schedulers the
-// arena tournament compares against them.
+// The paper's four Figure 13 controller configurations.
 var (
-	policyBareMetal = &builtinPolicy{
+	// BareMetal processes requests strictly in order: a read's
+	// addressing phases never overlap another read's data burst.
+	BareMetal Policy = &builtinPolicy{
 		name: "bare-metal",
-		desc: "strict in-order, no phase overlap (legacy Noop)",
+		desc: "strict in-order, no phase overlap",
 	}
-	policyInterleave = &builtinPolicy{
+	// Interleaving is multi-resource-aware interleaving (Figure 12):
+	// while one partition senses a row, the data burst of another
+	// already-sensed row proceeds on the bus.
+	Interleaving Policy = &builtinPolicy{
 		name: "interleaving",
-		desc: "multi-resource-aware interleaving, Figure 12 (legacy Interleave)",
+		desc: "multi-resource-aware interleaving, Figure 12",
 		caps: Capabilities{Interleave: true},
 	}
-	policySelErase = &builtinPolicy{
+	// SelectiveErasing pre-programs write-intent rows with all-zero
+	// words, so the later real writes need only SET pulses
+	// (Section V-A).
+	SelectiveErasing Policy = &builtinPolicy{
 		name: "selective-erasing",
-		desc: "pre-RESET of declared write-intent rows, Section V-A (legacy SelErase)",
+		desc: "pre-RESET of declared write-intent rows, Section V-A",
 		caps: Capabilities{SelectiveErase: true},
 	}
-	policyFinal = &builtinPolicy{
+	// Final combines Interleaving and SelectiveErasing; the paper
+	// applies it to DRAM-less by default.
+	Final Policy = &builtinPolicy{
 		name: "final",
 		desc: "interleaving + selective erasing, the paper's DRAM-less default",
 		caps: Capabilities{Interleave: true, SelectiveErase: true},
 	}
+)
+
+// The schedulers beyond the paper that the arena tournament compares
+// against Final.
+var (
 	policyPALP = &builtinPolicy{
 		name: "palp",
 		desc: "final + PALP-inspired partition read/write overlap (busy-partition reads deferred)",
@@ -126,7 +139,7 @@ var (
 
 func init() {
 	for _, p := range []Policy{
-		policyBareMetal, policyInterleave, policySelErase, policyFinal,
+		BareMetal, Interleaving, SelectiveErasing, Final,
 		policyPALP, policyPauseAware, policyWearAware,
 	} {
 		RegisterPolicy(p)
@@ -185,8 +198,6 @@ func PolicyNames() []string {
 }
 
 // PolicyByName resolves a policy by registry name, case-insensitively.
-// The legacy enum display names ("Bare-metal", "Interleaving",
-// "Selective-erasing", "Final") resolve to their canonical policies.
 // Unknown names return an error listing what is registered.
 func PolicyByName(name string) (Policy, error) {
 	registryMu.RLock()
@@ -203,36 +214,6 @@ func PolicyByName(name string) (Policy, error) {
 	sort.Strings(known)
 	return nil, fmt.Errorf("memctrl: unknown scheduling policy %q (known: %s)",
 		name, strings.Join(known, ", "))
-}
-
-// PolicyFor adapts a legacy Scheduler enum value onto its canonical
-// registered policy; nil for out-of-range values (Config.Validate
-// rejects those first).
-func PolicyFor(s Scheduler) Policy {
-	switch s {
-	case Noop:
-		return policyBareMetal
-	case Interleave:
-		return policyInterleave
-	case SelErase:
-		return policySelErase
-	case Final:
-		return policyFinal
-	default:
-		return nil
-	}
-}
-
-// policy resolves the configured policy: the explicit Policy field
-// when set, else the legacy Scheduler enum's canonical policy.
-func (c Config) policy() Policy {
-	if c.Policy != nil {
-		return c.Policy
-	}
-	if p := PolicyFor(c.Scheduler); p != nil {
-		return p
-	}
-	return policyBareMetal // unreachable after Validate
 }
 
 // resolved is the construction-time flattening of a Policy: the

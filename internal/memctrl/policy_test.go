@@ -41,16 +41,6 @@ func TestPolicyByNameCaseInsensitive(t *testing.T) {
 			t.Errorf("PolicyByName(%q): %v", name, err)
 		}
 	}
-	// The legacy enum display names resolve to the canonical policies.
-	for s := Noop; s <= Final; s++ {
-		p, err := PolicyByName(s.String())
-		if err != nil {
-			t.Fatalf("enum display name %q not resolvable: %v", s.String(), err)
-		}
-		if p != PolicyFor(s) {
-			t.Errorf("PolicyByName(%q) != PolicyFor(%v)", s.String(), s)
-		}
-	}
 	_, err := PolicyByName("round-robin")
 	if err == nil {
 		t.Fatal("unknown policy accepted")
@@ -60,19 +50,33 @@ func TestPolicyByNameCaseInsensitive(t *testing.T) {
 	}
 }
 
+// TestPolicyForMatchesEnumFlags checks that each paper policy resolves
+// from the registry under its canonical name to the same value, with
+// the interleaving and selective-erasing flags its name promises, and
+// that an unknown name resolves to no policy.
 func TestPolicyForMatchesEnumFlags(t *testing.T) {
-	for s := Noop; s <= Final; s++ {
-		p := PolicyFor(s)
-		if p == nil {
-			t.Fatalf("PolicyFor(%v) = nil", s)
+	flags := map[string][2]bool{
+		"bare-metal":        {false, false},
+		"interleaving":      {true, false},
+		"selective-erasing": {false, true},
+		"final":             {true, true},
+	}
+	for _, p := range []Policy{BareMetal, Interleaving, SelectiveErasing, Final} {
+		got, err := PolicyByName(p.Name())
+		if err != nil || got != p {
+			t.Fatalf("PolicyByName(%q) = %v, %v", p.Name(), got, err)
 		}
-		caps := p.Capabilities()
-		if caps.Interleave != s.Interleaving() || caps.SelectiveErase != s.SelectiveErasing() {
-			t.Errorf("%v: policy caps %+v disagree with enum flags", s, caps)
+		want, ok := flags[p.Name()]
+		if !ok {
+			t.Fatalf("paper policy has unexpected name %q", p.Name())
+		}
+		caps := got.Capabilities()
+		if caps.Interleave != want[0] || caps.SelectiveErase != want[1] {
+			t.Errorf("%s: policy caps %+v disagree with its flags %v", p.Name(), caps, want)
 		}
 	}
-	if PolicyFor(Scheduler(99)) != nil {
-		t.Error("out-of-range scheduler adapted to a policy")
+	if p, err := PolicyByName("scheduler-99"); err == nil || p != nil {
+		t.Error("unknown policy name adapted to a policy")
 	}
 }
 
@@ -98,48 +102,9 @@ func TestRegisterPolicyRejectsDuplicates(t *testing.T) {
 	RegisterPolicy(&builtinPolicy{name: "FINAL"}) // case-insensitive collision
 }
 
-// Enum configs and their canonical named policies must build
-// byte-and-time-identical subsystems.
-func TestEnumAndNamedPolicyEquivalent(t *testing.T) {
-	for s := Noop; s <= Final; s++ {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			byEnum := mustSubsystem(t, s)
-			cfg := testConfig(s)
-			cfg.Scheduler = 0
-			cfg.Policy = PolicyFor(s)
-			byName := MustNew(cfg)
-			if byName.Policy() != byEnum.Policy() {
-				t.Fatalf("policy names differ: %q vs %q", byName.Policy(), byEnum.Policy())
-			}
-			payload := bytes.Repeat([]byte{0x5A}, 512)
-			for _, sub := range []*Subsystem{byEnum, byName} {
-				if _, err := sub.Write(0, 4096, payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			dE, dN := byEnum.Drain(), byName.Drain()
-			if dE != dN {
-				t.Fatalf("write drain differs: %v vs %v", dE, dN)
-			}
-			_, e1, err := byEnum.Read(dE, 4096, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, n1, err := byName.Read(dN, 4096, 512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if e1 != n1 {
-				t.Fatalf("read completion differs: %v vs %v", e1, n1)
-			}
-		})
-	}
-}
-
 // Property: the new policies preserve data correctness — any sequence of
-// writes then reads matches a shadow buffer, exactly like the legacy
-// schedulers in TestFunctionalEquivalenceProperty.
+// writes then reads matches a shadow buffer, exactly like the paper's
+// policies in TestFunctionalEquivalenceProperty.
 func TestNewPolicyFunctionalEquivalence(t *testing.T) {
 	for _, name := range []string{"palp", "pause-aware", "wear-aware"} {
 		name := name
@@ -148,9 +113,7 @@ func TestNewPolicyFunctionalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := testConfig(Noop)
-			cfg.Policy = p
-			sub := MustNew(cfg)
+			sub := MustNew(testConfig(p))
 			shadow := make([]byte, 4096)
 			now := sim.Time(0)
 			f := func(off uint16, n uint8, fill byte, write bool) bool {
@@ -190,9 +153,7 @@ func mustPolicySubsystem(t *testing.T, name string) *Subsystem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(Noop)
-	cfg.Policy = p
-	return MustNew(cfg)
+	return MustNew(testConfig(p))
 }
 
 // PALP: reads into a partition with an in-flight program are deferred to

@@ -79,7 +79,7 @@ func New(cfg Config) (*Subsystem, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pol := resolvePolicy(cfg.policy())
+	pol := resolvePolicy(cfg.Policy)
 	if pol.wearIdleMoves && !cfg.Wear.Enabled {
 		// A wear-aware policy is self-contained: it brings start-gap
 		// leveling along when the config leaves it off.

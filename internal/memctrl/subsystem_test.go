@@ -12,52 +12,65 @@ import (
 
 // testConfig returns a small subsystem (64 Ki rows per module) so tests
 // stay fast while keeping the full 2x16 topology.
-func testConfig(s Scheduler) Config {
-	cfg := DefaultConfig(s)
+func testConfig(p Policy) Config {
+	cfg := DefaultPolicyConfig(p)
 	cfg.Geometry.RowsPerModule = 1 << 16
 	return cfg
 }
 
-func mustSubsystem(t *testing.T, s Scheduler) *Subsystem {
+func mustSubsystem(t *testing.T, p Policy) *Subsystem {
 	t.Helper()
-	sub, err := New(testConfig(s))
+	sub, err := New(testConfig(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sub
 }
 
+// paperPolicies are the four Figure 13 configurations with their
+// display labels.
+var paperPolicies = []struct {
+	label string
+	p     Policy
+}{
+	{"Bare-metal", BareMetal},
+	{"Interleaving", Interleaving},
+	{"Selective-erasing", SelectiveErasing},
+	{"Final", Final},
+}
+
 func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig(Final).Validate(); err != nil {
+	if err := DefaultPolicyConfig(Final).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	cfg := DefaultConfig(Final)
+	cfg := DefaultPolicyConfig(Final)
 	cfg.ChannelRequestBytes = 100 // not a row multiple
 	if err := cfg.Validate(); err == nil {
 		t.Error("bad channel request size accepted")
 	}
-	cfg = DefaultConfig(Final)
-	cfg.Scheduler = Scheduler(99)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown scheduler accepted")
+	if _, err := New(DefaultPolicyConfig(nil)); err == nil {
+		t.Error("nil policy accepted by New")
 	}
 }
 
+// TestSchedulerFlags pins the capability vectors of the paper's four
+// policies: interleaving and selective erasing, each alone and
+// combined, and nothing beyond the paper.
 func TestSchedulerFlags(t *testing.T) {
-	if Noop.Interleaving() || Noop.SelectiveErasing() {
-		t.Error("Noop claims optimizations")
+	want := map[Policy]Capabilities{
+		BareMetal:        {},
+		Interleaving:     {Interleave: true},
+		SelectiveErasing: {SelectiveErase: true},
+		Final:            {Interleave: true, SelectiveErase: true},
 	}
-	if !Interleave.Interleaving() || Interleave.SelectiveErasing() {
-		t.Error("Interleave flags wrong")
-	}
-	if SelErase.Interleaving() || !SelErase.SelectiveErasing() {
-		t.Error("SelErase flags wrong")
-	}
-	if !Final.Interleaving() || !Final.SelectiveErasing() {
-		t.Error("Final flags wrong")
-	}
-	if Noop.String() != "Bare-metal" || Final.String() != "Final" {
-		t.Error("scheduler names wrong")
+	for _, pp := range paperPolicies {
+		if got := pp.p.Capabilities(); got != want[pp.p] {
+			t.Errorf("%s: capabilities %+v, want %+v", pp.label, got, want[pp.p])
+		}
+		byName, err := PolicyByName(pp.label)
+		if err != nil || byName != pp.p {
+			t.Errorf("PolicyByName(%q) = %v, %v; want %s", pp.label, byName, err, pp.p.Name())
+		}
 	}
 }
 
@@ -174,7 +187,7 @@ func TestPhaseSkippingDisabled(t *testing.T) {
 }
 
 func TestRereadLatencyDropsWithPhaseSkipping(t *testing.T) {
-	sub := mustSubsystem(t, Noop) // no prefetch/interleave noise
+	sub := mustSubsystem(t, BareMetal) // no prefetch/interleave noise
 	_, d1, err := sub.Read(0, 0, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +208,8 @@ func TestRereadLatencyDropsWithPhaseSkipping(t *testing.T) {
 }
 
 func TestInterleavingBeatsBareMetalOnStreamingReads(t *testing.T) {
-	read512 := func(s Scheduler) sim.Duration {
-		cfg := testConfig(s)
+	read512 := func(p Policy) sim.Duration {
+		cfg := testConfig(p)
 		cfg.Prefetch = false
 		sub := MustNew(cfg)
 		_, done, err := sub.Read(0, 0, 512)
@@ -205,8 +218,8 @@ func TestInterleavingBeatsBareMetalOnStreamingReads(t *testing.T) {
 		}
 		return done
 	}
-	noop := read512(Noop)
-	inter := read512(Interleave)
+	noop := read512(BareMetal)
+	inter := read512(Interleaving)
 	if inter >= noop {
 		t.Fatalf("interleave (%v) not faster than bare-metal (%v)", inter, noop)
 	}
@@ -222,8 +235,8 @@ func TestFig12TwoRequestOverlap(t *testing.T) {
 	// Figure 12: req-0 and req-1 target different partitions of the same
 	// chip. With interleaving, req-1's tRP+tRCD overlaps req-0's data
 	// burst, so the pair completes sooner than serial processing.
-	elapsed := func(s Scheduler) sim.Duration {
-		cfg := testConfig(s)
+	elapsed := func(p Policy) sim.Duration {
+		cfg := testConfig(p)
 		cfg.Prefetch = false
 		sub := MustNew(cfg)
 		// Module-local rows 0 and 1 are partitions 0 and 1 of (ch0, pkg0):
@@ -238,16 +251,16 @@ func TestFig12TwoRequestOverlap(t *testing.T) {
 		}
 		return sim.Max(d0, d1)
 	}
-	serial := elapsed(Noop)
-	overlapped := elapsed(Interleave)
+	serial := elapsed(BareMetal)
+	overlapped := elapsed(Interleaving)
 	if overlapped >= serial {
 		t.Fatalf("interleaved pair (%v) not faster than serial (%v)", overlapped, serial)
 	}
 }
 
 func TestSelectiveErasingSpeedsOverwrites(t *testing.T) {
-	overwriteTime := func(s Scheduler) sim.Duration {
-		sub := mustSubsystem(t, s)
+	overwriteTime := func(p Policy) sim.Duration {
+		sub := mustSubsystem(t, p)
 		buf := bytes.Repeat([]byte{0xA5}, 32)
 		// Stale contents, then declare write intent; once the background
 		// pass has had time to run, the overwrite is SET-only.
@@ -266,7 +279,7 @@ func TestSelectiveErasingSpeedsOverwrites(t *testing.T) {
 		}
 		return sub.Drain() - start
 	}
-	plain := overwriteTime(Interleave) // PreErase is a no-op here
+	plain := overwriteTime(Interleaving) // PreErase is a no-op here
 	erased := overwriteTime(Final)
 	if erased >= plain {
 		t.Fatalf("pre-erased overwrite (%v) not faster than plain (%v)", erased, plain)
@@ -278,7 +291,7 @@ func TestSelectiveErasingSpeedsOverwrites(t *testing.T) {
 }
 
 func TestPreEraseNoopWithoutSelErase(t *testing.T) {
-	sub := mustSubsystem(t, Interleave)
+	sub := mustSubsystem(t, Interleaving)
 	done, err := sub.PreErase(5, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -391,10 +404,10 @@ func TestModuleStatsAggregate(t *testing.T) {
 // Property: any sequence of writes then reads over a 4 KiB region matches
 // a shadow buffer, across all schedulers.
 func TestFunctionalEquivalenceProperty(t *testing.T) {
-	for _, sched := range []Scheduler{Noop, Interleave, SelErase, Final} {
-		sched := sched
-		t.Run(sched.String(), func(t *testing.T) {
-			sub := mustSubsystem(t, sched)
+	for _, pp := range paperPolicies {
+		pp := pp
+		t.Run(pp.label, func(t *testing.T) {
+			sub := mustSubsystem(t, pp.p)
 			shadow := make([]byte, 4096)
 			now := sim.Time(0)
 			f := func(off uint16, n uint8, fill byte, write bool) bool {

@@ -164,18 +164,12 @@ type Config struct {
 	Scale int64
 	// PRAMRowsPerModule sizes the PRAM subsystem (simulation knob).
 	PRAMRowsPerModule uint64
-	// Scheduler is the PRAM controller policy for DRAM-less builds.
-	// Ignored when Policy is set.
-	//
-	// Deprecated: the enum reaches only the four legacy schedulers;
-	// Policy selects from the full registry.
-	Scheduler memctrl.Scheduler
-	// Policy selects the PRAM controller scheduling policy by registry
-	// name ("final", "palp", "pause-aware", ...; see
-	// memctrl.PolicyNames). Empty derives the policy from the legacy
-	// Scheduler field. It is a string, not a memctrl.Policy, so Config
-	// stays comparable (it is the experiment engine's cache key, and
-	// the policy name is part of a cell's identity).
+	// Policy selects the DRAM-less PRAM controller scheduling policy by
+	// registry name ("final", "palp", "pause-aware", ...; see
+	// memctrl.PolicyNames). Empty means "final". It is a string, not a
+	// memctrl.Policy, so Config stays comparable (it is the experiment
+	// engine's cache key, and the policy name is part of a cell's
+	// identity).
 	Policy string
 	// Wear enables start-gap wear leveling in DRAM-less builds
 	// (Section VII extension).
@@ -212,7 +206,7 @@ func DefaultConfig(kind Kind) Config {
 		Accel:             accel.Default(),
 		Scale:             2 << 20,
 		PRAMRowsPerModule: 1 << 16,
-		Scheduler:         memctrl.Final,
+		Policy:            "final",
 		SSDCapacity:       256 << 20,
 		Energy:            energy.Default(),
 		Host:              hostsw.DefaultCosts(),
@@ -252,18 +246,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// schedulerPolicy resolves the DRAM-less controller policy: the Policy
-// registry name when set, else the legacy Scheduler enum's canonical
-// policy. Out-of-range enum values error exactly as memctrl's own
-// validation used to report them.
+// schedulerPolicy resolves the DRAM-less controller policy from its
+// registry name; empty means "final".
 func (c Config) schedulerPolicy() (memctrl.Policy, error) {
-	if c.Policy != "" {
-		return memctrl.PolicyByName(c.Policy)
+	if c.Policy == "" {
+		return memctrl.Final, nil
 	}
-	if p := memctrl.PolicyFor(c.Scheduler); p != nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("memctrl: unknown scheduler %d", c.Scheduler)
+	return memctrl.PolicyByName(c.Policy)
 }
 
 // bufferBytes resolves the internal-DRAM buffer size.

@@ -38,14 +38,13 @@ func PrefixOf(cfg Config, k workload.Kernel) Prefix {
 	norm := cfg
 	norm.Obs = nil
 	norm.SampleInterval = 0
-	// Scheduler policy: only the DRAM-less kind reads the
-	// Scheduler/Policy pair (the firmware-managed build forces
-	// bare-metal, every other kind has no PRAM controller), and a legacy
-	// enum value builds the identical controller as its canonical
-	// registry policy — both spellings share one checkpoint. The policy
-	// does shape the prefix itself for DRAM-less (the load phase's
-	// PreErase intent declaration), so the canonical name stays in the
-	// key there.
+	// Scheduler policy: only the DRAM-less kind reads Policy (the
+	// firmware-managed build forces bare-metal, every other kind has no
+	// PRAM controller), and every spelling of one policy ("", "final",
+	// "FINAL") builds the identical controller, so the key holds the
+	// canonical name. The policy does shape the prefix itself for
+	// DRAM-less (the load phase's PreErase intent declaration), so the
+	// name stays in the key there.
 	if norm.Kind == DRAMLess {
 		if p, err := norm.schedulerPolicy(); err == nil {
 			norm.Policy = p.Name()
@@ -53,7 +52,6 @@ func PrefixOf(cfg Config, k workload.Kernel) Prefix {
 	} else {
 		norm.Policy = ""
 	}
-	norm.Scheduler = 0
 	return Prefix{
 		Cfg:    norm,
 		In:     k.InputBytes(p),

@@ -85,61 +85,47 @@ func TestPolicyConformance(t *testing.T) {
 	}
 }
 
-// TestEnumAndPolicyNameRunIdentical pins the compatibility contract: a
-// legacy Scheduler enum config and its canonical policy name produce the
-// same simulation.
-func TestEnumAndPolicyNameRunIdentical(t *testing.T) {
+// TestEmptyPolicyRunsFinal pins the contract the benchmark harness
+// relies on when it assigns an empty policy name: Policy "" and Policy
+// "final" build the same simulation and share one checkpoint key.
+func TestEmptyPolicyRunsFinal(t *testing.T) {
 	k := workload.MustByName("gemver")
-	pairs := []struct {
-		s    memctrl.Scheduler
-		name string
-	}{
-		{memctrl.Noop, "bare-metal"},
-		{memctrl.Interleave, "interleaving"},
-		{memctrl.SelErase, "selective-erasing"},
-		{memctrl.Final, "final"},
+	empty := testConfig(DRAMLess)
+	empty.Scale = 128 << 10
+	empty.Policy = ""
+	final := empty
+	final.Policy = "final"
+	if PrefixOf(empty, k) != PrefixOf(final, k) {
+		t.Error("policy \"\" and \"final\" should share a prefix")
 	}
-	for _, p := range pairs {
-		t.Run(p.name, func(t *testing.T) {
-			byEnum := testConfig(DRAMLess)
-			byEnum.Scale = 128 << 10
-			byEnum.Scheduler = p.s
-			re, err := Run(byEnum, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			byName := testConfig(DRAMLess)
-			byName.Scale = 128 << 10
-			byName.Policy = p.name
-			rn, err := Run(byName, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if re.Total != rn.Total || re.Kernel != rn.Kernel || re.Load != rn.Load {
-				t.Errorf("enum %v vs policy %q: walls differ (total %v vs %v)",
-					p.s, p.name, re.Total, rn.Total)
-			}
-			if !reflect.DeepEqual(re.Energy, rn.Energy) {
-				t.Errorf("enum %v vs policy %q: energy differs", p.s, p.name)
-			}
-		})
+	re, err := Run(empty, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := Run(final, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Total != rf.Total || re.Kernel != rf.Kernel || re.Load != rf.Load {
+		t.Errorf("policy \"\" vs \"final\": walls differ (total %v vs %v)", re.Total, rf.Total)
+	}
+	if !reflect.DeepEqual(re.Energy, rf.Energy) {
+		t.Error("policy \"\" vs \"final\": energy differs")
+	}
+	if DefaultConfig(DRAMLess).Policy != "final" {
+		t.Error("DefaultConfig should spell the default policy \"final\"")
 	}
 }
 
 // TestPrefixOfNormalizesPolicy pins the checkpoint-key rules for the
-// scheduling policy: spelling (enum vs canonical name) never splits a
-// prefix, a genuinely different policy does, and organizations without
-// a PRAM controller ignore the policy entirely.
+// scheduling policy: spelling (letter case) never splits a prefix, a
+// genuinely different policy does, and organizations without a PRAM
+// controller ignore the policy entirely.
 func TestPrefixOfNormalizesPolicy(t *testing.T) {
 	k := workload.MustByName("gemver")
 
-	enum := testConfig(DRAMLess)
-	enum.Scheduler = memctrl.Final
 	named := testConfig(DRAMLess)
 	named.Policy = "final"
-	if PrefixOf(enum, k) != PrefixOf(named, k) {
-		t.Error("enum Final and policy \"final\" should share a prefix")
-	}
 	cased := testConfig(DRAMLess)
 	cased.Policy = "FINAL"
 	if PrefixOf(named, k) != PrefixOf(cased, k) {
@@ -163,16 +149,14 @@ func TestPrefixOfNormalizesPolicy(t *testing.T) {
 }
 
 // TestConfigValidatePolicyName pins the config-level error surface:
-// unknown policy names and out-of-range enum values are both rejected.
+// unknown policy names are rejected by Validate and by Run.
 func TestConfigValidatePolicyName(t *testing.T) {
 	cfg := testConfig(DRAMLess)
 	cfg.Policy = "round-robin"
 	if err := cfg.Validate(); err == nil {
 		t.Error("unknown policy name accepted")
 	}
-	cfg = testConfig(DRAMLess)
-	cfg.Scheduler = memctrl.Scheduler(99)
 	if _, err := Run(cfg, workload.MustByName("gemver")); err == nil {
-		t.Error("out-of-range scheduler enum accepted by Run")
+		t.Error("unknown policy name accepted by Run")
 	}
 }

@@ -313,7 +313,7 @@ func newBuild(cfg Config) (*build, error) {
 	case DRAMLessFirmware:
 		// Same PRAM subsystem, but every request is dispatched by
 		// traditional SSD firmware and the hardware schedulers are gone.
-		if b.sub, err = mkSub(memctrl.PolicyFor(memctrl.Noop)); err != nil {
+		if b.sub, err = mkSub(memctrl.BareMetal); err != nil {
 			return nil, err
 		}
 		if b.fwWrap, err = ssd.NewFirmwareManaged(cfg.Firmware, b.sub); err != nil {

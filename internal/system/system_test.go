@@ -169,17 +169,17 @@ func TestHeteroTimeDominatedByStaging(t *testing.T) {
 func TestSchedulerAblationOnDRAMLess(t *testing.T) {
 	// Figure 13 at system level: Final >= Bare-metal on a
 	// write-intensive kernel.
-	run := func(s memctrl.Scheduler) sim.Duration {
+	run := func(policy string) sim.Duration {
 		cfg := testConfig(DRAMLess)
-		cfg.Scheduler = s
+		cfg.Policy = policy
 		res, err := Run(cfg, workload.MustByName("doitg"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Total
 	}
-	noop := run(memctrl.Noop)
-	final := run(memctrl.Final)
+	noop := run("bare-metal")
+	final := run("final")
 	if final >= noop {
 		t.Errorf("Final (%v) not faster than Bare-metal (%v)", final, noop)
 	}

@@ -11,7 +11,7 @@ import (
 // pramDevice builds a small hardware-automated PRAM subsystem.
 func pramDevice(t *testing.T) mem.Device {
 	t.Helper()
-	cfg := memctrl.DefaultConfig(memctrl.Final)
+	cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
 	cfg.Geometry.RowsPerModule = 1 << 16
 	sub, err := memctrl.New(cfg)
 	if err != nil {
