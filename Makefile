@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke profile trace vet fmt-check ci ci-full verify
+.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke fuzz-smoke profile trace vet fmt-check ci ci-full verify
 
 build:
 	$(GO) build ./...
@@ -44,8 +44,11 @@ bench:
 # out GC ticks that dominate the sub-millisecond table benchmarks;
 # -count 5 lets benchjson keep the fastest repetition (host load spikes
 # only ever slow a deterministic benchmark, so min-of-means is the
-# noise-robust estimator where the old single shot flapped ±20%).
+# noise-robust estimator where the old single shot flapped ±20%). It
+# refuses a dirty tree, so every recorded baseline names a real commit.
 bench-json:
+	@if [ -n "$$(git status --porcelain)" ]; then \
+		echo "bench-json: the working tree is dirty; commit first so BENCH_suite.json names a real commit"; exit 1; fi
 	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5|BenchmarkPRAM|BenchmarkCache)' \
 		-benchmem -benchtime 5x -count 5 . | $(GO) run ./tools/benchjson -out BENCH_suite.json
 
@@ -122,6 +125,15 @@ trace:
 		-trace trace.json -counters
 	@echo "timeline written to trace.json"
 
+# Fuzz smoke: a few seconds of each export-file reader fuzzer, starting
+# from the committed seed corpora (internal/obs/testdata/fuzz). Go's
+# input minimizer would spend the whole budget shrinking the first new
+# input of a large seed, so minimization is off; a failing input is
+# still written to testdata/fuzz for replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadHistogramsJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBlameJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
+
 vet:
 	$(GO) vet ./...
 
@@ -134,7 +146,7 @@ fmt-check:
 ci: test race race-experiments race-sim vet fmt-check
 
 # ci plus the perf and latency regression gates against the committed
-# baselines and the scheduler tournament smoke run.
-ci-full: ci bench-compare hist-compare arena-smoke blame-smoke
+# baselines, the scheduler tournament smoke run and the reader fuzzers.
+ci-full: ci bench-compare hist-compare arena-smoke blame-smoke fuzz-smoke
 
 verify: ci

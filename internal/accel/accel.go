@@ -286,11 +286,14 @@ type AgentRun struct {
 
 // Report summarizes a kernel execution.
 type Report struct {
-	Start   sim.Time
-	End     sim.Time // last agent finished, caches flushed, backend drained
-	Agents  []AgentRun
-	IPC     *stats.Series // aggregate instructions per bucket (nil unless sampled)
-	Spans   []pe.Span     // busy/stall intervals of every agent (for power plots)
+	Start  sim.Time
+	End    sim.Time // last agent finished, caches flushed, backend drained
+	Agents []AgentRun
+	IPC    *stats.Series // aggregate instructions per bucket (nil unless sampled)
+	// Spans holds each agent's active intervals, indexed like Agents
+	// (sampled RunKernel reports only). The energy model reads them
+	// through EachSpan and then drops them.
+	Spans   []*pe.Spans
 	Instrs  int64
 	Compute sim.Duration // summed over agents
 	Stall   sim.Duration
@@ -354,6 +357,34 @@ func (r *Report) TotalIPC(clockHz float64) float64 {
 	return float64(r.Instrs) / cycles
 }
 
+// EachSpan calls fn on every agent's active spans merged by (T0, core
+// ID). That is the order in which the op-at-a-time execution starts
+// them: runAll steps the core with the least (local time, ID), a
+// stepped core's clock never goes back, so the keys of successive steps
+// never decrease; a span starts at its op's step time, and one core
+// never starts two spans at the same time. The merge therefore feeds
+// the energy model the same float additions in the same order whether
+// or not the runs were folded.
+func (r *Report) EachSpan(fn func(pe.Span)) {
+	next := make([]int, len(r.Spans))
+	for {
+		best := -1
+		var bestT sim.Time
+		for i, s := range r.Spans {
+			if next[i] < s.Len() {
+				if t := s.At(next[i]).T0; best < 0 || t < bestT {
+					best, bestT = i, t
+				}
+			}
+		}
+		if best < 0 {
+			return
+		}
+		fn(r.Spans[best].At(next[best]))
+		next[best]++
+	}
+}
+
 // runAll interleaves the PEs' execution in simulated-time order: every
 // iteration steps the core with the smallest local clock, so shared
 // resources (MCU, crossbar, backend) see requests in a globally causal
@@ -402,8 +433,8 @@ func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Pa
 	}
 
 	rep := &Report{Start: start}
-	collectSpans := a.cfg.SampleInterval > 0
-	if collectSpans {
+	sampled := a.cfg.SampleInterval > 0
+	if sampled {
 		rep.IPC = stats.NewSeries(a.cfg.SampleInterval)
 	}
 
@@ -440,9 +471,9 @@ func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Pa
 		if err != nil {
 			return nil, err
 		}
-		if collectSpans {
+		if sampled {
 			core.SampleIPC(a.cfg.SampleInterval)
-			core.OnSpan(func(s pe.Span) { rep.Spans = append(rep.Spans, s) })
+			core.RecordSpans()
 		}
 		if ss := a.cfg.Obs.Series(); ss != nil {
 			core.ObserveSeries(ss.Get(obs.SeriesPEBusy), ss.Get(obs.SeriesPEStall))
@@ -507,12 +538,12 @@ func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Pa
 		if err := a.psc.Sleep(d, i); err != nil {
 			return nil, err
 		}
-		if collectSpans {
-			if ipc := core.IPCSeries(); ipc != nil {
-				for b := 0; b < ipc.Len(); b++ {
-					rep.IPC.Accumulate(ipc.BucketStart(b), ipc.At(b))
-				}
+		if sampled {
+			ipc := core.IPCSeries()
+			for b := 0; b < ipc.Len(); b++ {
+				rep.IPC.Accumulate(ipc.BucketStart(b), ipc.At(b))
 			}
+			rep.Spans = append(rep.Spans, core.ActiveSpans())
 		}
 		// Stats are snapshotted; recycle the line storage for the next
 		// kernel's cache build.

@@ -6,6 +6,7 @@ import (
 
 	"dramless/internal/mem"
 	"dramless/internal/memctrl"
+	"dramless/internal/pe"
 	"dramless/internal/sim"
 	"dramless/internal/workload"
 )
@@ -128,8 +129,13 @@ func TestIPCSampling(t *testing.T) {
 	if got, want := rep.IPC.Total(), float64(rep.Instrs); got < want*0.99 || got > want*1.01 {
 		t.Fatalf("IPC series mass %v, want ~%v", got, want)
 	}
-	if len(rep.Spans) == 0 {
-		t.Fatal("no power spans collected")
+	if len(rep.Spans) != len(rep.Agents) {
+		t.Fatalf("%d span lists for %d agents", len(rep.Spans), len(rep.Agents))
+	}
+	var active sim.Duration
+	rep.EachSpan(func(s pe.Span) { active += s.T1 - s.T0 })
+	if active != rep.Compute {
+		t.Fatalf("active spans cover %v, agents computed %v", active, rep.Compute)
 	}
 	if rep.TotalIPC(1e9) <= 0 {
 		t.Fatal("zero total IPC")

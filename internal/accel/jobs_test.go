@@ -202,3 +202,45 @@ func TestRunJobsDeterministic(t *testing.T) {
 		t.Error("series CSV export is not byte-identical")
 	}
 }
+
+// TestSampledRunJobsFoldMatchesUnbatched covers sampled RunJobs waves:
+// with IPC sampling on, the batched front-end must fold (fewer
+// dispatched events) and still reproduce the op-at-a-time run's
+// reports - per-job IPC series included - and observability exports.
+func TestSampledRunJobsFoldMatchesUnbatched(t *testing.T) {
+	run := func(unbatched bool) ([]*JobResult, *Accelerator, *obs.Observer) {
+		cfg := Default()
+		cfg.SampleInterval = 10 * sim.Microsecond
+		cfg.PE.Unbatched = unbatched
+		cfg.Obs = obs.New()
+		a := MustNew(cfg, fastBackend())
+		res, err := a.RunJobs(0, []Job{smallJob("gemver", 3), smallJob("doitg", 4), smallJob("jaco1d", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, a, cfg.Obs
+	}
+	bres, ba, bObs := run(false)
+	ures, ua, uObs := run(true)
+
+	if ba.events >= ua.events {
+		t.Errorf("batched waves dispatched %d events, unbatched %d: sampled runs did not fold", ba.events, ua.events)
+	}
+	for i := range bres {
+		br, ur := *bres[i].Report, *ures[i].Report
+		if br.IPC == nil || br.IPC.Len() == 0 {
+			t.Fatalf("job %d: no IPC series sampled", i)
+		}
+		br.Events, br.EventsRecycled = 0, 0
+		ur.Events, ur.EventsRecycled = 0, 0
+		if !reflect.DeepEqual(br, ur) || !reflect.DeepEqual(bres[i].AgentIDs, ures[i].AgentIDs) {
+			t.Errorf("job %d differs:\n  batched:   %+v\n  unbatched: %+v", i, br, ur)
+		}
+	}
+	if !bObs.Histograms().Equal(uObs.Histograms()) {
+		t.Errorf("histograms differ:\n%s", bObs.Histograms().Diff(uObs.Histograms()))
+	}
+	if !bObs.Series().Equal(uObs.Series()) {
+		t.Errorf("series differ:\n%s", bObs.Series().Diff(uObs.Series()))
+	}
+}

@@ -44,9 +44,9 @@ func (a *Array) Release() {
 
 // CopyFrom clones src's timelines, activity stats and page contents into
 // a. Both arrays must share the same profile and page count. Page frames
-// are drawn from a's own slab/recycle pool, so the two arrays never
-// alias storage; the pools themselves are allocation scaffolding, not
-// simulated state, and are left as-is.
+// come from a's recycle list, the package pool or a fresh allocation,
+// so the two arrays never alias storage; the pools themselves are
+// allocation scaffolding, not simulated state, and are left as-is.
 func (a *Array) CopyFrom(src *Array) {
 	for i := range a.dies {
 		a.dies[i].CopyFrom(src.dies[i])
@@ -60,7 +60,7 @@ func (a *Array) CopyFrom(src *Array) {
 	for page, data := range src.store {
 		f := a.rawFrame()
 		if f == nil {
-			f = a.newFrame()
+			f = make([]byte, a.prof.PageBytes)
 		}
 		copy(f, data)
 		a.store[page] = f

@@ -136,15 +136,10 @@ type Array struct {
 	store map[uint64][]byte
 	stats Stats
 
-	// Page frames come framePages at a time from one slab and are
-	// recycled when EraseBlock drops them, so first-touch programs and
-	// GC churn do not allocate one page each.
-	frames    []byte
+	// Page frames are recycled when EraseBlock drops them, so GC churn
+	// does not allocate one page each.
 	freePages [][]byte
 }
-
-// framePages is how many page frames each slab allocation carries.
-const framePages = 64
 
 // NewArray builds an array holding totalPages physical pages.
 func NewArray(prof Profile, totalPages uint64) (*Array, error) {
@@ -177,9 +172,11 @@ func (a *Array) Stats() Stats { return a.stats }
 
 func (a *Array) die(page uint64) *sim.Resource { return a.dies[page%uint64(a.prof.Dies)] }
 
-// newFrame returns a zeroed page frame (recycled or carved from the
-// slab). Frames must read as zero: ProgramPage may copy fewer than
-// PageBytes into one, and unwritten tails are architecturally erased.
+// newFrame returns a zeroed page frame, recycled or newly allocated.
+// Frames must read as zero: ProgramPage may copy fewer than PageBytes
+// into one, and unwritten tails are architecturally erased. New frames
+// are allocated one page at a time, not carved from a shared slab: a
+// pooled frame would pin its whole slab.
 func (a *Array) newFrame() []byte {
 	if f := a.rawFrame(); f != nil {
 		for i := range f {
@@ -187,13 +184,7 @@ func (a *Array) newFrame() []byte {
 		}
 		return f
 	}
-	pb := a.prof.PageBytes
-	if len(a.frames) < pb {
-		a.frames = make([]byte, framePages*pb)
-	}
-	f := a.frames[:pb:pb]
-	a.frames = a.frames[pb:]
-	return f
+	return make([]byte, a.prof.PageBytes)
 }
 
 // rawFrame returns a recycled frame with stale contents, or nil when

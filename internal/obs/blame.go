@@ -171,7 +171,9 @@ func (b *Blame) WriteJSON(w io.Writer) error {
 
 // ReadBlameJSON parses a WriteJSON/MarshalJSON export back into a
 // Blame (the blame subcommand's file and diff modes work from exported
-// files, not live runs).
+// files, not live runs). Accounts hold simulated time, so a negative
+// one - listed, or reached by summing a repeated name past the int64
+// range - is rejected.
 func ReadBlameJSON(r io.Reader) (*Blame, error) {
 	var in []BlameEntry
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -179,7 +181,13 @@ func ReadBlameJSON(r io.Reader) (*Blame, error) {
 	}
 	b := NewBlame()
 	for _, e := range in {
+		if e.PS < 0 {
+			return nil, fmt.Errorf("obs: blame account %q is negative (%d ps)", e.Name, e.PS)
+		}
 		b.Add(e.Name, e.PS)
+		if b.Get(e.Name) < 0 {
+			return nil, fmt.Errorf("obs: blame account %q overflows int64", e.Name)
+		}
 	}
 	return b, nil
 }

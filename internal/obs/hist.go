@@ -456,7 +456,11 @@ func (s *HistogramSet) WriteCSV(w io.Writer) error {
 }
 
 // ReadHistogramsJSON parses a WriteJSON export back into a set (the
-// report and compare tools work from exported files, not live runs).
+// report and compare tools work from exported files, not live runs). It
+// rejects a histogram no recording could have produced: an out-of-range
+// bucket, a negative bucket count, bucket counts that do not sum to
+// count, a min/max outside the first/last non-empty bucket, or
+// min > max.
 func ReadHistogramsJSON(r io.Reader) (*HistogramSet, error) {
 	var in []histJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -465,16 +469,59 @@ func ReadHistogramsJSON(r io.Reader) (*HistogramSet, error) {
 	s := &HistogramSet{}
 	for _, hj := range in {
 		h := s.Get(hj.Name)
-		h.n, h.sum = hj.Count, hj.Sum
-		if hj.Count > 0 {
-			h.min, h.max = hj.Min, hj.Max
-		}
 		for _, b := range hj.Buckets {
 			if b.Bucket < 0 || b.Bucket >= histBuckets {
 				return nil, fmt.Errorf("obs: histogram %q: bucket %d out of range", hj.Name, b.Bucket)
 			}
+			if b.Count < 0 {
+				return nil, fmt.Errorf("obs: histogram %q: bucket %d has negative count %d", hj.Name, b.Bucket, b.Count)
+			}
 			h.counts[b.Bucket] = b.Count
+		}
+		if err := h.importSummary(hj); err != nil {
+			return nil, fmt.Errorf("obs: histogram %q: %w", hj.Name, err)
 		}
 	}
 	return s, nil
+}
+
+// importSummary checks hj's count, min and max against the bucket
+// counts already loaded into h, then installs them with hj's sum.
+func (h *Histogram) importSummary(hj histJSON) error {
+	var total int64
+	first, last := -1, -1
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		if total > math.MaxInt64-c {
+			return fmt.Errorf("bucket counts overflow")
+		}
+		total += c
+		if first < 0 {
+			first = i
+		}
+		last = i
+	}
+	if total != hj.Count {
+		return fmt.Errorf("bucket counts sum to %d, count is %d", total, hj.Count)
+	}
+	h.n, h.sum = hj.Count, hj.Sum
+	if total == 0 {
+		if hj.Min != 0 || hj.Max != 0 {
+			return fmt.Errorf("min %d, max %d on an empty histogram", hj.Min, hj.Max)
+		}
+		return nil
+	}
+	if hj.Min < 0 || histBucketOf(hj.Min) != first {
+		return fmt.Errorf("min %d is not in the first non-empty bucket", hj.Min)
+	}
+	if hj.Max < 0 || histBucketOf(hj.Max) != last {
+		return fmt.Errorf("max %d is not in the last non-empty bucket", hj.Max)
+	}
+	if hj.Min > hj.Max {
+		return fmt.Errorf("min %d exceeds max %d", hj.Min, hj.Max)
+	}
+	h.min, h.max = hj.Min, hj.Max
+	return nil
 }

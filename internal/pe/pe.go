@@ -64,10 +64,38 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Span reports one busy/stalled interval to an observer (energy model).
+// Span is one active (executing) interval [T0, T1) of a core: the
+// compute stretch of one op. The energy model prices these at active
+// power; the rest of the run is idle or stalled.
 type Span struct {
-	Active bool // true: executing; false: stalled on memory
 	T0, T1 sim.Time
+}
+
+// spanBlock is the capacity of one Spans storage block (16 KiB).
+const spanBlock = 1024
+
+// Spans is one core's active intervals in execution order (strictly
+// increasing T0). They fill fixed-size blocks instead of one growing
+// slice: a sampled run records one span per compute op, and an append
+// chain would allocate several times the final size on the way there.
+type Spans struct {
+	blocks [][]Span // every block full except the last
+	n      int
+}
+
+// Len returns the number of recorded spans.
+func (s *Spans) Len() int { return s.n }
+
+// At returns span i.
+func (s *Spans) At(i int) Span { return s.blocks[i/spanBlock][i%spanBlock] }
+
+func (s *Spans) add(t0, t1 sim.Time) {
+	if s.n%spanBlock == 0 {
+		s.blocks = append(s.blocks, make([]Span, 0, spanBlock))
+	}
+	b := &s.blocks[len(s.blocks)-1]
+	*b = append(*b, Span{T0: t0, T1: t1})
+	s.n++
 }
 
 // PE is one processing element mid-run.
@@ -99,22 +127,25 @@ type PE struct {
 	stall   sim.Duration
 	done    bool
 
-	ipc      *stats.Series // instructions per bucket, nil unless sampled
-	onSpan   func(Span)
 	storeBuf []byte // reusable nonzero store payload
 	loadBuf  []byte // reusable load destination (loaded bytes are discarded)
 
-	// Windowed busy/stall instruments (obs.Series handles shared across
-	// the accelerator's PEs). Unlike OnSpan/SampleIPC, they do NOT
-	// disable run folding: the scalar path records per-op spans, and the
-	// batched paths record the identical intervals — contiguous
-	// closed-form spans for compute-only runs, per-access mem.Run.OnOp
-	// callbacks for memory runs — so the per-window sums match the
-	// unbatched execution exactly.
-	busyS  *obs.Series
-	stallS *obs.Series
-	onOp   func(start, end sim.Time) // run-path recorder (uses curGap)
-	curGap sim.Duration              // Gap of the run being executed
+	// Recorders. None of them disables run folding: the scalar path
+	// records per op, and the batched paths replay the identical per-op
+	// calls - the compute-only closed form loops over its ops, memory
+	// runs record through the per-access mem.Run.OnOp hook - so each
+	// recorder sees the unbatched execution's values in the same order.
+	// The windowed busy/stall instruments (obs.Series handles shared
+	// across the accelerator's PEs) take one contiguous span per
+	// compute-only run instead: their window sums are integer, so the
+	// split cannot change them.
+	ipc        *stats.Series // instructions per bucket, nil unless sampled
+	spans      *Spans        // active intervals, nil unless recorded
+	busyS      *obs.Series
+	stallS     *obs.Series
+	onOp       func(start, end sim.Time) // p.recordOp once any recorder is on
+	curGap     sim.Duration              // Gap of the run being executed
+	curCompute float64                   // its per-op instruction count
 }
 
 // New returns a PE executing stream against memory, starting at `start`.
@@ -140,10 +171,17 @@ func New(id int, cfg Config, memory mem.Device, stream workload.Stream, start si
 }
 
 // SampleIPC enables instruction sampling with the given bucket interval.
-func (p *PE) SampleIPC(interval sim.Duration) { p.ipc = stats.NewSeries(interval) }
+func (p *PE) SampleIPC(interval sim.Duration) {
+	p.ipc = stats.NewSeries(interval)
+	p.onOp = p.recordOp
+}
 
-// OnSpan registers a busy/stall interval observer.
-func (p *PE) OnSpan(fn func(Span)) { p.onSpan = fn }
+// RecordSpans enables recording of the core's active intervals (see
+// ActiveSpans).
+func (p *PE) RecordSpans() {
+	p.spans = &Spans{}
+	p.onOp = p.recordOp
+}
 
 // ObserveSeries attaches windowed busy (compute) and stall
 // (memory-wait) time accumulation, typically the accelerator-wide
@@ -153,12 +191,32 @@ func (p *PE) ObserveSeries(busy, stall *obs.Series) {
 		return
 	}
 	p.busyS, p.stallS = busy, stall
-	p.onOp = func(start, end sim.Time) {
-		if p.curGap > 0 {
-			p.busyS.AddSpan(start-p.curGap, start)
-		}
-		p.stallS.AddSpan(start, end)
+	p.onOp = p.recordOp
+}
+
+// recordOp is the memory-run OnOp hook: it records one folded op - its
+// compute stretch [start-curGap, start), then the access [start, end) -
+// exactly as exec records it on the scalar path.
+func (p *PE) recordOp(start, end sim.Time) {
+	if p.curGap > 0 {
+		p.recordCompute(start-p.curGap, start, p.curCompute)
 	}
+	if p.ipc != nil {
+		p.ipc.Accumulate(start, 1)
+	}
+	p.stallS.AddSpan(start, end)
+}
+
+// recordCompute records one op's compute stretch [t0, t1), which retires
+// instrs instructions.
+func (p *PE) recordCompute(t0, t1 sim.Time, instrs float64) {
+	if p.spans != nil {
+		p.spans.add(t0, t1)
+	}
+	if p.ipc != nil {
+		p.ipc.Spread(t0, t1, instrs)
+	}
+	p.busyS.AddSpan(t0, t1)
 }
 
 // Now returns the PE's local time.
@@ -178,6 +236,10 @@ func (p *PE) StallTime() sim.Duration { return p.stall }
 
 // IPCSeries returns the sampled instruction series or nil.
 func (p *PE) IPCSeries() *stats.Series { return p.ipc }
+
+// ActiveSpans returns the recorded active intervals, or nil unless
+// RecordSpans was called.
+func (p *PE) ActiveSpans() *Spans { return p.spans }
 
 // durOf returns the execution time of a compute stretch.
 func (p *PE) durOf(compute int64) sim.Duration {
@@ -238,21 +300,28 @@ func (p *PE) Step() (bool, error) {
 			executed = true
 			continue
 		}
-		// Sampled runs never fold: per-op spans and IPC buckets must match
-		// the scalar path bucket for bucket.
-		if p.ipc != nil || p.onSpan != nil {
-			return true, nil
-		}
 		if op.Size == 0 {
 			// Compute-only run: closed form, exact in integer picoseconds.
 			if op.Compute > 0 {
 				dur := p.durOf(op.Compute)
-				if p.busyS != nil {
-					// One contiguous span; window sums equal the per-op
-					// spans of the scalar path exactly (integer split).
-					p.busyS.AddSpan(p.now, p.now+sim.Duration(rest)*dur)
+				end := p.now + sim.Duration(rest)*dur
+				// One contiguous busy span; window sums equal the per-op
+				// spans of the scalar path exactly (integer split).
+				p.busyS.AddSpan(p.now, end)
+				if p.ipc != nil || p.spans != nil {
+					// One call per op: the float IPC and energy sums must
+					// match the scalar path bit for bit.
+					c := float64(op.Compute)
+					for t := p.now; t < end; t += dur {
+						if p.spans != nil {
+							p.spans.add(t, t+dur)
+						}
+						if p.ipc != nil {
+							p.ipc.Spread(t, t+dur, c)
+						}
+					}
 				}
-				p.now += sim.Duration(rest) * dur
+				p.now = end
 				p.compute += sim.Duration(rest) * dur
 				p.instrs += int64(rest) * op.Compute
 			}
@@ -273,7 +342,7 @@ func (p *PE) Step() (bool, error) {
 		if op.Compute > 0 {
 			run.Gap = p.durOf(op.Compute)
 		}
-		p.curGap = run.Gap
+		p.curGap, p.curCompute = run.Gap, float64(op.Compute)
 		var res mem.RunResult
 		var err error
 		if op.Write {
@@ -306,12 +375,8 @@ func (p *PE) Step() (bool, error) {
 func (p *PE) exec(op workload.Op) error {
 	if op.Compute > 0 {
 		dur := p.durOf(op.Compute)
-		p.emit(Span{Active: true, T0: p.now, T1: p.now + dur})
-		if p.ipc != nil {
-			p.ipc.Spread(p.now, p.now+dur, float64(op.Compute))
-		}
-		if p.busyS != nil {
-			p.busyS.AddSpan(p.now, p.now+dur)
+		if p.onOp != nil { // any recorder on
+			p.recordCompute(p.now, p.now+dur, float64(op.Compute))
 		}
 		p.now += dur
 		p.compute += dur
@@ -343,7 +408,6 @@ func (p *PE) exec(op workload.Op) error {
 		// One issue slot for the load/store itself; the rest of the
 		// access time is stall.
 		stallEnd := sim.Max(done, p.now+p.issue)
-		p.emit(Span{Active: false, T0: p.now, T1: stallEnd})
 		if p.ipc != nil {
 			p.ipc.Accumulate(p.now, 1)
 		}
@@ -366,12 +430,6 @@ func (p *PE) payload(n int) []byte {
 		}
 	}
 	return p.storeBuf[:n]
-}
-
-func (p *PE) emit(s Span) {
-	if p.onSpan != nil && s.T1 > s.T0 {
-		p.onSpan(s)
-	}
 }
 
 // Run steps the PE to completion (single-PE convenience; multi-PE runs

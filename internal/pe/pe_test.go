@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"reflect"
 	"testing"
 
 	"dramless/internal/mem"
@@ -119,33 +120,98 @@ func TestIPCSeriesMassMatchesInstructions(t *testing.T) {
 	}
 }
 
-func TestSpanObserver(t *testing.T) {
+func TestActiveSpans(t *testing.T) {
 	stream := &opsStream{ops: []workload.Op{
 		{Compute: 400},
 		{Addr: 0, Size: 32},
+		{Compute: 40, Addr: 32, Size: 32},
 	}}
 	p, _ := New(0, Default(), fastMem(), stream, 0)
-	var active, stalled int
-	var covered sim.Duration
-	p.OnSpan(func(s Span) {
-		if s.T1 <= s.T0 {
-			t.Fatalf("empty span %+v", s)
-		}
-		covered += s.T1 - s.T0
-		if s.Active {
-			active++
-		} else {
-			stalled++
-		}
-	})
+	p.RecordSpans()
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if active != 1 || stalled != 1 {
-		t.Fatalf("spans = %d active, %d stalled", active, stalled)
+	spans := p.ActiveSpans()
+	if spans.Len() != 2 {
+		t.Fatalf("%d active spans, want one per compute op (2)", spans.Len())
 	}
-	if covered != p.ComputeTime()+p.StallTime() {
-		t.Fatalf("span coverage %v vs accounted %v", covered, p.ComputeTime()+p.StallTime())
+	var covered sim.Duration
+	for i := 0; i < spans.Len(); i++ {
+		s := spans.At(i)
+		if s.T1 <= s.T0 || (i > 0 && s.T0 < spans.At(i-1).T1) {
+			t.Fatalf("span %d %+v empty or out of order", i, s)
+		}
+		covered += s.T1 - s.T0
+	}
+	if covered != p.ComputeTime() {
+		t.Fatalf("span coverage %v vs compute time %v", covered, p.ComputeTime())
+	}
+}
+
+// recordedRun runs ops on one PE with IPC sampling and span recording
+// on, and returns the PE and how many Steps it took.
+func recordedRun(t *testing.T, cfg Config, ops []workload.Op) (*PE, int) {
+	t.Helper()
+	p, err := New(3, cfg, fastMem(), &opsStream{ops: ops}, sim.Nanoseconds(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SampleIPC(sim.Nanoseconds(300))
+	p.RecordSpans()
+	steps := 0
+	for {
+		ok, err := p.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return p, steps
+		}
+		steps++
+	}
+}
+
+// TestFoldedRecordersMatchScalar pins the sampled fold: memory runs
+// (recorded through mem.Run.OnOp) and compute-only runs (the closed
+// form) must record the same active spans and the bit-identical IPC
+// series as op-at-a-time execution, in fewer steps.
+func TestFoldedRecordersMatchScalar(t *testing.T) {
+	var ops []workload.Op // > spanBlock compute ops, so spans span blocks
+	for i := 0; i < 1200; i++ {
+		ops = append(ops, workload.Op{Compute: 37, Addr: uint64(i) * 32, Size: 32})
+	}
+	for i := 0; i < 150; i++ {
+		ops = append(ops, workload.Op{Compute: 123})
+	}
+	for i := 0; i < 100; i++ {
+		ops = append(ops, workload.Op{Compute: 5, Addr: 1<<16 + uint64(i)*64, Size: 32, Write: true})
+	}
+	for i := 0; i < 50; i++ {
+		ops = append(ops, workload.Op{Addr: 1<<17 + uint64(i)*32, Size: 32})
+	}
+	ucfg := Default()
+	ucfg.Unbatched = true
+	scalar, scalarSteps := recordedRun(t, ucfg, ops)
+	folded, foldedSteps := recordedRun(t, Default(), ops)
+
+	if foldedSteps >= scalarSteps {
+		t.Errorf("batched run took %d steps, unbatched %d: sampled runs did not fold", foldedSteps, scalarSteps)
+	}
+	if !reflect.DeepEqual(folded.IPCSeries(), scalar.IPCSeries()) {
+		t.Error("IPC series differ between folded and scalar execution")
+	}
+	fs, ss := folded.ActiveSpans(), scalar.ActiveSpans()
+	if fs.Len() != ss.Len() {
+		t.Fatalf("%d folded spans != %d scalar spans", fs.Len(), ss.Len())
+	}
+	for i := 0; i < fs.Len(); i++ {
+		if fs.At(i) != ss.At(i) {
+			t.Fatalf("span %d: folded %+v != scalar %+v", i, fs.At(i), ss.At(i))
+		}
+	}
+	if folded.Now() != scalar.Now() || folded.Instructions() != scalar.Instructions() {
+		t.Errorf("folded run ends at %v with %d instructions, scalar at %v with %d",
+			folded.Now(), folded.Instructions(), scalar.Now(), scalar.Instructions())
 	}
 }
 

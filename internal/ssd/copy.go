@@ -47,7 +47,7 @@ func (s *SSD) Release() {
 // array state into s. Both SSDs must have been built from the same
 // Config (histogram handles resolve at construction against each side's
 // own observer, so they are deliberately not copied). Buffer entries are
-// drawn from s's own slab pool, so the two devices never alias pages.
+// drawn from s's own recycle pool, so the two devices never alias pages.
 func (s *SSD) CopyFrom(src *SSD) {
 	for lpn, e := range s.buf {
 		s.recycle(e)

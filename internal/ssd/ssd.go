@@ -113,12 +113,9 @@ type SSD struct {
 	dramPipe *sim.Pipe
 	dramBusy sim.Duration // DRAM buffer occupancy (energy accounting)
 
-	// Buffer entries and their page data come bufSlabPages at a time from
-	// slabs and are recycled on eviction, so the buffer churns between the
-	// same frames instead of allocating one page per miss.
+	// Buffer entries are recycled on eviction, so the buffer churns
+	// between the same frames instead of allocating one page per miss.
 	freeEnts []*bufEntry
-	entSlab  []bufEntry
-	dataSlab []byte
 
 	// Latency instruments, resolved once at construction; nil when
 	// observation is off (the nil Histogram no-ops).
@@ -128,9 +125,6 @@ type SSD struct {
 
 	stats Stats
 }
-
-// bufSlabPages is how many buffer entries each slab allocation carries.
-const bufSlabPages = 64
 
 var (
 	_ mem.Device     = (*SSD)(nil)
@@ -261,8 +255,10 @@ func (s *SSD) stage(at sim.Time) sim.Time {
 	return at
 }
 
-// newEntry returns a recycled or slab-carved buffer entry. e.data holds
-// arbitrary stale bytes: callers either fill the whole page or zero it.
+// newEntry returns a recycled or newly allocated buffer entry. e.data
+// holds arbitrary stale bytes: callers either fill the whole page or
+// zero it. Entries are allocated one page at a time, not carved from a
+// shared slab: a pooled entry would pin its whole slab.
 func (s *SSD) newEntry() *bufEntry {
 	if n := len(s.freeEnts); n > 0 {
 		e := s.freeEnts[n-1]
@@ -275,15 +271,7 @@ func (s *SSD) newEntry() *bufEntry {
 		e.dirty = false
 		return e
 	}
-	if len(s.entSlab) == 0 {
-		s.entSlab = make([]bufEntry, bufSlabPages)
-		s.dataSlab = make([]byte, bufSlabPages*pb)
-	}
-	e := &s.entSlab[0]
-	s.entSlab = s.entSlab[1:]
-	e.data = s.dataSlab[:pb:pb]
-	s.dataSlab = s.dataSlab[pb:]
-	return e
+	return &bufEntry{data: make([]byte, pb)}
 }
 
 func (s *SSD) recycle(e *bufEntry) { s.freeEnts = append(s.freeEnts, e) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dramless/internal/obs"
+	"dramless/internal/sim"
 	"dramless/internal/workload"
 )
 
@@ -34,6 +35,104 @@ func filteredEntries(c *obs.Counters) []obs.Entry {
 	return out
 }
 
+// requireSameRun fails t unless got reproduces want exactly: phase
+// walls, footprint, time and energy accounts (power series included),
+// the kernel report (IPC series included) save the engine event totals,
+// the counter registry as filtered by entries, and byte-identical
+// histogram and series exports. names label got and want in messages.
+func requireSameRun(t *testing.T, names [2]string, got, want *Result, gotObs, wantObs *obs.Observer, entries func(*obs.Counters) []obs.Entry) {
+	t.Helper()
+	g, w := names[0], names[1]
+	if got.Load != want.Load || got.Kernel != want.Kernel ||
+		got.Store != want.Store || got.Total != want.Total {
+		t.Errorf("phase walls differ:\n  %s load=%v kernel=%v store=%v total=%v\n  %s load=%v kernel=%v store=%v total=%v",
+			g, got.Load, got.Kernel, got.Store, got.Total,
+			w, want.Load, want.Kernel, want.Store, want.Total)
+	}
+	if got.Footprint != want.Footprint {
+		t.Errorf("footprint differs: %d != %d", got.Footprint, want.Footprint)
+	}
+	if !reflect.DeepEqual(got.Time, want.Time) {
+		t.Errorf("time breakdown differs:\n  %s: %+v\n  %s: %+v", g, got.Time, w, want.Time)
+	}
+	if !reflect.DeepEqual(got.Energy, want.Energy) {
+		t.Errorf("energy account differs:\n  %s: %+v\n  %s: %+v", g, got.Energy, w, want.Energy)
+	}
+
+	gr, wr := *got.Report, *want.Report
+	gr.Events, gr.EventsRecycled = 0, 0
+	wr.Events, wr.EventsRecycled = 0, 0
+	if !reflect.DeepEqual(gr, wr) {
+		t.Errorf("kernel report differs:\n  %s: %+v\n  %s: %+v", g, gr, w, wr)
+	}
+
+	ge, we := entries(&got.Counters), entries(&want.Counters)
+	if len(ge) != len(we) {
+		t.Fatalf("counter registries differ in size: %d != %d", len(ge), len(we))
+	}
+	for i := range ge {
+		if ge[i] != we[i] {
+			t.Errorf("counter %q: %s %+v != %s %+v", ge[i].Name, g, ge[i], w, we[i])
+		}
+	}
+
+	// The latency histograms and windowed series must agree byte for
+	// byte: the batched fast paths are required to record every
+	// per-access sample the scalar reference loop would (mem.Run.OnOp,
+	// cache run fast arms), and a fork replays its prefix's samples.
+	gh, wh := gotObs.Histograms(), wantObs.Histograms()
+	if !gh.Equal(wh) {
+		t.Errorf("histograms differ:\n%s", gh.Diff(wh))
+	}
+	gs, ws := gotObs.Series(), wantObs.Series()
+	if !gs.Equal(ws) {
+		t.Errorf("series differ:\n%s", gs.Diff(ws))
+	}
+	if t.Failed() {
+		return
+	}
+	var gbuf, wbuf bytes.Buffer
+	if err := gh.WriteJSON(&gbuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := wh.WriteJSON(&wbuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gbuf.Bytes(), wbuf.Bytes()) {
+		t.Error("histogram JSON exports are not byte-identical")
+	}
+	gbuf.Reset()
+	wbuf.Reset()
+	if err := gs.WriteCSV(&gbuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.WriteCSV(&wbuf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gbuf.Bytes(), wbuf.Bytes()) {
+		t.Error("series CSV exports are not byte-identical")
+	}
+}
+
+// runBatchedAndUnbatched runs cfg with the batched front-end and with
+// the op-at-a-time reference, each under a fresh observer.
+func runBatchedAndUnbatched(t *testing.T, cfg Config, k workload.Kernel) (batched, unbatched *Result, bObs, uObs *obs.Observer) {
+	t.Helper()
+	cfg.Obs = obs.New()
+	batched, err := Run(cfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucfg := cfg
+	ucfg.Accel.PE.Unbatched = true
+	ucfg.Obs = obs.New()
+	unbatched, err = Run(ucfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batched, unbatched, cfg.Obs, ucfg.Obs
+}
+
 // TestBatchedMatchesUnbatched is the coalescing datapath's equivalence
 // oracle: for every Table I organization x one kernel per workload
 // class, a run with the batched front-end must reproduce the op-at-a-
@@ -44,96 +143,76 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, kname := range equivKernels {
 			t.Run(kind.String()+"/"+kname, func(t *testing.T) {
-				k := workload.MustByName(kname)
-
 				cfg := testConfig(kind)
 				cfg.Scale = 128 << 10
-				cfg.Obs = obs.New()
-				batched, err := Run(cfg, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				b, u, bObs, uObs := runBatchedAndUnbatched(t, cfg, workload.MustByName(kname))
+				requireSameRun(t, [2]string{"batched", "unbatched"}, b, u, bObs, uObs, filteredEntries)
+			})
+		}
+	}
+}
 
-				ucfg := cfg
-				ucfg.Accel.PE.Unbatched = true
-				ucfg.Obs = obs.New()
-				unbatched, err := Run(ucfg, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+// sampledKinds are the systems of the Figure 18-21 time series, the
+// only cells that sample (experiments.timeSeriesKinds).
+var sampledKinds = []Kind{IntegratedSLC, IntegratedMLC, IntegratedTLC, PageBuffer, NORIntf, DRAMLess}
 
-				if batched.Load != unbatched.Load ||
-					batched.Kernel != unbatched.Kernel ||
-					batched.Store != unbatched.Store ||
-					batched.Total != unbatched.Total {
-					t.Errorf("phase walls differ:\n  batched   load=%v kernel=%v store=%v total=%v\n  unbatched load=%v kernel=%v store=%v total=%v",
-						batched.Load, batched.Kernel, batched.Store, batched.Total,
-						unbatched.Load, unbatched.Kernel, unbatched.Store, unbatched.Total)
-				}
-				if batched.Footprint != unbatched.Footprint {
-					t.Errorf("footprint differs: %d != %d", batched.Footprint, unbatched.Footprint)
-				}
-				if !reflect.DeepEqual(batched.Time, unbatched.Time) {
-					t.Errorf("time breakdown differs:\n  batched:   %+v\n  unbatched: %+v", batched.Time, unbatched.Time)
-				}
-				if !reflect.DeepEqual(batched.Energy, unbatched.Energy) {
-					t.Errorf("energy account differs:\n  batched:   %+v\n  unbatched: %+v", batched.Energy, unbatched.Energy)
-				}
+// sampledConfigs are the two sampling setups of the time-series
+// figures: the Figure 18/19 IPC series and the Figure 20/21 power
+// capture over a 16 KiB footprint.
+var sampledConfigs = []struct {
+	name     string
+	interval sim.Duration
+	scale    int64
+}{
+	{"fig18", 50 * sim.Microsecond, 128 << 10},
+	{"fig20", 10 * sim.Microsecond, 16 << 10},
+}
 
-				// Reports match except the engine event totals.
-				br, ur := *batched.Report, *unbatched.Report
-				br.Events, br.EventsRecycled = 0, 0
-				ur.Events, ur.EventsRecycled = 0, 0
-				if !reflect.DeepEqual(br, ur) {
-					t.Errorf("kernel report differs:\n  batched:   %+v\n  unbatched: %+v", br, ur)
-				}
+func sampledConfig(kind Kind, interval sim.Duration, scale int64) Config {
+	cfg := testConfig(kind)
+	cfg.SampleInterval = interval
+	cfg.Scale = scale
+	return cfg
+}
 
-				be := filteredEntries(&batched.Counters)
-				ue := filteredEntries(&unbatched.Counters)
-				if len(be) != len(ue) {
-					t.Fatalf("counter registries differ in size: %d != %d", len(be), len(ue))
-				}
-				for i := range be {
-					if be[i] != ue[i] {
-						t.Errorf("counter %q: batched %+v != unbatched %+v", be[i].Name, be[i], ue[i])
+// TestSampledBatchedMatchesUnbatched extends the coalescing oracle to
+// sampled runs, which fold like any other: the IPC series, the energy
+// account with its power series, the histograms and series must be
+// bit-equal to the op-at-a-time run, and the batched run must dispatch
+// fewer events (proof that it folded).
+func TestSampledBatchedMatchesUnbatched(t *testing.T) {
+	for _, sc := range sampledConfigs {
+		for _, kind := range sampledKinds {
+			for _, kname := range []string{"gemver", "doitg"} {
+				t.Run(sc.name+"/"+kind.String()+"/"+kname, func(t *testing.T) {
+					cfg := sampledConfig(kind, sc.interval, sc.scale)
+					b, u, bObs, uObs := runBatchedAndUnbatched(t, cfg, workload.MustByName(kname))
+					if b.Report.IPC == nil || b.Energy.PowerSeries() == nil {
+						t.Fatal("sampled run produced no IPC or power series")
 					}
-				}
+					if b.Report.Spans != nil {
+						t.Error("result retains per-op active spans after accounting")
+					}
+					if b.Report.Events >= u.Report.Events {
+						t.Errorf("batched run dispatched %d events, unbatched %d: sampled runs did not fold",
+							b.Report.Events, u.Report.Events)
+					}
+					requireSameRun(t, [2]string{"batched", "unbatched"}, b, u, bObs, uObs, filteredEntries)
+				})
+			}
+		}
+	}
+}
 
-				// The latency histograms and windowed series must agree
-				// byte for byte: the batched fast paths are required to
-				// record every per-access sample the scalar reference
-				// loop would (mem.Run.OnOp, cache run fast arms).
-				bh, uh := cfg.Obs.Histograms(), ucfg.Obs.Histograms()
-				if !bh.Equal(uh) {
-					t.Errorf("histograms differ:\n%s", bh.Diff(uh))
-				}
-				bs, us := cfg.Obs.Series(), ucfg.Obs.Series()
-				if !bs.Equal(us) {
-					t.Errorf("series differ:\n%s", bs.Diff(us))
-				}
-				if !t.Failed() {
-					var bbuf, ubuf bytes.Buffer
-					if err := bh.WriteJSON(&bbuf); err != nil {
-						t.Fatal(err)
-					}
-					if err := uh.WriteJSON(&ubuf); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(bbuf.Bytes(), ubuf.Bytes()) {
-						t.Error("histogram JSON exports are not byte-identical")
-					}
-					bbuf.Reset()
-					ubuf.Reset()
-					if err := bs.WriteCSV(&bbuf); err != nil {
-						t.Fatal(err)
-					}
-					if err := us.WriteCSV(&ubuf); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(bbuf.Bytes(), ubuf.Bytes()) {
-						t.Error("series CSV exports are not byte-identical")
-					}
-				}
+// TestSampledForkedMatchesCold runs the sampled configurations through
+// a captured checkpoint: a fork must reproduce the cold run's series.
+func TestSampledForkedMatchesCold(t *testing.T) {
+	for _, sc := range sampledConfigs {
+		for _, kind := range []Kind{DRAMLess, IntegratedSLC} {
+			t.Run(sc.name+"/"+kind.String(), func(t *testing.T) {
+				cfg := sampledConfig(kind, sc.interval, sc.scale)
+				cold, forked, cObs, fObs := runColdAndForked(t, cfg, workload.MustByName("gemver"))
+				requireSameRun(t, [2]string{"forked", "cold"}, forked, cold, fObs, cObs, forkFilteredEntries)
 			})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"dramless/internal/flash"
 	"dramless/internal/lpddr"
 	"dramless/internal/memctrl"
+	"dramless/internal/pe"
 	"dramless/internal/pram"
 	"dramless/internal/sim"
 	"dramless/internal/ssd"
@@ -207,16 +208,12 @@ func (b *build) accountEnergy(snap snapshot, rep *accel.Report, runStart, loadEn
 
 	// PE cores: active spans at active power, the rest of the run idle.
 	agents := len(rep.Agents)
-	if b.cfg.SampleInterval > 0 && len(rep.Spans) > 0 {
-		var active sim.Duration
-		for _, s := range rep.Spans {
-			if s.Active {
-				acct.AddSpan(energy.CompCore,
-					(s.T1-s.T0).Seconds()*(par.PEActiveWatts-par.PEIdleWatts),
-					s.T0-shift, s.T1-shift)
-				active += s.T1 - s.T0
-			}
-		}
+	if b.cfg.SampleInterval > 0 {
+		rep.EachSpan(func(s pe.Span) {
+			acct.AddSpan(energy.CompCore,
+				(s.T1-s.T0).Seconds()*(par.PEActiveWatts-par.PEIdleWatts),
+				s.T0-shift, s.T1-shift)
+		})
 		// Baseline idle power of every PE (the +1 is the server).
 		acct.AddPower(energy.CompCore, par.PEIdleWatts*float64(agents+1), 0, total)
 	} else {

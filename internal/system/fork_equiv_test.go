@@ -1,8 +1,6 @@
 package system
 
 import (
-	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -27,6 +25,28 @@ func forkFilteredEntries(c *obs.Counters) []obs.Entry {
 	return out
 }
 
+// runColdAndForked runs cfg cold, then forked from a freshly captured
+// checkpoint of its prefix, each under a fresh observer.
+func runColdAndForked(t *testing.T, cfg Config, k workload.Kernel) (cold, forked *Result, cObs, fObs *obs.Observer) {
+	t.Helper()
+	cfg.Obs = obs.New()
+	cold, err := Run(cfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg := cfg
+	fcfg.Obs = obs.New()
+	cp, err := CapturePrefix(PrefixOf(fcfg, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked, err = RunForked(fcfg, k, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cold, forked, cfg.Obs, fcfg.Obs
+}
+
 // TestForkedMatchesCold is the checkpoint/fork layer's equivalence
 // oracle: for every Table I organization x one kernel per workload
 // class, a run forked from a captured populate/load checkpoint must
@@ -38,27 +58,9 @@ func TestForkedMatchesCold(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, kname := range equivKernels {
 			t.Run(kind.String()+"/"+kname, func(t *testing.T) {
-				k := workload.MustByName(kname)
-
 				cfg := testConfig(kind)
 				cfg.Scale = 128 << 10
-				cfg.Obs = obs.New()
-				cold, err := Run(cfg, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				fcfg := cfg
-				fcfg.Obs = obs.New()
-				cp, err := CapturePrefix(PrefixOf(fcfg, k))
-				if err != nil {
-					t.Fatal(err)
-				}
-				forked, err := RunForked(fcfg, k, cp)
-				if err != nil {
-					t.Fatal(err)
-				}
-
+				cold, forked, cObs, fObs := runColdAndForked(t, cfg, workload.MustByName(kname))
 				if v := forked.Counters.Get(CounterPrefixForks); v != 1 {
 					t.Errorf("forked run: %s = %d, want 1", CounterPrefixForks, v)
 				}
@@ -66,76 +68,7 @@ func TestForkedMatchesCold(t *testing.T) {
 					t.Errorf("cold run: %s = %d, want 1", CounterPrefixColdRuns, v)
 				}
 
-				if forked.Load != cold.Load ||
-					forked.Kernel != cold.Kernel ||
-					forked.Store != cold.Store ||
-					forked.Total != cold.Total {
-					t.Errorf("phase walls differ:\n  forked load=%v kernel=%v store=%v total=%v\n  cold   load=%v kernel=%v store=%v total=%v",
-						forked.Load, forked.Kernel, forked.Store, forked.Total,
-						cold.Load, cold.Kernel, cold.Store, cold.Total)
-				}
-				if forked.Footprint != cold.Footprint {
-					t.Errorf("footprint differs: %d != %d", forked.Footprint, cold.Footprint)
-				}
-				if !reflect.DeepEqual(forked.Time, cold.Time) {
-					t.Errorf("time breakdown differs:\n  forked: %+v\n  cold:   %+v", forked.Time, cold.Time)
-				}
-				if !reflect.DeepEqual(forked.Energy, cold.Energy) {
-					t.Errorf("energy account differs:\n  forked: %+v\n  cold:   %+v", forked.Energy, cold.Energy)
-				}
-
-				fr, cr := *forked.Report, *cold.Report
-				fr.Events, fr.EventsRecycled = 0, 0
-				cr.Events, cr.EventsRecycled = 0, 0
-				if !reflect.DeepEqual(fr, cr) {
-					t.Errorf("kernel report differs:\n  forked: %+v\n  cold:   %+v", fr, cr)
-				}
-
-				fe := forkFilteredEntries(&forked.Counters)
-				ce := forkFilteredEntries(&cold.Counters)
-				if len(fe) != len(ce) {
-					t.Fatalf("counter registries differ in size: %d != %d", len(fe), len(ce))
-				}
-				for i := range fe {
-					if fe[i] != ce[i] {
-						t.Errorf("counter %q: forked %+v != cold %+v", fe[i].Name, fe[i], ce[i])
-					}
-				}
-
-				// The replayed prefix samples plus the live kernel/store
-				// samples must reproduce the cold run's full distributions,
-				// byte for byte in the export formats.
-				fh, ch := fcfg.Obs.Histograms(), cfg.Obs.Histograms()
-				if !fh.Equal(ch) {
-					t.Errorf("histograms differ:\n%s", fh.Diff(ch))
-				}
-				fs, cs := fcfg.Obs.Series(), cfg.Obs.Series()
-				if !fs.Equal(cs) {
-					t.Errorf("series differ:\n%s", fs.Diff(cs))
-				}
-				if !t.Failed() {
-					var fbuf, cbuf bytes.Buffer
-					if err := fh.WriteJSON(&fbuf); err != nil {
-						t.Fatal(err)
-					}
-					if err := ch.WriteJSON(&cbuf); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(fbuf.Bytes(), cbuf.Bytes()) {
-						t.Error("histogram JSON exports are not byte-identical")
-					}
-					fbuf.Reset()
-					cbuf.Reset()
-					if err := fs.WriteCSV(&fbuf); err != nil {
-						t.Fatal(err)
-					}
-					if err := cs.WriteCSV(&cbuf); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(fbuf.Bytes(), cbuf.Bytes()) {
-						t.Error("series CSV exports are not byte-identical")
-					}
-				}
+				requireSameRun(t, [2]string{"forked", "cold"}, forked, cold, fObs, cObs, forkFilteredEntries)
 			})
 		}
 	}

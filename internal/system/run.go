@@ -51,7 +51,8 @@ type Result struct {
 	// picosecond. Always populated, like Counters.
 	Blame *obs.Blame
 
-	// Report is the kernel-phase execution report (IPC series, spans).
+	// Report is the kernel-phase execution report (IPC series, per-agent
+	// totals). Its per-op active spans are dropped once priced.
 	Report *accel.Report
 
 	// Counters is the run's observability registry: every subsystem's
@@ -527,6 +528,7 @@ func (b *build) finish(k workload.Kernel, p workload.Params, runStart, loadEnd s
 	res.Time.Add(TimeStore, (storeEnd - kernelEnd).Seconds())
 
 	res.Energy = b.accountEnergy(snap, rep, runStart, loadEnd, kernelEnd, storeEnd)
+	rep.Spans = nil // per-op data: the energy account is its only reader
 	res.Blame = b.accountBlame(rep, &snap, &loadSnap, &kernSnap, &storeSnap, runStart, loadEnd, kernelEnd, storeEnd)
 
 	b.collectCounters(rep, &res.Counters)
