@@ -125,14 +125,18 @@ trace:
 		-trace trace.json -counters
 	@echo "timeline written to trace.json"
 
-# Fuzz smoke: a few seconds of each export-file reader fuzzer, starting
-# from the committed seed corpora (internal/obs/testdata/fuzz). Go's
-# input minimizer would spend the whole budget shrinking the first new
-# input of a large seed, so minimization is off; a failing input is
-# still written to testdata/fuzz for replay.
+# Fuzz smoke: a few seconds of each export-file reader fuzzer and of the
+# CLI file modes built on them (`dramless report`/`blame` on a file),
+# starting from the committed seed corpora (testdata/fuzz) and the
+# reference-run histogram export. Go's input minimizer would spend the
+# whole budget shrinking the first new input of a large seed, so
+# minimization is off; a failing input is still written to
+# testdata/fuzz for replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadHistogramsJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBlameJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzReportFiles$$' -fuzztime 5s -fuzzminimizetime 0 ./cmd/dramless/
+	$(GO) test -run '^$$' -fuzz '^FuzzBlameFiles$$' -fuzztime 5s -fuzzminimizetime 0 ./cmd/dramless/
 
 vet:
 	$(GO) vet ./...

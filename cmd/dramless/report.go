@@ -147,18 +147,23 @@ func printPercentilesJSON(w io.Writer, paths []string, sets []*dramless.Histogra
 }
 
 // printComparison renders two exports' percentiles side by side with the
-// p99 delta, pairing instruments by name in the first file's order.
+// p99 delta, pairing instruments by name in the first file's order; an
+// instrument only one file registers gets an "only in" row instead.
 func printComparison(w io.Writer, paths []string, a, b *dramless.HistogramSet) {
 	fmt.Fprintf(w, "A = %s\nB = %s\n\n", paths[0], paths[1])
 	fmt.Fprintf(w, "%-28s %12s %12s %12s %12s %8s\n",
 		"instrument", "A.p50", "B.p50", "A.p99", "B.p99", "Δp99")
 	for _, ha := range a.All() {
 		hb := b.Lookup(ha.Name())
+		if hb == nil {
+			fmt.Fprintf(w, "%-28s only in A (count %d)\n", ha.Name(), ha.Count())
+			continue
+		}
 		if ha.Count() == 0 && hb.Count() == 0 {
 			continue
 		}
 		delta := "n/a"
-		if ap99 := ha.Percentile(99); ap99 > 0 && hb != nil {
+		if ap99 := ha.Percentile(99); ap99 > 0 {
 			delta = fmt.Sprintf("%+.1f%%", 100*float64(hb.Percentile(99)-ap99)/float64(ap99))
 		}
 		fmt.Fprintf(w, "%-28s %12s %12s %12s %12s %8s\n", ha.Name(),

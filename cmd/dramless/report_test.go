@@ -93,3 +93,28 @@ func TestReportComparison(t *testing.T) {
 		}
 	}
 }
+
+// TestReportComparisonOneSided pins the rows of instruments only one
+// file registers: each side says so with its count, instead of
+// rendering the missing side as a 0 ps measurement.
+func TestReportComparisonOneSided(t *testing.T) {
+	a, b := goldenSet(), goldenSet()
+	a.Get("only.a").Record(1000)
+	b.Get("only.b").Record(1000)
+	b.Get("only.b").Record(2000)
+	var buf bytes.Buffer
+	if err := report(&buf, []string{"a.json", "b.json"}, []*dramless.HistogramSet{a, b}, "", false); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"only.a                       only in A (count 1)\n",
+		"only.b                       only in B (count 2)\n",
+	} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("comparison missing %q:\n%s", want, buf.String())
+		}
+	}
+	if bytes.Contains(buf.Bytes(), []byte("0ps")) {
+		t.Errorf("a one-sided instrument must not render as 0 ps:\n%s", buf.String())
+	}
+}

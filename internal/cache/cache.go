@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 
+	"dramless/internal/freelist"
 	"dramless/internal/mem"
 	"dramless/internal/obs"
 	"dramless/internal/sim"
@@ -160,31 +160,10 @@ type storage struct {
 }
 
 // storagePool keeps released storage per cache shape (size, line, ways),
-// so a reuse always fits exactly. A mutex-guarded free list rather than
-// a sync.Pool: which storage a construction reuses then does not depend
-// on the P its goroutine runs on or on collection timing, and the list
-// never grows beyond the most caches alive at once.
-var storagePool = struct {
-	mu   sync.Mutex
-	free map[[3]int][]storage
-}{free: map[[3]int][]storage{}}
+// so a reuse always fits exactly.
+var storagePool freelist.List[[3]int, storage]
 
 func shapeOf(cfg Config) [3]int { return [3]int{cfg.SizeBytes, cfg.LineBytes, cfg.Ways} }
-
-// pooledStorage returns released storage of cfg's shape, if any.
-func pooledStorage(cfg Config) (storage, bool) {
-	storagePool.mu.Lock()
-	defer storagePool.mu.Unlock()
-	list := storagePool.free[shapeOf(cfg)]
-	n := len(list)
-	if n == 0 {
-		return storage{}, false
-	}
-	st := list[n-1]
-	list[n-1] = storage{}
-	storagePool.free[shapeOf(cfg)] = list[:n-1]
-	return st, true
-}
 
 var (
 	_ mem.Device     = (*Cache)(nil)
@@ -202,7 +181,7 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: nil lower level", cfg.Name)
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	st, ok := pooledStorage(cfg)
+	st, ok := storagePool.Get(shapeOf(cfg))
 	if !ok {
 		st = storage{
 			ways: make([]way, nsets*cfg.Ways),
@@ -240,9 +219,7 @@ func (c *Cache) Release() {
 	if c.ways == nil {
 		return
 	}
-	storagePool.mu.Lock()
-	storagePool.free[shapeOf(c.cfg)] = append(storagePool.free[shapeOf(c.cfg)], c.storage)
-	storagePool.mu.Unlock()
+	storagePool.Put(shapeOf(c.cfg), c.storage)
 	c.storage = storage{}
 }
 

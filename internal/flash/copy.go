@@ -1,44 +1,20 @@
 package flash
 
-import "sync"
+import "dramless/internal/freelist"
 
 // framePool recycles page frames across simulation runs, keyed by page
 // size (media profiles differ). Pooled frames hold stale bytes; newFrame
 // zeroes on acquisition, CopyFrom overwrites whole frames and skips the
 // clear.
-var framePool = struct {
-	mu     sync.Mutex
-	bySize map[int][][]byte
-}{bySize: map[int][][]byte{}}
-
-func pooledFrame(pb int) []byte {
-	framePool.mu.Lock()
-	defer framePool.mu.Unlock()
-	list := framePool.bySize[pb]
-	n := len(list)
-	if n == 0 {
-		return nil
-	}
-	f := list[n-1]
-	list[n-1] = nil
-	framePool.bySize[pb] = list[:n-1]
-	return f
-}
+var framePool freelist.List[int, []byte]
 
 // Release returns every stored and recycled page frame to the package
 // pool and empties the store. Call only once the array's contents are no
 // longer needed.
 func (a *Array) Release() {
 	pb := a.prof.PageBytes
-	framePool.mu.Lock()
-	list := framePool.bySize[pb]
-	for page, f := range a.store {
-		list = append(list, f)
-		delete(a.store, page)
-	}
-	list = append(list, a.freePages...)
-	framePool.bySize[pb] = list
-	framePool.mu.Unlock()
+	freelist.PutMap(&framePool, pb, a.store)
+	framePool.Put(pb, a.freePages...)
 	a.freePages = a.freePages[:0]
 }
 

@@ -197,7 +197,8 @@ func (a *Array) rawFrame() []byte {
 		a.freePages = a.freePages[:n-1]
 		return f
 	}
-	return pooledFrame(a.prof.PageBytes)
+	f, _ := framePool.Get(a.prof.PageBytes)
+	return f
 }
 
 func (a *Array) check(page uint64) error {

@@ -1,6 +1,6 @@
 package mem
 
-import "sync"
+import "dramless/internal/freelist"
 
 // CopyFrom clones src's bus timeline, traffic totals and page store into
 // f. Both memories must share size/latency/bandwidth configuration.
@@ -22,27 +22,11 @@ func (f *Flat) Release() { f.store.Release() }
 // population the previous cell just dropped. Pooled pages hold stale
 // bytes; newPage zeroes on acquisition (untouched space must read as
 // zero), CopyFrom overwrites whole pages and skips the clear.
-var pagePool struct {
-	mu   sync.Mutex
-	free [][]byte
-}
-
-func pooledPage() []byte {
-	pagePool.mu.Lock()
-	defer pagePool.mu.Unlock()
-	n := len(pagePool.free)
-	if n == 0 {
-		return nil
-	}
-	p := pagePool.free[n-1]
-	pagePool.free[n-1] = nil
-	pagePool.free = pagePool.free[:n-1]
-	return p
-}
+var pagePool freelist.List[struct{}, []byte]
 
 // newPage returns a zeroed page frame.
 func newPage() []byte {
-	if p := pooledPage(); p != nil {
+	if p, ok := pagePool.Get(struct{}{}); ok {
 		zeroFill(p)
 		return p
 	}
@@ -55,12 +39,7 @@ func (s *Sparse) Release() {
 	if len(s.pages) == 0 {
 		return
 	}
-	pagePool.mu.Lock()
-	for pg, p := range s.pages {
-		pagePool.free = append(pagePool.free, p)
-		delete(s.pages, pg)
-	}
-	pagePool.mu.Unlock()
+	freelist.PutMap(&pagePool, struct{}{}, s.pages)
 }
 
 // CopyFrom replaces s's contents with a deep copy of src's pages, so
@@ -71,8 +50,8 @@ func (s *Sparse) CopyFrom(src *Sparse) {
 		s.pages = make(map[uint64][]byte, len(src.pages))
 	}
 	for pg, data := range src.pages {
-		p := pooledPage()
-		if p == nil {
+		p, ok := pagePool.Get(struct{}{})
+		if !ok {
 			p = make([]byte, sparsePage)
 		}
 		copy(p, data)

@@ -1,6 +1,6 @@
 package memctrl
 
-import "sync"
+import "dramless/internal/freelist"
 
 // scratchPool recycles the per-channel batch and wave scratch slices
 // across subsystem lifetimes. Every forked experiment cell builds a
@@ -8,64 +8,11 @@ import "sync"
 // capacity over the run's thousands of batched requests; recycling keeps
 // the grown capacity. Contents are garbage between uses (every consumer
 // resets to [:0] before appending).
-var scratchPool = struct {
-	mu     sync.Mutex
-	rows   [][]rowReq
-	writes [][]writeReq
-	rWaves [][][]*rowReq
-	wWaves [][][]*writeReq
-}{}
-
-func pooledRows() []rowReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.rows)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.rows[n-1]
-	scratchPool.rows[n-1] = nil
-	scratchPool.rows = scratchPool.rows[:n-1]
-	return s[:0]
-}
-
-func pooledWrites() []writeReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.writes)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.writes[n-1]
-	scratchPool.writes[n-1] = nil
-	scratchPool.writes = scratchPool.writes[:n-1]
-	return s[:0]
-}
-
-func pooledRWaves() [][]*rowReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.rWaves)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.rWaves[n-1]
-	scratchPool.rWaves[n-1] = nil
-	scratchPool.rWaves = scratchPool.rWaves[:n-1]
-	return s
-}
-
-func pooledWWaves() [][]*writeReq {
-	scratchPool.mu.Lock()
-	defer scratchPool.mu.Unlock()
-	n := len(scratchPool.wWaves)
-	if n == 0 {
-		return nil
-	}
-	s := scratchPool.wWaves[n-1]
-	scratchPool.wWaves[n-1] = nil
-	scratchPool.wWaves = scratchPool.wWaves[:n-1]
-	return s
+var scratchPool struct {
+	rows   freelist.List[struct{}, []rowReq]
+	writes freelist.List[struct{}, []writeReq]
+	rWaves freelist.List[struct{}, [][]*rowReq]
+	wWaves freelist.List[struct{}, [][]*writeReq]
 }
 
 // CopyFrom clones src's complete subsystem state into s: boot status,
@@ -91,29 +38,25 @@ func (s *Subsystem) CopyFrom(src *Subsystem) {
 // segment pool and the batch/wave scratch to the scratch pool. Call only
 // once the run's results have been collected.
 func (s *Subsystem) Release() {
-	scratchPool.mu.Lock()
 	for c := range s.batches {
 		if s.batches[c] != nil {
-			scratchPool.rows = append(scratchPool.rows, s.batches[c])
+			scratchPool.rows.Put(struct{}{}, s.batches[c])
 			s.batches[c] = nil
 		}
 		if s.wBatches[c] != nil {
-			scratchPool.writes = append(scratchPool.writes, s.wBatches[c])
+			scratchPool.writes.Put(struct{}{}, s.wBatches[c])
 			s.wBatches[c] = nil
 		}
 	}
 	for _, ch := range s.channels {
 		if ch.rWaves != nil {
-			scratchPool.rWaves = append(scratchPool.rWaves, ch.rWaves)
+			scratchPool.rWaves.Put(struct{}{}, ch.rWaves)
 			ch.rWaves = nil
 		}
 		if ch.wWaves != nil {
-			scratchPool.wWaves = append(scratchPool.wWaves, ch.wWaves)
+			scratchPool.wWaves.Put(struct{}{}, ch.wWaves)
 			ch.wWaves = nil
 		}
-	}
-	scratchPool.mu.Unlock()
-	for _, ch := range s.channels {
 		for _, m := range ch.modules {
 			m.Release()
 		}

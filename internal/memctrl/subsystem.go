@@ -121,12 +121,13 @@ func New(cfg Config) (*Subsystem, error) {
 	s.batches = make([][]rowReq, cfg.Params.Channels)
 	s.wBatches = make([][]writeReq, cfg.Params.Channels)
 	for c := range s.batches {
-		s.batches[c] = pooledRows()
-		s.wBatches[c] = pooledWrites()
+		rows, _ := scratchPool.rows.Get(struct{}{})
+		writes, _ := scratchPool.writes.Get(struct{}{})
+		s.batches[c], s.wBatches[c] = rows[:0], writes[:0]
 	}
 	for _, ch := range s.channels {
-		ch.rWaves = pooledRWaves()
-		ch.wWaves = pooledWWaves()
+		ch.rWaves, _ = scratchPool.rWaves.Get(struct{}{})
+		ch.wWaves, _ = scratchPool.wWaves.Get(struct{}{})
 	}
 	s.wearRow = make([]byte, cfg.Geometry.RowBytes)
 	s.initWear()

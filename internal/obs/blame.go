@@ -21,9 +21,13 @@ import (
 // The system layer maintains the exactness invariant: for every phase
 // P, the sum of all "P/..." accounts equals the phase wall to the
 // picosecond (see internal/system/blame.go and DESIGN.md §15).
-type Blame struct {
-	idx  map[string]int
-	list []BlameEntry
+type Blame struct{ r registry[BlameEntry] }
+
+func (b *Blame) reg() *registry[BlameEntry] {
+	if b == nil {
+		return nil
+	}
+	return &b.r
 }
 
 // BlameEntry is one account: a full slash-separated name and its
@@ -33,53 +37,44 @@ type BlameEntry struct {
 	PS   int64  `json:"ps"`
 }
 
+func (e BlameEntry) key() string { return e.Name }
+
+// fresh is the empty account a new name registers with.
+func (e BlameEntry) fresh() BlameEntry { return BlameEntry{Name: e.Name} }
+
+func (e BlameEntry) merge(o BlameEntry) BlameEntry {
+	e.PS += o.PS
+	return e
+}
+
+func (e BlameEntry) diff(o BlameEntry) string {
+	if e.PS == o.PS {
+		return ""
+	}
+	return fmt.Sprintf("  %s: %d != %d\n", e.Name, e.PS, o.PS)
+}
+
 // NewBlame returns an empty account set.
 func NewBlame() *Blame { return &Blame{} }
 
 // Add accumulates ps into the named account, registering it on first
 // use. Nil-safe.
 func (b *Blame) Add(name string, ps int64) {
-	if b == nil {
-		return
-	}
-	if i, ok := b.idx[name]; ok {
-		b.list[i].PS += ps
-		return
-	}
-	if b.idx == nil {
-		b.idx = make(map[string]int)
-	}
-	b.idx[name] = len(b.list)
-	b.list = append(b.list, BlameEntry{Name: name, PS: ps})
+	b.reg().put(BlameEntry{Name: name, PS: ps}, BlameEntry.fresh)
 }
 
 // Get returns the named account's total (0 when absent). Nil-safe.
 func (b *Blame) Get(name string) int64 {
-	if b == nil {
-		return 0
-	}
-	if i, ok := b.idx[name]; ok {
-		return b.list[i].PS
-	}
-	return 0
+	e, _ := b.reg().lookup(name)
+	return e.PS
 }
 
 // Len returns how many accounts are registered.
-func (b *Blame) Len() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.list)
-}
+func (b *Blame) Len() int { return b.reg().len() }
 
 // Entries returns the accounts in registration order. The slice is
 // shared; callers must not mutate it.
-func (b *Blame) Entries() []BlameEntry {
-	if b == nil {
-		return nil
-	}
-	return b.list
-}
+func (b *Blame) Entries() []BlameEntry { return b.reg().all() }
 
 // Sum totals every account whose name starts with prefix (use
 // "load/" for one phase's accounts). Nil-safe.
@@ -88,7 +83,7 @@ func (b *Blame) Sum(prefix string) int64 {
 		return 0
 	}
 	var sum int64
-	for _, e := range b.list {
+	for _, e := range b.Entries() {
 		if strings.HasPrefix(e.Name, prefix) {
 			sum += e.PS
 		}
@@ -99,75 +94,31 @@ func (b *Blame) Sum(prefix string) int64 {
 // Merge accumulates other's accounts into b, registering new names at
 // the tail in other's order. Nil-safe on both sides.
 func (b *Blame) Merge(other *Blame) {
-	if b == nil || other == nil {
-		return
-	}
-	for _, e := range other.list {
-		b.Add(e.Name, e.PS)
-	}
+	b.reg().merge(other.reg(), BlameEntry.fresh)
 }
 
 // Equal reports whether both sets hold the same accounts in the same
 // order with identical totals.
-func (b *Blame) Equal(other *Blame) bool {
-	if b.Len() != other.Len() {
-		return false
-	}
-	for i, e := range b.Entries() {
-		if other.list[i] != e {
-			return false
-		}
-	}
-	return true
-}
+func (b *Blame) Equal(other *Blame) bool { return b.reg().equal(other.reg()) }
 
 // Diff returns a human-readable description of the first few account
 // differences (for test failure messages); empty when Equal.
-func (b *Blame) Diff(other *Blame) string {
-	if b.Equal(other) {
-		return ""
-	}
-	if b.Len() != other.Len() {
-		return fmt.Sprintf("  %d accounts != %d\n", b.Len(), other.Len())
-	}
-	out := ""
-	diffs := 0
-	for i, e := range b.Entries() {
-		o := other.list[i]
-		if e != o && diffs < 8 {
-			out += fmt.Sprintf("  position %d: %s=%d != %s=%d\n", i, e.Name, e.PS, o.Name, o.PS)
-			diffs++
-		}
-	}
-	return out
-}
+func (b *Blame) Diff(other *Blame) string { return b.reg().diff(other.reg()) }
 
 // MarshalJSON renders the accounts as an ordered array. The export is
 // byte-deterministic: order is registration order and every field is
-// integer.
+// integer. BlameEntry is its own JSON shape, so the entries marshal as
+// they are.
 func (b *Blame) MarshalJSON() ([]byte, error) {
-	out := b.Entries()
-	if out == nil {
-		out = []BlameEntry{}
+	if b.Len() == 0 {
+		return []byte("[]"), nil
 	}
-	return json.Marshal(out)
+	return json.Marshal(b.Entries())
 }
 
 // WriteJSON writes the accounts as indented JSON (ReadBlameJSON parses
 // it back).
-func (b *Blame) WriteJSON(w io.Writer) error {
-	out := b.Entries()
-	if out == nil {
-		out = []BlameEntry{}
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
+func (b *Blame) WriteJSON(w io.Writer) error { return writeIndented(w, b) }
 
 // ReadBlameJSON parses a WriteJSON/MarshalJSON export back into a
 // Blame (the blame subcommand's file and diff modes work from exported

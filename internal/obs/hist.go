@@ -237,7 +237,8 @@ func (h *Histogram) Diff(other *Histogram) string {
 		return ""
 	}
 	out := ""
-	if h.Count() != other.Count() || h.Sum() != other.Sum() {
+	if h.Count() != other.Count() || h.Sum() != other.Sum() ||
+		h.Min() != other.Min() || h.Max() != other.Max() {
 		out += fmt.Sprintf("  count %d/%d sum %d/%d min %d/%d max %d/%d\n",
 			h.Count(), other.Count(), h.Sum(), other.Sum(), h.Min(), other.Min(), h.Max(), other.Max())
 	}
@@ -293,144 +294,78 @@ func (h *Histogram) toJSON() histJSON {
 	return out
 }
 
+func (h *Histogram) key() string { return h.name }
+
+func (h *Histogram) merge(o *Histogram) *Histogram {
+	h.Merge(o)
+	return h
+}
+
+func (h *Histogram) diff(o *Histogram) string {
+	if d := h.Diff(o); d != "" {
+		return "  " + h.name + ":\n" + d
+	}
+	return ""
+}
+
 // HistogramSet is an ordered registry of named histograms: Get returns a
 // stable handle, creating (and preallocating) the histogram on first
 // use, so instrument sites resolve their handle once at construction and
 // record without lookups. Registration order is deterministic because
 // every instrumented component resolves its handles in fixed code order.
-type HistogramSet struct {
-	idx  map[string]int
-	list []*Histogram
+type HistogramSet struct{ r registry[*Histogram] }
+
+func (s *HistogramSet) reg() *registry[*Histogram] {
+	if s == nil {
+		return nil
+	}
+	return &s.r
 }
 
 // Get returns the named histogram, registering it on first use. A nil
 // set returns a nil (safely recordable) handle.
-func (s *HistogramSet) Get(name string) *Histogram {
-	if s == nil {
-		return nil
-	}
-	if i, ok := s.idx[name]; ok {
-		return s.list[i]
-	}
-	if s.idx == nil {
-		s.idx = make(map[string]int)
-	}
-	h := newHistogram(name)
-	s.idx[name] = len(s.list)
-	s.list = append(s.list, h)
-	return h
-}
+func (s *HistogramSet) Get(name string) *Histogram { return s.reg().get(name, newHistogram) }
 
 // Lookup returns the named histogram without registering it.
 func (s *HistogramSet) Lookup(name string) *Histogram {
-	if s == nil {
-		return nil
-	}
-	if i, ok := s.idx[name]; ok {
-		return s.list[i]
-	}
-	return nil
+	h, _ := s.reg().lookup(name)
+	return h
 }
 
 // Len returns how many histograms are registered.
-func (s *HistogramSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.list)
-}
+func (s *HistogramSet) Len() int { return s.reg().len() }
 
 // Names returns every registered name in registration order.
-func (s *HistogramSet) Names() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, len(s.list))
-	for i, h := range s.list {
-		out[i] = h.name
-	}
-	return out
-}
+func (s *HistogramSet) Names() []string { return s.reg().names() }
 
 // All returns the histograms in registration order. The slice is shared;
 // callers must not mutate it.
-func (s *HistogramSet) All() []*Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.list
-}
+func (s *HistogramSet) All() []*Histogram { return s.reg().all() }
 
 // Merge accumulates other's histograms into s, registering new names at
 // the tail in other's order.
 func (s *HistogramSet) Merge(other *HistogramSet) {
-	if s == nil || other == nil {
-		return
-	}
-	for _, h := range other.list {
-		s.Get(h.name).Merge(h)
-	}
+	s.reg().merge(other.reg(), func(h *Histogram) *Histogram { return newHistogram(h.name) })
 }
 
 // Equal reports whether both sets hold the same histograms in the same
 // order with identical distributions.
-func (s *HistogramSet) Equal(other *HistogramSet) bool {
-	if s.Len() != other.Len() {
-		return false
-	}
-	for i, h := range s.All() {
-		o := other.list[i]
-		if h.name != o.name || !h.Equal(o) {
-			return false
-		}
-	}
-	return true
-}
+func (s *HistogramSet) Equal(other *HistogramSet) bool { return s.reg().equal(other.reg()) }
 
 // Diff returns a description of the first differences between two sets;
 // empty when Equal.
-func (s *HistogramSet) Diff(other *HistogramSet) string {
-	if s.Len() != other.Len() {
-		return fmt.Sprintf("  %d histograms != %d\n", s.Len(), other.Len())
-	}
-	for i, h := range s.All() {
-		o := other.list[i]
-		if h.name != o.name {
-			return fmt.Sprintf("  position %d: %q != %q\n", i, h.name, o.name)
-		}
-		if d := h.Diff(o); d != "" {
-			return h.name + ":\n" + d
-		}
-	}
-	return ""
-}
+func (s *HistogramSet) Diff(other *HistogramSet) string { return s.reg().diff(other.reg()) }
 
 // MarshalJSON renders the set as an ordered array of histograms with
 // sparse bucket lists. The export is byte-deterministic: order is
 // registration order and every field is integer.
 func (s *HistogramSet) MarshalJSON() ([]byte, error) {
-	out := make([]histJSON, 0, s.Len())
-	for _, h := range s.All() {
-		out = append(out, h.toJSON())
-	}
-	return json.Marshal(out)
+	return exportJSON(s.All(), (*Histogram).toJSON)
 }
 
 // WriteJSON writes the set as indented JSON (the `-hist file.json`
 // format; ReadHistogramsJSON parses it back).
-func (s *HistogramSet) WriteJSON(w io.Writer) error {
-	out := make([]histJSON, 0, s.Len())
-	for _, h := range s.All() {
-		out = append(out, h.toJSON())
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+func (s *HistogramSet) WriteJSON(w io.Writer) error { return writeIndented(w, s) }
 
 // WriteCSV writes one row per non-empty bucket:
 // name,low,high,count,cum — the cumulative column makes the file a

@@ -108,6 +108,29 @@ func TestHistogramMergeEqualDiff(t *testing.T) {
 	}
 }
 
+// Two histograms with the same count, sum and bucket counts but
+// different extremes are not Equal, and Diff says so.
+func TestHistogramDiffMinMaxOnly(t *testing.T) {
+	var sa, sb HistogramSet
+	a, b := sa.Get("x"), sb.Get("x")
+	a.Record(1000)
+	a.Record(1002)
+	b.Record(1001)
+	b.Record(1001)
+	if len(a.Buckets()) != 1 || a.Buckets()[0] != b.Buckets()[0] || a.Sum() != b.Sum() {
+		t.Fatalf("fixture must share buckets and sum: %v/%d vs %v/%d", a.Buckets(), a.Sum(), b.Buckets(), b.Sum())
+	}
+	if a.Equal(b) || sa.Equal(&sb) {
+		t.Fatal("histograms with different min/max must not be Equal")
+	}
+	if d := a.Diff(b); !strings.Contains(d, "min 1000/1001 max 1002/1001") {
+		t.Errorf("Diff must name the extremes, got %q", d)
+	}
+	if sa.Diff(&sb) == "" {
+		t.Error("HistogramSet.Diff must be non-empty when Equal is false")
+	}
+}
+
 // TestHistogramExportRoundTrip pins that WriteJSON → ReadHistogramsJSON
 // reconstructs the exact distribution, and that exports are
 // byte-deterministic.

@@ -16,11 +16,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"dramless/internal/sim"
 )
@@ -61,201 +58,99 @@ type Entry struct {
 // ("memctrl.ch0.rdb_hits", "accel.pe3.busy_ps"); entries keep their
 // registration order, which is deterministic because every collector
 // walks its components in fixed code order.
-type Counters struct {
-	idx  map[string]int
-	list []Entry
+type Counters struct{ r registry[Entry] }
+
+func (c *Counters) reg() *registry[Entry] {
+	if c == nil {
+		return nil
+	}
+	return &c.r
 }
 
-// slot returns the entry index for name, creating it with the given kind.
-func (c *Counters) slot(name string, kind Kind) int {
-	if i, ok := c.idx[name]; ok {
-		return i
+func (e Entry) key() string { return e.Name }
+
+// merge adds a counter and overwrites with a gauge.
+func (e Entry) merge(o Entry) Entry {
+	switch o.Kind {
+	case KindCounter:
+		e.Int += o.Int
+	case KindGauge:
+		e.Float = o.Float
 	}
-	if c.idx == nil {
-		c.idx = make(map[string]int)
-	}
-	c.idx[name] = len(c.list)
-	c.list = append(c.list, Entry{Name: name, Kind: kind})
-	return len(c.list) - 1
+	return e
 }
+
+// diff reports a kind mismatch (a gauge in one registry, a counter in
+// the other) or the two values. Gauges compare exactly: the determinism
+// guarantee is bit-identical floats, not approximate ones.
+func (e Entry) diff(o Entry) string {
+	switch {
+	case e.Kind != o.Kind:
+		return fmt.Sprintf("  %s: %s != %s\n", e.Name, e.Kind, o.Kind)
+	case e.Int != o.Int || e.Float != o.Float:
+		return fmt.Sprintf("  %s: %d/%g != %d/%g\n", e.Name, e.Int, e.Float, o.Int, o.Float)
+	}
+	return ""
+}
+
+// fresh is the empty entry a new name registers with: e's name and kind.
+func (e Entry) fresh() Entry { return Entry{Name: e.Name, Kind: e.Kind} }
 
 // Add accumulates delta into the named counter, registering it on first
 // use. Nil-safe.
 func (c *Counters) Add(name string, delta int64) {
-	if c == nil {
-		return
-	}
-	c.list[c.slot(name, KindCounter)].Int += delta
+	c.reg().put(Entry{Name: name, Kind: KindCounter, Int: delta}, Entry.fresh)
 }
 
 // SetGauge sets the named gauge, registering it on first use. Nil-safe.
 func (c *Counters) SetGauge(name string, v float64) {
-	if c == nil {
-		return
-	}
-	c.list[c.slot(name, KindGauge)].Float = v
+	c.reg().put(Entry{Name: name, Kind: KindGauge, Float: v}, Entry.fresh)
 }
 
 // Get returns the named counter's value (0 when absent).
 func (c *Counters) Get(name string) int64 {
-	if c == nil {
-		return 0
-	}
-	if i, ok := c.idx[name]; ok {
-		return c.list[i].Int
-	}
-	return 0
+	e, _ := c.reg().lookup(name)
+	return e.Int
 }
 
 // Gauge returns the named gauge's value (0 when absent).
 func (c *Counters) Gauge(name string) float64 {
-	if c == nil {
-		return 0
-	}
-	if i, ok := c.idx[name]; ok {
-		return c.list[i].Float
-	}
-	return 0
+	e, _ := c.reg().lookup(name)
+	return e.Float
 }
 
 // Has reports whether name is registered.
 func (c *Counters) Has(name string) bool {
-	if c == nil {
-		return false
-	}
-	_, ok := c.idx[name]
+	_, ok := c.reg().lookup(name)
 	return ok
 }
 
 // Len returns how many entries are registered.
-func (c *Counters) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.list)
-}
+func (c *Counters) Len() int { return c.reg().len() }
 
 // Entries returns the registry in registration order. The slice is
 // shared; callers must not mutate it.
-func (c *Counters) Entries() []Entry {
-	if c == nil {
-		return nil
-	}
-	return c.list
-}
+func (c *Counters) Entries() []Entry { return c.reg().all() }
 
 // Names returns every registered name in registration order.
-func (c *Counters) Names() []string {
-	if c == nil {
-		return nil
-	}
-	out := make([]string, len(c.list))
-	for i, e := range c.list {
-		out[i] = e.Name
-	}
-	return out
-}
+func (c *Counters) Names() []string { return c.reg().names() }
 
 // Merge accumulates other into c: counters add, gauges overwrite. New
 // names register at the tail in other's order.
 func (c *Counters) Merge(other *Counters) {
-	if c == nil || other == nil {
-		return
-	}
-	for _, e := range other.list {
-		switch e.Kind {
-		case KindCounter:
-			c.Add(e.Name, e.Int)
-		case KindGauge:
-			c.SetGauge(e.Name, e.Float)
-		}
-	}
+	c.reg().merge(other.reg(), Entry.fresh)
 }
 
 // Equal reports whether both registries hold the same entries in the
-// same order with identical values. Gauges compare exactly: the
-// determinism guarantee is bit-identical floats, not approximate ones.
-func (c *Counters) Equal(other *Counters) bool {
-	if c.Len() != other.Len() {
-		return false
-	}
-	if c == nil || other == nil {
-		return true // both empty
-	}
-	for i, e := range c.list {
-		o := other.list[i]
-		if e != o {
-			return false
-		}
-	}
-	return true
-}
-
-// kind returns the named entry's kind (KindCounter when absent).
-func (c *Counters) kind(name string) Kind {
-	if c == nil {
-		return KindCounter
-	}
-	if i, ok := c.idx[name]; ok {
-		return c.list[i].Kind
-	}
-	return KindCounter
-}
+// same order with identical values.
+func (c *Counters) Equal(other *Counters) bool { return c.reg().equal(other.reg()) }
 
 // Diff returns a human-readable description of the first few differences
 // between two registries (for test failure messages); empty when Equal.
 // Names are reported in sorted order so the output is deterministic
-// regardless of registration order; kind mismatches (a gauge in one
-// registry, a counter in the other) and pure registration-order skew —
-// which Equal rejects even when every value matches — are both reported.
-func (c *Counters) Diff(other *Counters) string {
-	var sb strings.Builder
-	names := map[string]bool{}
-	for _, n := range c.Names() {
-		names[n] = true
-	}
-	for _, n := range other.Names() {
-		names[n] = true
-	}
-	ordered := make([]string, 0, len(names))
-	for n := range names {
-		ordered = append(ordered, n)
-	}
-	sort.Strings(ordered)
-	diffs := 0
-	for _, n := range ordered {
-		if diffs >= 8 {
-			fmt.Fprintf(&sb, "  ...\n")
-			break
-		}
-		switch {
-		case !c.Has(n):
-			fmt.Fprintf(&sb, "  %s: missing left\n", n)
-			diffs++
-		case !other.Has(n):
-			fmt.Fprintf(&sb, "  %s: missing right\n", n)
-			diffs++
-		case c.kind(n) != other.kind(n):
-			fmt.Fprintf(&sb, "  %s: %s != %s\n", n, c.kind(n), other.kind(n))
-			diffs++
-		case c.Get(n) != other.Get(n) || c.Gauge(n) != other.Gauge(n):
-			fmt.Fprintf(&sb, "  %s: %d/%g != %d/%g\n", n, c.Get(n), c.Gauge(n), other.Get(n), other.Gauge(n))
-			diffs++
-		}
-	}
-	if diffs == 0 && !c.Equal(other) {
-		for i, e := range c.Entries() {
-			if i >= other.Len() {
-				break
-			}
-			if o := other.Entries()[i]; e.Name != o.Name {
-				fmt.Fprintf(&sb, "  position %d: %q != %q (registration order differs)\n", i, e.Name, o.Name)
-				break
-			}
-		}
-	}
-	return sb.String()
-}
+// regardless of registration order; kind mismatches and pure
+// registration-order skew are both reported.
+func (c *Counters) Diff(other *Counters) string { return c.reg().diff(other.reg()) }
 
 // WriteTo renders the registry as an aligned text table in registration
 // order.
@@ -278,17 +173,18 @@ func (c *Counters) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
+// counterJSON is one entry in the JSON export.
+type counterJSON struct {
+	Name  string   `json:"name"`
+	Kind  string   `json:"kind"`
+	Value *int64   `json:"value,omitempty"`
+	Gauge *float64 `json:"gauge,omitempty"`
+}
+
 // MarshalJSON renders the registry as an ordered array of entries.
 func (c *Counters) MarshalJSON() ([]byte, error) {
-	type jsonEntry struct {
-		Name  string   `json:"name"`
-		Kind  string   `json:"kind"`
-		Value *int64   `json:"value,omitempty"`
-		Gauge *float64 `json:"gauge,omitempty"`
-	}
-	out := make([]jsonEntry, 0, c.Len())
-	for _, e := range c.Entries() {
-		je := jsonEntry{Name: e.Name, Kind: e.Kind.String()}
+	return exportJSON(c.Entries(), func(e Entry) counterJSON {
+		je := counterJSON{Name: e.Name, Kind: e.Kind.String()}
 		switch e.Kind {
 		case KindGauge:
 			g := e.Float
@@ -297,9 +193,8 @@ func (c *Counters) MarshalJSON() ([]byte, error) {
 			v := e.Int
 			je.Value = &v
 		}
-		out = append(out, je)
-	}
-	return json.Marshal(out)
+		return je
+	})
 }
 
 // Observer is the handle model code threads through the stack: a

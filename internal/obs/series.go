@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -132,21 +131,27 @@ func (s *Series) Merge(other *Series) {
 // Equal reports whether both series hold identical windows. Trailing
 // zero windows are insignificant: a series that never saw a late sample
 // equals one that recorded a zero there.
-func (s *Series) Equal(other *Series) bool {
-	a, b := s.Len(), other.Len()
-	n := a
-	if b > n {
-		n = b
+func (s *Series) Equal(other *Series) bool { return s.diff(other) == "" }
+
+func (s *Series) key() string { return s.name }
+
+func (s *Series) merge(o *Series) *Series {
+	s.Merge(o)
+	return s
+}
+
+// diff names the first differing window, or both window durations when
+// the series hold data over different ones.
+func (s *Series) diff(o *Series) string {
+	if s.Window() != o.Window() && s.Len() > 0 && o.Len() > 0 {
+		return fmt.Sprintf("  %s: window %d != %d\n", s.Name(), s.Window(), o.Window())
 	}
-	if s.Window() != other.Window() && a > 0 && b > 0 {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if s.At(i) != other.At(i) {
-			return false
+	for i := 0; i < max(s.Len(), o.Len()); i++ {
+		if s.At(i) != o.At(i) {
+			return fmt.Sprintf("  %s window %d: %d != %d\n", s.Name(), i, s.At(i), o.At(i))
 		}
 	}
-	return true
+	return ""
 }
 
 // seriesJSON is one series in the JSON export.
@@ -156,12 +161,26 @@ type seriesJSON struct {
 	Values   []int64 `json:"values"`
 }
 
+func (s *Series) toJSON() seriesJSON {
+	vals := s.vals
+	if vals == nil {
+		vals = []int64{}
+	}
+	return seriesJSON{Name: s.name, WindowPS: int64(s.window), Values: vals}
+}
+
 // SeriesSet is an ordered registry of named series sharing one window,
 // with the same stable-handle contract as HistogramSet.
 type SeriesSet struct {
 	window sim.Duration
-	idx    map[string]int
-	list   []*Series
+	r      registry[*Series]
+}
+
+func (s *SeriesSet) reg() *registry[*Series] {
+	if s == nil {
+		return nil
+	}
+	return &s.r
 }
 
 // NewSeriesSet returns a set whose series accumulate over window
@@ -184,139 +203,47 @@ func (s *SeriesSet) Window() sim.Duration {
 // Get returns the named series, registering it on first use. A nil set
 // returns a nil (safely recordable) handle.
 func (s *SeriesSet) Get(name string) *Series {
-	if s == nil {
-		return nil
-	}
-	if i, ok := s.idx[name]; ok {
-		return s.list[i]
-	}
-	if s.idx == nil {
-		s.idx = make(map[string]int)
-	}
-	sr := newSeries(name, s.window)
-	s.idx[name] = len(s.list)
-	s.list = append(s.list, sr)
-	return sr
+	return s.reg().get(name, func(n string) *Series { return newSeries(n, s.window) })
 }
 
 // Lookup returns the named series without registering it.
 func (s *SeriesSet) Lookup(name string) *Series {
-	if s == nil {
-		return nil
-	}
-	if i, ok := s.idx[name]; ok {
-		return s.list[i]
-	}
-	return nil
+	sr, _ := s.reg().lookup(name)
+	return sr
 }
 
 // Len returns how many series are registered.
-func (s *SeriesSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.list)
-}
+func (s *SeriesSet) Len() int { return s.reg().len() }
 
 // Names returns every registered name in registration order.
-func (s *SeriesSet) Names() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, len(s.list))
-	for i, sr := range s.list {
-		out[i] = sr.name
-	}
-	return out
-}
+func (s *SeriesSet) Names() []string { return s.reg().names() }
 
 // All returns the series in registration order. The slice is shared;
 // callers must not mutate it.
-func (s *SeriesSet) All() []*Series {
-	if s == nil {
-		return nil
-	}
-	return s.list
-}
+func (s *SeriesSet) All() []*Series { return s.reg().all() }
 
 // Merge accumulates other's series into s, registering new names at the
 // tail in other's order. Sets must share a window for values to land.
 func (s *SeriesSet) Merge(other *SeriesSet) {
-	if s == nil || other == nil {
-		return
-	}
-	for _, sr := range other.list {
-		s.Get(sr.name).Merge(sr)
-	}
+	s.reg().merge(other.reg(), func(sr *Series) *Series { return newSeries(sr.name, s.window) })
 }
 
 // Equal reports whether both sets hold the same series in the same
 // order with identical windows.
-func (s *SeriesSet) Equal(other *SeriesSet) bool {
-	if s.Len() != other.Len() {
-		return false
-	}
-	for i, sr := range s.All() {
-		o := other.list[i]
-		if sr.name != o.name || !sr.Equal(o) {
-			return false
-		}
-	}
-	return true
-}
+func (s *SeriesSet) Equal(other *SeriesSet) bool { return s.reg().equal(other.reg()) }
 
 // Diff returns a description of the first differences between two sets;
 // empty when Equal.
-func (s *SeriesSet) Diff(other *SeriesSet) string {
-	if s.Len() != other.Len() {
-		return fmt.Sprintf("  %d series != %d\n", s.Len(), other.Len())
-	}
-	for i, sr := range s.All() {
-		o := other.list[i]
-		if sr.name != o.name {
-			return fmt.Sprintf("  position %d: %q != %q\n", i, sr.name, o.name)
-		}
-		n := sr.Len()
-		if o.Len() > n {
-			n = o.Len()
-		}
-		for w := 0; w < n; w++ {
-			if sr.At(w) != o.At(w) {
-				return fmt.Sprintf("  %s window %d: %d != %d\n", sr.name, w, sr.At(w), o.At(w))
-			}
-		}
-	}
-	return ""
-}
+func (s *SeriesSet) Diff(other *SeriesSet) string { return s.reg().diff(other.reg()) }
 
 // MarshalJSON renders the set as an ordered array of series.
 func (s *SeriesSet) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.toJSON())
-}
-
-func (s *SeriesSet) toJSON() []seriesJSON {
-	out := make([]seriesJSON, 0, s.Len())
-	for _, sr := range s.All() {
-		vals := sr.vals
-		if vals == nil {
-			vals = []int64{}
-		}
-		out = append(out, seriesJSON{Name: sr.name, WindowPS: int64(sr.window), Values: vals})
-	}
-	return out
+	return exportJSON(s.All(), (*Series).toJSON)
 }
 
 // WriteJSON writes the set as indented JSON (the `-series file.json`
 // format).
-func (s *SeriesSet) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(s.toJSON(), "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+func (s *SeriesSet) WriteJSON(w io.Writer) error { return writeIndented(w, s) }
 
 // WriteCSV writes one table: window_start_ps followed by one column per
 // series, rows padded with zeros to the longest series.

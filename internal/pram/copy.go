@@ -1,36 +1,15 @@
 package pram
 
-import "sync"
+import "dramless/internal/freelist"
 
 // segPool recycles row-segment slabs across simulation runs. Forking a
 // checkpointed prefix deep-copies every materialized segment of every
 // module; without recycling, each of the suite's hundreds of forked
 // cells would re-allocate the full segment population just to drop it at
-// the end of the run. Released segments come back stale and are zeroed
-// on acquisition (the zero value is "pristine"), so pooled and fresh
-// segments are indistinguishable. The mutex makes the pool safe under
-// the experiment engine's worker pool.
-var segPool = struct {
-	mu    sync.Mutex
-	byGeo map[Geometry][]*rowSeg
-}{byGeo: map[Geometry][]*rowSeg{}}
-
-// pooledSeg returns a recycled segment for geometry g, or nil when the
-// pool is empty. The segment's slabs hold stale bytes; callers must zero
-// them (newSeg) or overwrite them entirely (Module.CopyFrom).
-func pooledSeg(g Geometry) *rowSeg {
-	segPool.mu.Lock()
-	defer segPool.mu.Unlock()
-	list := segPool.byGeo[g]
-	n := len(list)
-	if n == 0 {
-		return nil
-	}
-	s := list[n-1]
-	list[n-1] = nil
-	segPool.byGeo[g] = list[:n-1]
-	return s
-}
+// the end of the run. Released segments come back stale: newSeg zeroes
+// them (the zero value is "pristine"), so pooled and fresh segments are
+// indistinguishable, and Module.CopyFrom overwrites them entirely.
+var segPool freelist.List[Geometry, *rowSeg]
 
 // zero restores the pristine zero-value state of every slab.
 func (s *rowSeg) zero() {
@@ -49,14 +28,7 @@ func (m *Module) Release() {
 		m.memoSeg, m.memoID = nil, 0
 		return
 	}
-	segPool.mu.Lock()
-	list := segPool.byGeo[m.geo]
-	for id, s := range m.segs {
-		list = append(list, s)
-		delete(m.segs, id)
-	}
-	segPool.byGeo[m.geo] = list
-	segPool.mu.Unlock()
+	freelist.PutMap(&segPool, m.geo, m.segs)
 	m.memoSeg, m.memoID = nil, 0
 }
 
@@ -82,8 +54,8 @@ func (m *Module) CopyFrom(src *Module) {
 	*m.ow = *src.ow
 	m.Release()
 	for id, s := range src.segs {
-		ns := pooledSeg(m.geo)
-		if ns == nil {
+		ns, ok := segPool.Get(m.geo)
+		if !ok {
 			ns = newSeg(m.geo)
 		}
 		copy(ns.data, s.data)

@@ -210,7 +210,7 @@ type rowSeg struct {
 }
 
 func newSeg(g Geometry) *rowSeg {
-	if s := pooledSeg(g); s != nil {
+	if s, ok := segPool.Get(g); ok {
 		s.zero()
 		return s
 	}

@@ -1,44 +1,20 @@
 package ssd
 
-import "sync"
+import "dramless/internal/freelist"
 
 // entPool recycles buffer entries (struct + page frame) across
 // simulation runs, keyed by page size. Pooled entries hold stale data;
 // newEntry's callers either fill the whole page or zero it, exactly as
 // with locally recycled entries.
-var entPool = struct {
-	mu     sync.Mutex
-	bySize map[int][]*bufEntry
-}{bySize: map[int][]*bufEntry{}}
-
-func pooledEntry(pb int) *bufEntry {
-	entPool.mu.Lock()
-	defer entPool.mu.Unlock()
-	list := entPool.bySize[pb]
-	n := len(list)
-	if n == 0 {
-		return nil
-	}
-	e := list[n-1]
-	list[n-1] = nil
-	entPool.bySize[pb] = list[:n-1]
-	return e
-}
+var entPool freelist.List[int, *bufEntry]
 
 // Release returns the buffer's entries and the array's page frames to
 // their package pools. Call only once the device's contents are no
 // longer needed.
 func (s *SSD) Release() {
 	pb := s.cfg.Media.PageBytes
-	entPool.mu.Lock()
-	list := entPool.bySize[pb]
-	for lpn, e := range s.buf {
-		list = append(list, e)
-		delete(s.buf, lpn)
-	}
-	list = append(list, s.freeEnts...)
-	entPool.bySize[pb] = list
-	entPool.mu.Unlock()
+	freelist.PutMap(&entPool, pb, s.buf)
+	entPool.Put(pb, s.freeEnts...)
 	s.freeEnts = s.freeEnts[:0]
 	s.arr.Release()
 }

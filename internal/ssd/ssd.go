@@ -267,7 +267,7 @@ func (s *SSD) newEntry() *bufEntry {
 		return e
 	}
 	pb := s.cfg.Media.PageBytes
-	if e := pooledEntry(pb); e != nil {
+	if e, ok := entPool.Get(pb); ok {
 		e.dirty = false
 		return e
 	}

@@ -26,7 +26,8 @@
 // With -hist and -hist-base, the tool instead diffs two `dramless run
 // -hist` JSON exports: per-instrument p99 latency deltas go to stderr
 // and the exit status is 1 when any instrument's p99 regressed by more
-// than -hist-threshold. Stdin is not read in this mode:
+// than -hist-threshold, or a baseline instrument with samples is missing
+// or empty in the current export. Stdin is not read in this mode:
 //
 //	benchjson -hist current.json -hist-base HIST_baseline.json
 package main
@@ -36,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -99,7 +101,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -hist and -hist-base must be given together")
 			os.Exit(2)
 		}
-		ok, err := compareHistograms(*hist, *histBase, *histThreshold)
+		ok, err := compareHistograms(os.Stderr, *hist, *histBase, *histThreshold)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -267,12 +269,15 @@ func readHistograms(path string) (*obs.HistogramSet, error) {
 }
 
 // compareHistograms diffs per-instrument p99 latency between two
-// histogram exports, printing one line per instrument to stderr. It
-// reports false when any instrument shared with the baseline regressed
-// by more than threshold (fractional). The simulator is deterministic,
-// so unlike wall-clock benchmarks any p99 drift here is a real
-// behavioral change; the threshold only absorbs intended model tuning.
-func compareHistograms(curPath, basePath string, threshold float64) (bool, error) {
+// histogram exports, printing one line per instrument to w. It reports
+// false when any instrument shared with the baseline regressed by more
+// than threshold (fractional), or when a baseline instrument with
+// samples is missing or empty in the current export: an instrument that
+// stopped recording is a regression, not a pass. The simulator is
+// deterministic, so unlike wall-clock benchmarks any p99 drift here is a
+// real behavioral change; the threshold only absorbs intended model
+// tuning.
+func compareHistograms(w io.Writer, curPath, basePath string, threshold float64) (bool, error) {
 	cur, err := readHistograms(curPath)
 	if err != nil {
 		return false, err
@@ -289,7 +294,7 @@ func compareHistograms(curPath, basePath string, threshold float64) (bool, error
 		p99 := h.Percentile(99)
 		b := base.Lookup(h.Name())
 		if b == nil || b.Count() == 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %-30s p99 %14d ps  (new, no baseline)\n", h.Name(), p99)
+			fmt.Fprintf(w, "benchjson: %-30s p99 %14d ps  (new, no baseline)\n", h.Name(), p99)
 			continue
 		}
 		compared++
@@ -303,18 +308,25 @@ func compareHistograms(curPath, basePath string, threshold float64) (bool, error
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-30s p99 %14d ps  vs %14d  %+7.1f%%%s\n",
+		fmt.Fprintf(w, "benchjson: %-30s p99 %14d ps  vs %14d  %+7.1f%%%s\n",
 			h.Name(), p99, old, delta*100, mark)
+	}
+	for _, b := range base.All() {
+		if b.Count() > 0 && cur.Lookup(b.Name()).Count() == 0 {
+			fmt.Fprintf(w, "benchjson: %-30s missing or empty (baseline p99 %d ps)  REGRESSION\n",
+				b.Name(), b.Percentile(99))
+			regressions++
+		}
 	}
 	if compared == 0 {
 		return false, fmt.Errorf("benchjson: no instruments in common between %s and %s", curPath, basePath)
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d instrument(s) regressed p99 more than %.0f%% vs %s\n",
-			regressions, threshold*100, basePath)
+		fmt.Fprintf(w, "benchjson: %d instrument(s) regressed or vanished vs %s (p99 threshold %.0f%%)\n",
+			regressions, basePath, threshold*100)
 		return false, nil
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d instrument(s) within %.0f%% of %s\n",
+	fmt.Fprintf(w, "benchjson: %d instrument(s) within %.0f%% of %s\n",
 		compared, threshold*100, basePath)
 	return true, nil
 }
