@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke fuzz-smoke profile trace vet fmt-check ci ci-full verify
+.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke examples-smoke fuzz-smoke profile trace vet fmt-check ci ci-full verify
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,7 @@ race:
 race-experiments:
 	$(GO) test -race -count 1 ./internal/experiments/...
 
-# Focused race pass on the simulation core: the event kernel, the
+# Focused race pass on the simulation core: the timing primitives, the
 # accelerator (PE interleave, RunJobs waves) and the caches. Each
 # simulation runs on one goroutine; the shared state this pass guards is
 # the process-wide cache line-storage pool that concurrent experiment
@@ -125,6 +125,16 @@ trace:
 		-trace trace.json -counters
 	@echo "timeline written to trace.json"
 
+# Examples smoke: run every program under examples/ end to end, output
+# discarded, so the public facade they use keeps working beyond
+# compiling. examples/offload is the one that runs RunKernel and then
+# RunJobs on one accelerator (the PSC handoff between the two).
+examples-smoke:
+	@for e in examples/*/; do \
+		echo "examples-smoke: $$e"; \
+		$(GO) run ./$$e > /dev/null || exit 1; \
+	done
+
 # Fuzz smoke: a few seconds of each export-file reader fuzzer and of the
 # CLI file modes built on them (`dramless report`/`blame` on a file),
 # starting from the committed seed corpora (testdata/fuzz) and the
@@ -146,8 +156,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
 # Pre-merge gate: everything a PR must pass before landing - build,
-# tests, race detector, go vet and gofmt. `make verify` is its alias.
-ci: test race race-experiments race-sim vet fmt-check
+# tests, race detector, go vet, gofmt and the example programs. `make
+# verify` is its alias.
+ci: test race race-experiments race-sim vet fmt-check examples-smoke
 
 # ci plus the perf and latency regression gates against the committed
 # baselines, the scheduler tournament smoke run and the reader fuzzers.

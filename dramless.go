@@ -407,7 +407,8 @@ type ExperimentTable = experiments.Table
 // ExperimentOptions scales the experiment harness. Parallelism bounds
 // the run engine's worker pool (0 = GOMAXPROCS, 1 = serial); rendered
 // tables are byte-identical at any setting. Validate reports unknown
-// kernel names, which the engine also returns from every table request.
+// kernel names and a negative Parallelism, which the engine also
+// returns from every table request.
 type ExperimentOptions = experiments.Options
 
 // ExperimentEngine is the parallel experiment run engine: one shared,

@@ -104,12 +104,11 @@ type Accelerator struct {
 	// accelerator, keeping aggregated fetches coherent.
 	writeGen int64
 
-	// Event-engine totals accumulated over every runAll on this
+	// Interleave steps accumulated over every runAll on this
 	// accelerator, and the summed time job agents spent waiting for a
 	// free PE (RunJobs FIFO queue).
-	events         int64
-	eventsRecycled int64
-	queueWait      sim.Duration
+	events    int64
+	queueWait sim.Duration
 }
 
 // mcuFetchBytes is the server's aggregated request size: "512 bytes per
@@ -291,19 +290,16 @@ type Report struct {
 	Agents []AgentRun
 	IPC    *stats.Series // aggregate instructions per bucket (nil unless sampled)
 	// Spans holds each agent's active intervals, indexed like Agents
-	// (sampled RunKernel reports only). The energy model reads them
-	// through EachSpan and then drops them.
+	// (sampled reports only). The energy model reads them through
+	// EachSpan and then drops them.
 	Spans   []*pe.Spans
 	Instrs  int64
 	Compute sim.Duration // summed over agents
 	Stall   sim.Duration
-	// Events counts interleave steps dispatched for this run; with the
-	// batched front-end one step covers a whole coalesced run, so the
-	// count shrinking is the coalescer working. EventsRecycled is the
-	// engine free-list reuse count where an event engine is involved
-	// (the PE interleave no longer is).
-	Events         int64
-	EventsRecycled int64
+	// Events counts interleave steps dispatched for this run (RunKernel
+	// reports only); with the batched front-end one step covers a whole
+	// coalesced run, so the count shrinking is the coalescer working.
+	Events int64
 }
 
 // ExecTime returns the wall-clock duration of the run.
@@ -311,7 +307,7 @@ func (r *Report) ExecTime() sim.Duration { return r.End - r.Start }
 
 // CountersInto writes the run's activity into the registry: per-PE busy
 // (compute) and stall time, instruction counts and L1/L2 cache activity,
-// plus aggregate totals and event-engine counts.
+// plus aggregate totals and interleave step counts.
 func (r *Report) CountersInto(c *obs.Counters) {
 	if c == nil {
 		return
@@ -329,12 +325,14 @@ func (r *Report) CountersInto(c *obs.Counters) {
 	c.Add("accel.busy_ps", int64(r.Compute))
 	c.Add("accel.stall_ps", int64(r.Stall))
 	c.Add("sim.events_dispatched", r.Events)
-	c.Add("sim.events_recycled", r.EventsRecycled)
+	// Always 0: no event engine recycles anything any more. The name
+	// stays registered so counter exports keep their shape.
+	c.Add("sim.events_recycled", 0)
 }
 
 // CountersInto writes the accelerator's lifetime activity into the
 // registry: PSC reboots and transitions, job queue wait, MCU occupancy
-// and event-engine totals across every run on this device.
+// and interleave step totals across every run on this device.
 func (a *Accelerator) CountersInto(c *obs.Counters) {
 	if c == nil {
 		return
@@ -344,7 +342,7 @@ func (a *Accelerator) CountersInto(c *obs.Counters) {
 	c.Add("accel.job_queue_wait_ps", int64(a.queueWait))
 	c.Add("accel.mcu_busy_ps", int64(a.mcu.BusyTime()))
 	c.Add("accel.events_dispatched", a.events)
-	c.Add("accel.events_recycled", a.eventsRecycled)
+	c.Add("accel.events_recycled", 0) // always 0, as sim.events_recycled
 }
 
 // TotalIPC returns aggregate retired instructions per core cycle across
@@ -385,7 +383,7 @@ func (r *Report) EachSpan(fn func(pe.Span)) {
 	}
 }
 
-// runAll interleaves the PEs' execution in simulated-time order: every
+// runAll interleaves the runners' PEs in simulated-time order: every
 // iteration steps the core with the smallest local clock, so shared
 // resources (MCU, crossbar, backend) see requests in a globally causal
 // arrival order. Equal clocks break by core ID - an explicit rule rather
@@ -394,9 +392,11 @@ func (r *Report) EachSpan(fn func(pe.Span)) {
 // interleave (and therefore shared-path timing) depend on whether runs
 // were folded. With the tie-break pinned, the batched and unbatched
 // executions are time-identical.
-func runAll(pes []*pe.PE) (processed, recycled int64, err error) {
-	active := make([]*pe.PE, len(pes))
-	copy(active, pes)
+func runAll(runners []runner) (processed int64, err error) {
+	active := make([]*pe.PE, len(runners))
+	for i, r := range runners {
+		active[i] = r.core
+	}
 	for len(active) > 0 {
 		best := 0
 		for i := 1; i < len(active); i++ {
@@ -409,14 +409,14 @@ func runAll(pes []*pe.PE) (processed, recycled int64, err error) {
 		ok, err := core.Step()
 		processed++
 		if err != nil {
-			return processed, recycled, err
+			return processed, err
 		}
 		if !ok {
 			active[best] = active[len(active)-1]
 			active = active[:len(active)-1]
 		}
 	}
-	return processed, recycled, nil
+	return processed, nil
 }
 
 // RunKernel executes kernel k with params p across the agents, starting
@@ -424,97 +424,119 @@ func runAll(pes []*pe.PE) (processed, recycled int64, err error) {
 // steps in time order so shared resources (MCU, crossbar, backend) see a
 // realistic arrival pattern. Returns the execution report.
 func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Params) (*Report, error) {
-	nAgents := a.Agents()
-	if p.Agents != nAgents {
-		p.Agents = nAgents
+	ids := make([]int, a.Agents())
+	for i := range ids {
+		ids[i] = i
 	}
+	// Agents start staggered by the server's serial launch work.
+	runners, err := a.launch(k, p, ids, func(i int) sim.Time {
+		return start + sim.Duration(i)*a.cfg.LaunchOverhead
+	})
+	if err != nil {
+		return nil, err
+	}
+	processed, err := runAll(runners)
+	if err != nil {
+		return nil, err
+	}
+	a.events += processed
+	rep, err := a.collect(runners)
+	if err != nil {
+		return nil, err
+	}
+	// The kernel ends once the flushed results have drained into the
+	// backend's posted work.
+	rep.Start, rep.End, rep.Events = start, mem.DrainOf(a.backend, rep.End), processed
+	return rep, nil
+}
+
+// runner is one agent PE's execution context for one kernel: the core
+// and its private caches.
+type runner struct {
+	core   *pe.PE
+	l1, l2 *cache.Cache
+}
+
+// launch builds one runner per physical agent in ids, running stream
+// share i of kernel k on agent ids[i]. Each agent goes through the PSC
+// launch: the server sleeps it, stores the boot address, and wakes it
+// (Figure 9b), starting that sequence at bootAt(i).
+func (a *Accelerator) launch(k workload.Kernel, p workload.Params, ids []int, bootAt func(i int) sim.Time) ([]runner, error) {
+	p.Agents = len(ids)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-
-	rep := &Report{Start: start}
-	sampled := a.cfg.SampleInterval > 0
-	if sampled {
-		rep.IPC = stats.NewSeries(a.cfg.SampleInterval)
-	}
-
-	pes := make([]*pe.PE, 0, nAgents)
-	l1s := make([]*cache.Cache, 0, nAgents)
-	l2s := make([]*cache.Cache, 0, nAgents)
-	for i := 0; i < nAgents; i++ {
+	runners := make([]runner, 0, len(ids))
+	for i, id := range ids {
 		stream, err := workload.NewStream(k, p, i)
 		if err != nil {
 			return nil, err
 		}
 		l2cfg := a.cfg.L2
-		l2cfg.Name = fmt.Sprintf("L2.%d", i)
+		l2cfg.Name = fmt.Sprintf("L2.%d", id)
 		l2cfg.Obs = a.cfg.Obs
-		l2, err := cache.New(l2cfg, &mcuPath{a: a, port: i + 1})
+		l2, err := cache.New(l2cfg, &mcuPath{a: a, port: id + 1})
 		if err != nil {
 			return nil, err
 		}
 		l1cfg := a.cfg.L1
-		l1cfg.Name = fmt.Sprintf("L1.%d", i)
+		l1cfg.Name = fmt.Sprintf("L1.%d", id)
 		l1cfg.Obs = a.cfg.Obs
 		l1, err := cache.New(l1cfg, l2)
 		if err != nil {
 			return nil, err
 		}
-		// PSC launch: the server sleeps the agent, stores the boot
-		// address, and wakes it (Figure 9b); agents start staggered by
-		// the server's serial launch work.
-		bootAt, err := a.psc.Boot(start+sim.Duration(i)*a.cfg.LaunchOverhead, i, a.cfg.LaunchOverhead)
+		booted, err := a.psc.Boot(bootAt(i), id, a.cfg.LaunchOverhead)
 		if err != nil {
 			return nil, err
 		}
-		core, err := pe.New(i, a.cfg.PE, l1, stream, bootAt)
+		core, err := pe.New(id, a.cfg.PE, l1, stream, booted)
 		if err != nil {
 			return nil, err
 		}
-		if sampled {
+		if a.cfg.SampleInterval > 0 {
 			core.SampleIPC(a.cfg.SampleInterval)
 			core.RecordSpans()
 		}
 		if ss := a.cfg.Obs.Series(); ss != nil {
 			core.ObserveSeries(ss.Get(obs.SeriesPEBusy), ss.Get(obs.SeriesPEStall))
 		}
-		pes = append(pes, core)
-		l1s = append(l1s, l1)
-		l2s = append(l2s, l2)
+		runners = append(runners, runner{core: core, l1: l1, l2: l2})
 	}
+	return runners, nil
+}
 
-	// Interleave agent execution in time order.
-	processed, recycled, err := runAll(pes)
-	if err != nil {
-		return nil, err
+// collect flushes each finished runner's caches so its results persist
+// in the backend, puts the agent back to sleep and assembles the
+// report. Start is the earliest kernel start and End the last flush;
+// posted backend work is not drained.
+func (a *Accelerator) collect(runners []runner) (*Report, error) {
+	rep := &Report{Start: 1<<62 - 1}
+	sampled := a.cfg.SampleInterval > 0
+	if sampled {
+		rep.IPC = stats.NewSeries(a.cfg.SampleInterval)
 	}
-	rep.Events, rep.EventsRecycled = processed, recycled
-	a.events += rep.Events
-	a.eventsRecycled += rep.EventsRecycled
-
-	// Flush caches so results persist in the backend, then drain posted
-	// work.
 	tr := a.cfg.Obs.Tracer()
 	var hKernel, hFlush *obs.Histogram
 	if hs := a.cfg.Obs.Histograms(); hs != nil {
 		hKernel = hs.Get(obs.HistAccelKernel)
 		hFlush = hs.Get(obs.HistAccelFlush)
 	}
-	end := start
-	for i, core := range pes {
+	for _, r := range runners {
+		core := r.core
 		fin := core.Now()
-		d, err := l1s[i].Flush(fin)
+		d, err := r.l1.Flush(fin)
 		if err != nil {
 			return nil, err
 		}
-		if d, err = l2s[i].Flush(d); err != nil {
+		if d, err = r.l2.Flush(d); err != nil {
 			return nil, err
 		}
-		hKernel.Record(int64(core.ComputeTime() + core.StallTime()))
+		kStart := fin - core.ComputeTime() - core.StallTime()
+		hKernel.Record(int64(fin - kStart))
 		hFlush.Record(int64(d - fin))
 		if tr.Enabled() {
-			kStart := fin - core.ComputeTime() - core.StallTime()
-			track := fmt.Sprintf("pe%d", i)
+			track := fmt.Sprintf("pe%d", core.ID)
 			tr.Span("accel", track, "kernel", kStart, fin)
 			tr.Span("accel", track, "flush", fin, d)
 			// Causal flow edges at the handoff points: the system's load
@@ -528,14 +550,14 @@ func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Pa
 			Compute:      core.ComputeTime(),
 			Stall:        core.StallTime(),
 			Finished:     d,
-			L1:           l1s[i].Stats(),
-			L2:           l2s[i].Stats(),
+			L1:           r.l1.Stats(),
+			L2:           r.l2.Stats(),
 		}
 		rep.Agents = append(rep.Agents, run)
 		rep.Instrs += run.Instructions
 		rep.Compute += run.Compute
 		rep.Stall += run.Stall
-		if err := a.psc.Sleep(d, i); err != nil {
+		if err := a.psc.Sleep(d, core.ID); err != nil {
 			return nil, err
 		}
 		if sampled {
@@ -547,10 +569,10 @@ func (a *Accelerator) RunKernel(start sim.Time, k workload.Kernel, p workload.Pa
 		}
 		// Stats are snapshotted; recycle the line storage for the next
 		// kernel's cache build.
-		l1s[i].Release()
-		l2s[i].Release()
-		end = sim.Max(end, d)
+		r.l1.Release()
+		r.l2.Release()
+		rep.Start = min(rep.Start, kStart)
+		rep.End = sim.Max(rep.End, d)
 	}
-	rep.End = mem.DrainOf(a.backend, end)
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -231,8 +232,7 @@ func TestSampledRunJobsFoldMatchesUnbatched(t *testing.T) {
 		if br.IPC == nil || br.IPC.Len() == 0 {
 			t.Fatalf("job %d: no IPC series sampled", i)
 		}
-		br.Events, br.EventsRecycled = 0, 0
-		ur.Events, ur.EventsRecycled = 0, 0
+		br.Events, ur.Events = 0, 0
 		if !reflect.DeepEqual(br, ur) || !reflect.DeepEqual(bres[i].AgentIDs, ures[i].AgentIDs) {
 			t.Errorf("job %d differs:\n  batched:   %+v\n  unbatched: %+v", i, br, ur)
 		}
@@ -242,5 +242,76 @@ func TestSampledRunJobsFoldMatchesUnbatched(t *testing.T) {
 	}
 	if !bObs.Series().Equal(uObs.Series()) {
 		t.Errorf("series differ:\n%s", bObs.Series().Diff(uObs.Series()))
+	}
+}
+
+// TestRunJobsTraced covers jobs on the collector RunKernel uses: with
+// tracing on, every placed agent gets exactly one kernel and one flush
+// span on its pe<id> track, and tracing changes no report or counter;
+// with sampling on as well, each job report keeps one span list per
+// agent.
+func TestRunJobsTraced(t *testing.T) {
+	jobs := []Job{smallJob("gemver", 3), smallJob("doitg", 4)}
+	run := func(traced, sampled bool) ([]*JobResult, *obs.Counters, *obs.Tracer) {
+		cfg := Default()
+		cfg.Obs = obs.New()
+		if traced {
+			cfg.Obs = obs.New(obs.WithTracing())
+		}
+		if sampled {
+			cfg.SampleInterval = 10 * sim.Microsecond
+		}
+		a := MustNew(cfg, fastBackend())
+		res, err := a.RunJobs(0, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &obs.Counters{}
+		a.CountersInto(c)
+		for _, r := range res {
+			r.Report.CountersInto(c)
+		}
+		return res, c, cfg.Obs.Tracer()
+	}
+
+	res, c, tr := run(true, false)
+	want := map[string]int{}
+	for _, r := range res {
+		for _, id := range r.AgentIDs {
+			want[fmt.Sprintf("pe%d/kernel", id)]++
+			want[fmt.Sprintf("pe%d/flush", id)]++
+		}
+	}
+	got := map[string]int{}
+	for _, ev := range tr.Events() {
+		if ev.Proc == "accel" {
+			got[ev.Track+"/"+ev.Name]++
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("accel spans per track:\n  got:  %v\n  want: %v", got, want)
+	}
+
+	ures, uc, _ := run(false, false)
+	for i := range res {
+		if !reflect.DeepEqual(*res[i].Report, *ures[i].Report) {
+			t.Errorf("job %d report differs with tracing on:\n  traced:   %+v\n  untraced: %+v",
+				i, *res[i].Report, *ures[i].Report)
+		}
+	}
+	if !c.Equal(uc) {
+		t.Errorf("counters differ with tracing on:\n%s", c.Diff(uc))
+	}
+
+	sres, _, _ := run(true, true)
+	for i, r := range sres {
+		if len(r.Report.Spans) != len(r.AgentIDs) {
+			t.Errorf("job %d: %d span lists for %d agents", i, len(r.Report.Spans), len(r.AgentIDs))
+		}
+		for j, s := range r.Report.Spans {
+			if s == nil || s.Len() == 0 {
+				t.Errorf("job %d agent %d: no active spans recorded", i, j)
+			}
+		}
 	}
 }

@@ -28,8 +28,8 @@ type runKey struct {
 // per engine, concurrent requests for the same cell coalesce, and
 // distinct cells run on up to Options.Parallelism goroutines.
 //
-// Parallelism is across simulations only. Each simulation keeps its own
-// single-goroutine sim.Engine, so results - and therefore every rendered
+// Parallelism is across simulations only. Each simulation runs on its
+// own single goroutine, so results - and therefore every rendered
 // table - are byte-identical to a serial run at any worker count.
 type Engine struct {
 	o   Options
@@ -159,7 +159,7 @@ func (e *Engine) PrefixStats() runner.Stats { return e.pr.Stats() }
 // Events returns the total kernel-phase simulation events dispatched by
 // the cells this engine ran. Dividing by host wall-clock gives the
 // dispatch throughput (events/sec) the benchmark harness reports, which
-// attributes suite speedups to the event kernel rather than to caching.
+// attributes suite speedups to the simulation rather than to caching.
 func (e *Engine) Events() int64 { return e.events.Load() }
 
 // SlowestCells returns the n largest simulation cells by host

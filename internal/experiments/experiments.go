@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"dramless/internal/memctrl"
@@ -58,7 +57,8 @@ func Fast() Options { return Options{Scale: 128 << 10} }
 func Full() Options { return Options{Scale: 2 << 20} }
 
 // Validate reports option errors: an unknown kernel or policy name
-// (the error lists the valid ones) or a positive Lanes.
+// (the error lists the valid ones), a negative Parallelism or a
+// positive Lanes.
 func (o Options) Validate() error {
 	for _, n := range o.Kernels {
 		if _, err := workload.ByName(n); err != nil {
@@ -69,6 +69,9 @@ func (o Options) Validate() error {
 		if _, err := memctrl.PolicyByName(o.Policy); err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
+	}
+	if o.Parallelism < 0 {
+		return fmt.Errorf("experiments: Parallelism = %d, want 0 (GOMAXPROCS) or a positive worker count", o.Parallelism)
 	}
 	if o.Lanes > 0 {
 		return fmt.Errorf("experiments: Lanes = %d, but the lane executors were removed; leave it 0", o.Lanes)
@@ -188,14 +191,4 @@ func (t *Table) Summary() string {
 		fmt.Fprintf(&sb, " %s=%.3g", c, stats.Mean(vs))
 	}
 	return sb.String()
-}
-
-// sortedKeys helps deterministic notes.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

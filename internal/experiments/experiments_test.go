@@ -264,7 +264,7 @@ func TestFig20Fig21Shape(t *testing.T) {
 // TestUnknownKernelErrorsInOptions pins option validation at the
 // exported entry points: an unknown kernel name comes back as an error
 // listing the valid names (never a panic), and so do an unknown policy
-// name and a positive Lanes.
+// name, a negative Parallelism and a positive Lanes.
 func TestUnknownKernelErrorsInOptions(t *testing.T) {
 	o := quickOpts()
 	o.Kernels = []string{"nope"}
@@ -287,6 +287,15 @@ func TestUnknownKernelErrorsInOptions(t *testing.T) {
 	if _, err := NewEngine(o).Table("table3"); err == nil ||
 		!strings.Contains(err.Error(), `"round-robin"`) || !strings.Contains(err.Error(), "known:") {
 		t.Errorf("Policy round-robin: err = %v, want an unknown-policy error listing the registry", err)
+	}
+
+	o = quickOpts()
+	o.Parallelism = -3
+	if _, err := NewEngine(o).Table("table3"); err == nil || !strings.Contains(err.Error(), "Parallelism") {
+		t.Errorf("Parallelism = -3: err = %v, want a rejection", err)
+	}
+	if _, err := NewEngine(o).Arena(nil, nil); err == nil || !strings.Contains(err.Error(), "Parallelism") {
+		t.Errorf("Arena, Parallelism = -3: err = %v, want a rejection", err)
 	}
 
 	o = quickOpts()

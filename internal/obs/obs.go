@@ -10,9 +10,9 @@
 // when observation is off (pinned by TestNilObserverAllocationFree).
 //
 // Determinism: counters are collected from single-goroutine simulation
-// state in fixed code order, and spans are recorded in dispatch order of
-// the (deterministic) event engine, so identical runs produce identical
-// counter sets and byte-identical trace exports.
+// state in fixed code order, and spans are recorded in the
+// simulation's deterministic call order, so identical runs produce
+// identical counter sets and byte-identical trace exports.
 package obs
 
 import (

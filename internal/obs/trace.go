@@ -37,8 +37,8 @@ type FlowEdge struct {
 // Tracer records simulated-time spans. The zero value of *Tracer (nil)
 // is the disabled tracer: Span returns immediately, so instrumented
 // model code needs no enabled-check of its own. Enabled tracers append
-// in call order, which under the single-goroutine event engine is the
-// deterministic dispatch order.
+// in call order, which in a single-goroutine simulation is
+// deterministic.
 type Tracer struct {
 	events []TraceEvent
 	flows  []FlowEdge
