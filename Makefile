@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke examples-smoke fuzz-smoke profile trace vet fmt-check ci ci-full verify
+.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke examples-smoke perfbench-check fuzz-smoke profile trace vet fmt-check ci ci-full verify
 
 build:
 	$(GO) build ./...
@@ -135,6 +135,13 @@ examples-smoke:
 		$(GO) run ./$$e > /dev/null || exit 1; \
 	done
 
+# perfbench is its own module (own go.mod), so `go build ./...` at the
+# root never compiles it; vet and test it here so a change to the
+# internal packages it builds on (mem.Device, memctrl.Subsystem, the
+# run/batch names) cannot break the benchmark harness unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Fuzz smoke: a few seconds of each export-file reader fuzzer and of the
 # CLI file modes built on them (`dramless report`/`blame` on a file),
 # starting from the committed seed corpora (testdata/fuzz) and the
@@ -156,9 +163,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
 # Pre-merge gate: everything a PR must pass before landing - build,
-# tests, race detector, go vet, gofmt and the example programs. `make
-# verify` is its alias.
-ci: test race race-experiments race-sim vet fmt-check examples-smoke
+# tests, race detector, go vet, gofmt, the example programs and the
+# perfbench module's vet and tests. `make verify` is its alias.
+ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check
 
 # ci plus the perf and latency regression gates against the committed
 # baselines, the scheduler tournament smoke run and the reader fuzzers.

@@ -58,6 +58,23 @@ func TestCLIUnknownKernel(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsBadSizes pins the size-flag checks: a non-positive
+// trace -n and a negative -scale exit 2 with a message naming the flag,
+// instead of panicking or silently running at the default scale.
+func TestCLIRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct{ args, flag string }{
+		{"trace -write -n -1", "-n"},
+		{"trace -n 0", "-n"},
+		{"experiments -scale -1 table3", "-scale"},
+		{"arena -scale -1", "-scale"},
+	} {
+		code, stderr := runCLI(t, tc.args)
+		if code != 2 || !strings.Contains(stderr, tc.flag+" must be") || strings.Contains(stderr, "panic") {
+			t.Errorf("%s: exit %d, stderr:\n%s", tc.args, code, stderr)
+		}
+	}
+}
+
 // TestCLINoLanesFlag pins that no subcommand accepts -lanes any more:
 // the flag package rejects it as undefined (exit 2).
 func TestCLINoLanesFlag(t *testing.T) {

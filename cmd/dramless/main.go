@@ -174,6 +174,10 @@ func cmdExperiments(args []string) {
 	slowest := fs.Int("slowest", 0, "report the N slowest simulation cells with prefix cache hit/miss")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
+	if *scale < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -scale must be >= 0 (0 keeps the default), got %d\n", *scale)
+		os.Exit(2)
+	}
 	stopProf := startProf()
 	defer stopProf()
 
@@ -256,6 +260,10 @@ func cmdTrace(args []string) {
 	write := fs.Bool("write", false, "trace a write instead of a read")
 	schedName := fs.String("scheduler", "final", "scheduling policy (any registry name, e.g. final, palp, pause-aware)")
 	fs.Parse(args)
+	if *n <= 0 {
+		fmt.Fprintf(os.Stderr, "trace: -n must be positive, got %d\n", *n)
+		os.Exit(2)
+	}
 
 	sched, err := dramless.PolicyByName(*schedName)
 	if err != nil {
@@ -313,6 +321,10 @@ func cmdArena(args []string) {
 	systems := fs.String("systems", "", "comma-separated organizations (default: DRAM-less)")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
+	if *scale < 0 {
+		fmt.Fprintf(os.Stderr, "arena: -scale must be >= 0 (0 keeps the default), got %d\n", *scale)
+		os.Exit(2)
+	}
 	stopProf := startProf()
 	defer stopProf()
 

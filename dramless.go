@@ -51,9 +51,9 @@ const (
 	Second      = sim.Second
 )
 
-// Memory is a timed, functional byte-addressable device: reads return
-// previously written bytes and every operation reports its simulated
-// completion time.
+// Memory is a timed, functional byte-addressable device: ReadInto fills
+// a caller-owned buffer with previously written bytes, and every
+// operation reports its simulated completion time.
 type Memory = mem.Device
 
 // The paper's four controller scheduling policies (Figure 13), for

@@ -38,13 +38,14 @@ func main() {
 	fmt.Printf("PREACTIVE ba=0 upper=%#x   %v -> %v (tRP)\n", upper, t0, t1)
 	t2, _ := m.Activate(t1, 0, lower)
 	fmt.Printf("ACTIVATE  ba=0 lower=%#x   %v -> %v (tRCD, partition %d)\n", lower, t1, t2, geo.PartitionOf(row))
-	_, t3, _ := m.ReadBurst(t2, 0, 0, 32)
+	burst := make([]byte, 32)
+	t3, _ := m.ReadBurstInto(t2, 0, 0, burst)
 	fmt.Printf("READ      ba=0 col=0       %v -> %v (RL+tDQSCK+tBURST)\n", t2, t3)
 	fmt.Printf("cold row read total: %v\n\n", t3-t0)
 
 	fmt.Println("-- phase skipping: the RDB still holds the row --")
 	start := t3 + sim.Microsecond
-	_, t4, _ := m.ReadBurst(start, 0, 8, 8)
+	t4, _ := m.ReadBurstInto(start, 0, 8, burst[:8])
 	fmt.Printf("re-read from RDB: %v (%.0f%% of the cold read)\n\n",
 		t4-start, 100*float64(t4-start)/float64(t3-t0))
 

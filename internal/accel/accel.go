@@ -187,24 +187,12 @@ type mcuPath struct {
 	prevEnd  uint64 // end of the previous miss, for the sequential detector
 }
 
-var (
-	_ mem.Device     = (*mcuPath)(nil)
-	_ mem.ReaderInto = (*mcuPath)(nil)
-)
+var _ mem.Device = (*mcuPath)(nil)
 
 func (m *mcuPath) Size() uint64 { return m.a.backend.Size() }
 
-func (m *mcuPath) Read(at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) {
-	out := make([]byte, n)
-	done, err := m.ReadInto(at, addr, out)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, done, nil
-}
-
-// ReadInto implements mem.ReaderInto; with a ReaderInto backend the whole
-// miss path runs without allocating.
+// ReadInto implements mem.Device; the whole miss path runs without
+// allocating.
 func (m *mcuPath) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
 	n := len(dst)
 	// Stream-buffer hit: the aggregated block already holds the line.
@@ -231,7 +219,7 @@ func (m *mcuPath) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, erro
 	m.prevEnd = addr + uint64(n)
 	if !sequential {
 		// Isolated miss: fetch exactly the request, straight into dst.
-		if t, err = mem.ReadIntoOf(m.a.backend, t, addr, dst); err != nil {
+		if t, err = m.a.backend.ReadInto(t, addr, dst); err != nil {
 			return 0, err
 		}
 		return m.a.xbar.Transfer(t, serverPort, m.port, int64(n))
@@ -249,7 +237,7 @@ func (m *mcuPath) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, erro
 	}
 	buf := m.buf[:fetch]
 	m.bufLen = 0 // empty while the fetch is in flight
-	if t, err = mem.ReadIntoOf(m.a.backend, t, base, buf); err != nil {
+	if t, err = m.a.backend.ReadInto(t, base, buf); err != nil {
 		return 0, err
 	}
 	m.bufAddr, m.bufLen, m.bufReady, m.bufGen = base, fetch, t, m.a.writeGen

@@ -181,14 +181,14 @@ func TestMCUStreamBufferAggregatesSequentialMisses(t *testing.T) {
 
 	var now sim.Time
 	// Prime the sequential detector with two back-to-back misses.
-	_, now, err := m.Read(0, 0, 128)
+	_, now, err := mem.Read(m, 0, 0, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := readsOf(slow)
 	start := now
 	for off := uint64(128); off < 1024; off += 128 {
-		_, now, err = m.Read(now, off, 128)
+		_, now, err = mem.Read(m, now, off, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,17 +211,17 @@ func TestMCUStreamBufferInvalidatedByWrites(t *testing.T) {
 	writer := &mcuPath{a: a, port: 2}
 
 	// Fill the stream buffer over [0, 1024).
-	if _, _, err := reader.Read(0, 0, 128); err != nil {
+	if _, _, err := mem.Read(reader, 0, 0, 128); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := reader.Read(0, 128, 128); err != nil {
+	if _, _, err := mem.Read(reader, 0, 128, 128); err != nil {
 		t.Fatal(err)
 	}
 	// Another agent writes inside the buffered block.
 	if _, err := writer.Write(0, 256, []byte{0xAB}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := reader.Read(sim.Microseconds(1), 256, 1)
+	got, _, err := mem.Read(reader, sim.Microseconds(1), 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMCUStrideDoesNotAggregate(t *testing.T) {
 	now := sim.Time(0)
 	var err error
 	for i := 0; i < 4; i++ {
-		_, now, err = m.Read(now, uint64(i)*8192, 128) // strided: never sequential
+		_, now, err = mem.Read(m, now, uint64(i)*8192, 128) // strided: never sequential
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,10 +165,7 @@ var storagePool freelist.List[[3]int, storage]
 
 func shapeOf(cfg Config) [3]int { return [3]int{cfg.SizeBytes, cfg.LineBytes, cfg.Ways} }
 
-var (
-	_ mem.Device     = (*Cache)(nil)
-	_ mem.ReaderInto = (*Cache)(nil)
-)
+var _ mem.Device = (*Cache)(nil)
 
 // New builds a cache over lower. Line storage is two flat arrays,
 // recycled across instances through Release: the experiment engine
@@ -318,7 +315,7 @@ func (c *Cache) fill(at sim.Time, set int, tag uint64) (int, sim.Time, error) {
 	// Fetch straight into the line's slab storage; invalidate first so an
 	// error below cannot leave a half-filled line looking resident.
 	c.ways[i].key = 0
-	done, err := mem.ReadIntoOf(c.lower, t, c.lineBase(set, tag), c.data(i))
+	done, err := c.lower.ReadInto(t, c.lineBase(set, tag), c.data(i))
 	if err != nil {
 		return 0, 0, fmt.Errorf("cache %s: fill: %w", c.cfg.Name, err)
 	}
@@ -331,20 +328,7 @@ func (c *Cache) fill(at sim.Time, set int, tag uint64) (int, sim.Time, error) {
 	return i, done, nil
 }
 
-// Read implements mem.Device.
-func (c *Cache) Read(at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) {
-	if n <= 0 {
-		return nil, 0, mem.CheckRange(c.errName, c.Size(), addr, n)
-	}
-	out := make([]byte, n)
-	done, err := c.ReadInto(at, addr, out)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, done, nil
-}
-
-// ReadInto implements mem.ReaderInto. On resident lines it is the
+// ReadInto implements mem.Device. On resident lines it is the
 // steady-state PE load path and performs zero allocations (pinned by
 // TestCacheHitReadIntoAllocationFree in internal/mem).
 func (c *Cache) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
@@ -457,7 +441,7 @@ func (c *Cache) privateMiss(set int, tag uint64) bool {
 	return lower.wouldHit(c.lineBase(set, tag), c.cfg.LineBytes)
 }
 
-// ReadRun implements mem.BatchReader: it services leading accesses of r
+// ReadRun implements mem.Batcher: it services leading accesses of r
 // while each one stays private - a single-line hit here, or a miss whose
 // fill and writeback both hit in a lower private cache (privateMiss) -
 // and stops before the first access that would reach a shared lower
@@ -532,7 +516,7 @@ func (c *Cache) ReadRun(now sim.Time, r mem.Run, dst []byte) (mem.RunResult, err
 	return res, nil
 }
 
-// WriteRun implements mem.BatchWriter with the same private-prefix
+// WriteRun implements mem.Batcher with the same private-prefix
 // semantics as ReadRun (write-allocate shares the fill path); every
 // store's bytes must land in its line, so nothing is deferred.
 func (c *Cache) WriteRun(now sim.Time, r mem.Run, src []byte) (mem.RunResult, error) {

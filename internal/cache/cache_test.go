@@ -51,7 +51,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestReadMissThenHit(t *testing.T) {
 	c := small(t, flat())
-	_, d1, err := c.Read(0, 0, 8)
+	_, d1, err := mem.Read(c, 0, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestReadMissThenHit(t *testing.T) {
 		t.Fatalf("miss completed in %v, faster than lower latency", d1)
 	}
 	start := d1
-	_, d2, err := c.Read(start, 0, 8)
+	_, d2, err := mem.Read(c, start, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestWriteBackOnEviction(t *testing.T) {
 	if _, err := c.Write(0, 0, bytes.Repeat([]byte{0xAA}, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Read(0, 2048, 8); err != nil {
+	if _, _, err := mem.Read(c, 0, 2048, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Read(0, 4096, 8); err != nil {
+	if _, _, err := mem.Read(c, 0, 4096, 8); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()
@@ -92,7 +92,7 @@ func TestWriteBackOnEviction(t *testing.T) {
 		t.Fatalf("writebacks = %d, want 1", s.Writebacks)
 	}
 	// The lower level must now hold the dirty data.
-	data, _, err := lower.Read(0, 0, 64)
+	data, _, err := mem.Read(lower, 0, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,12 @@ func TestLRUVictimSelection(t *testing.T) {
 	// Fill both ways of set 0 (addrs 0 and 2048), touch 0 again so 2048
 	// is LRU, then map in 4096: 2048 must be evicted, 0 must survive as
 	// a hit.
-	c.Read(0, 0, 4)
-	c.Read(0, 2048, 4)
-	c.Read(0, 0, 4)
-	c.Read(0, 4096, 4)
+	mem.Read(c, 0, 0, 4)
+	mem.Read(c, 0, 2048, 4)
+	mem.Read(c, 0, 0, 4)
+	mem.Read(c, 0, 4096, 4)
 	before := c.Stats().Hits
-	c.Read(0, 0, 4)
+	mem.Read(c, 0, 0, 4)
 	if c.Stats().Hits != before+1 {
 		t.Fatal("LRU evicted the recently used line")
 	}
@@ -131,13 +131,13 @@ func TestFlushWritesDirtyLines(t *testing.T) {
 	if done <= sim.Microseconds(1) {
 		t.Fatal("flush of dirty data took no time")
 	}
-	data, _, _ := lower.Read(done, 128, 64)
+	data, _, _ := mem.Read(lower, done, 128, 64)
 	if !bytes.Equal(data, payload) {
 		t.Fatal("flush did not reach lower level")
 	}
 	// After flush everything is invalid: next read misses.
 	m := c.Stats().Misses
-	c.Read(done, 128, 4)
+	mem.Read(c, done, 128, 4)
 	if c.Stats().Misses != m+1 {
 		t.Fatal("read after flush did not miss")
 	}
@@ -152,7 +152,7 @@ func TestPartialLineWriteMerges(t *testing.T) {
 	if _, err := c.Write(0, 4, []byte{0xFF, 0xFE}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.Read(0, 0, 8)
+	got, _, err := mem.Read(c, 0, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCrossLineAccess(t *testing.T) {
 	if _, err := c.Write(0, 60, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.Read(0, 60, 100)
+	got, _, err := mem.Read(c, 0, 60, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStackedCaches(t *testing.T) {
 	if _, err := l1.Write(0, 777, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := l1.Read(0, 777, len(payload))
+	got, _, err := mem.Read(l1, 0, 777, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestStackedCaches(t *testing.T) {
 	if _, err := l2.Flush(d); err != nil {
 		t.Fatal(err)
 	}
-	data, _, _ := lower.Read(0, 777, len(payload))
+	data, _, _ := mem.Read(lower, 0, 777, len(payload))
 	if !bytes.Equal(data, payload) {
 		t.Fatal("flush chain did not reach memory")
 	}
@@ -222,7 +222,7 @@ func TestHitRate(t *testing.T) {
 
 func TestOutOfRangeRejected(t *testing.T) {
 	c := small(t, flat())
-	if _, _, err := c.Read(0, c.Size(), 1); err == nil {
+	if _, _, err := mem.Read(c, 0, c.Size(), 1); err == nil {
 		t.Error("read past end accepted")
 	}
 	if _, err := c.Write(0, c.Size()-1, []byte{1, 2}); err == nil {
@@ -259,7 +259,7 @@ func TestCacheCoherenceProperty(t *testing.T) {
 			}
 			now = done
 		default: // read
-			got, done, err := c.Read(now, addr, size)
+			got, done, err := mem.Read(c, now, addr, size)
 			if err != nil {
 				return false
 			}
@@ -294,7 +294,7 @@ func TestReleasedStorageIsReusedClean(t *testing.T) {
 	if &b.slab[0] != slab {
 		t.Fatal("a same-shape cache did not reuse the released storage")
 	}
-	got, _, err := b.Read(0, 0, 256)
+	got, _, err := mem.Read(b, 0, 0, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestStoragePoolConcurrentUse(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, _, err := c.Read(0, 64, len(want))
+				got, _, err := mem.Read(c, 0, 64, len(want))
 				if err != nil || !bytes.Equal(got, want) {
 					errs <- fmt.Errorf("goroutine %d pass %d: read back %v, %x", g, i, err, got[:4])
 					return

@@ -38,10 +38,6 @@ func (r *recorder) Write(at sim.Time, addr uint64, data []byte) (sim.Time, error
 	return r.Device.Write(at, addr, data)
 }
 
-func (r *recorder) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
-	return mem.ReadIntoOf(r.Device, at, addr, dst)
-}
-
 // refDevice is the untimed interface the reference model stacks on.
 type refDevice interface {
 	read(addr uint64, dst []byte)
@@ -333,7 +329,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 			if s1.Evictions == 0 || s1.Writebacks == 0 || s2.Evictions == 0 || s2.Writebacks == 0 {
 				t.Fatalf("stream too tame: L1 %+v L2 %+v", s1, s2)
 			}
-			got, _, err := flatRec.Read(0, 0, region)
+			got, _, err := mem.Read(flatRec, 0, 0, region)
 			check(err)
 			if !bytes.Equal(got, refFlat.refDevice.(*refMem).b[:region]) {
 				t.Fatal("memory after the final flush differs from reference")

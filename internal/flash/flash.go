@@ -208,18 +208,9 @@ func (a *Array) check(page uint64) error {
 	return nil
 }
 
-// ReadPage senses one physical page and moves it over the channel.
-func (a *Array) ReadPage(at sim.Time, page uint64) (data []byte, done sim.Time, err error) {
-	data = make([]byte, a.prof.PageBytes)
-	done, err = a.ReadPageInto(at, page, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, done, nil
-}
-
-// ReadPageInto is ReadPage into a caller-provided whole-page buffer
-// (never-programmed pages read as zero, so dst may hold stale bytes).
+// ReadPageInto senses one physical page and moves it over the channel
+// into a caller-provided whole-page buffer (never-programmed pages read
+// as zero, so dst may hold stale bytes).
 func (a *Array) ReadPageInto(at sim.Time, page uint64, dst []byte) (done sim.Time, err error) {
 	if err := a.check(page); err != nil {
 		return 0, err

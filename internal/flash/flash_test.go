@@ -39,6 +39,13 @@ func TestProfileValidation(t *testing.T) {
 	}
 }
 
+// readPage reads one whole page of a into a fresh buffer.
+func readPage(a *Array, at sim.Time, page uint64) ([]byte, sim.Time, error) {
+	data := make([]byte, a.prof.PageBytes)
+	done, err := a.ReadPageInto(at, page, data)
+	return data, done, err
+}
+
 func TestArrayProgramRead(t *testing.T) {
 	a := smallArray(t)
 	data := bytes.Repeat([]byte{0xC3}, 1024)
@@ -49,7 +56,7 @@ func TestArrayProgramRead(t *testing.T) {
 	if done < sim.Microseconds(300) {
 		t.Fatalf("program done at %v, want >= 300us SLC program", done)
 	}
-	got, _, err := a.ReadPage(done, 5)
+	got, _, err := readPage(a, done, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,16 +73,16 @@ func TestArrayDieParallelism(t *testing.T) {
 	a := smallArray(t)
 	// Pages 0 and 1 stripe onto different dies: their senses overlap and
 	// only the channel serializes the transfers.
-	_, d0, _ := a.ReadPage(0, 0)
-	_, d1, _ := a.ReadPage(0, 1)
+	_, d0, _ := readPage(a, 0, 0)
+	_, d1, _ := readPage(a, 0, 1)
 	// Serial senses would be >= 2x the 25 us page read.
 	if d1-d0 >= sim.Microseconds(25) {
 		t.Fatalf("dies serialized: %v then %v", d0, d1)
 	}
 	// Same die (pages 0 and 2) must serialize the sense.
 	b := smallArray(t)
-	_, e0, _ := b.ReadPage(0, 0)
-	_, e2, _ := b.ReadPage(0, 2)
+	_, e0, _ := readPage(b, 0, 0)
+	_, e2, _ := readPage(b, 0, 2)
 	if e2-e0 < sim.Microseconds(25) {
 		t.Fatalf("same-die reads overlapped: %v then %v", e0, e2)
 	}
@@ -95,7 +102,7 @@ func TestEraseBlockClearsPages(t *testing.T) {
 	if done < sim.Milliseconds(10)+sim.Microseconds(2000) {
 		t.Fatalf("erase done at %v, want >= 2ms SLC erase", done)
 	}
-	got, _, _ := a.ReadPage(done, 5)
+	got, _, _ := readPage(a, done, 5)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatal("erased page still holds data")
@@ -105,7 +112,7 @@ func TestEraseBlockClearsPages(t *testing.T) {
 	b2 := smallArray(t)
 	b2.ProgramPage(0, 0, bytes.Repeat([]byte{7}, 1024))
 	b2.EraseBlock(sim.Milliseconds(10), 5)
-	got, _, _ = b2.ReadPage(sim.Milliseconds(100), 0)
+	got, _, _ = readPage(b2, sim.Milliseconds(100), 0)
 	if got[0] != 7 {
 		t.Fatal("erase leaked into another block")
 	}
@@ -113,7 +120,7 @@ func TestEraseBlockClearsPages(t *testing.T) {
 
 func TestArrayBoundsChecked(t *testing.T) {
 	a := smallArray(t)
-	if _, _, err := a.ReadPage(0, 64); err == nil {
+	if _, _, err := readPage(a, 0, 64); err == nil {
 		t.Error("read past array accepted")
 	}
 	if _, err := a.ProgramPage(0, 64, nil); err == nil {
@@ -166,7 +173,7 @@ func TestNORDrainAndTraffic(t *testing.T) {
 	if r != 0 || w != 1 || rb != 0 || wb != 64 {
 		t.Fatalf("traffic = %d %d %d %d", r, w, rb, wb)
 	}
-	if _, _, err := n.Read(0, 1<<16, 1); err == nil {
+	if _, err := n.ReadInto(0, 1<<16, make([]byte, 1)); err == nil {
 		t.Error("out-of-range NOR read accepted")
 	}
 }
@@ -198,7 +205,7 @@ func TestArrayFunctionalProperty(t *testing.T) {
 			now = done
 			shadow[pg] = data
 		}
-		got, done, err := a.ReadPage(now, pg)
+		got, done, err := readPage(a, now, pg)
 		if err != nil {
 			return false
 		}

@@ -47,16 +47,19 @@ func NewNOR(size uint64) *NOR {
 // Size implements mem.Device.
 func (n *NOR) Size() uint64 { return n.size }
 
-// Read implements mem.Device: ceil(n/2) serialized 16-bit reads.
-func (n *NOR) Read(at sim.Time, addr uint64, sz int) ([]byte, sim.Time, error) {
+// ReadInto implements mem.Device: ceil(len(dst)/2) serialized 16-bit
+// reads.
+func (n *NOR) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
+	sz := len(dst)
 	if err := mem.CheckRange("nor", n.size, addr, sz); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	words := (sz + n.chunk - 1) / n.chunk
 	done := n.bus.AcquireUntil(at, sim.Duration(words)*n.readChunk)
 	n.reads++
 	n.bytesRead += int64(sz)
-	return n.store.Read(addr, sz), done, nil
+	n.store.ReadInto(addr, dst)
+	return done, nil
 }
 
 // Write implements mem.Device: ceil(n/2) serialized 16-bit programs.

@@ -156,7 +156,7 @@ func Offload(at sim.Time, img *Image, imageAddr uint64, push Pusher, acc mem.Dev
 		return nil, 0, err
 	}
 	// (2) server reads the image back from PRAM and parses it.
-	raw, now, err := acc.Read(now, imageAddr, len(packed))
+	raw, now, err := mem.Read(acc, now, imageAddr, len(packed))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,14 +1,15 @@
 package mem_test
 
-// Steady-state allocation regression tests (ISSUE 2 acceptance
-// criteria): the cache-hit read path must allocate nothing, and the
-// Flat-memory path at most one buffer per Read (zero via ReadInto).
-// These pins keep the zero-allocation datapath from regressing silently.
+// Steady-state allocation regression tests: the cache-hit read path and
+// the Flat and NOR device reads must allocate nothing, and mem.Read at
+// most its one result buffer. These pins keep the zero-allocation
+// datapath from regressing silently.
 
 import (
 	"testing"
 
 	"dramless/internal/cache"
+	"dramless/internal/flash"
 	"dramless/internal/mem"
 	"dramless/internal/sim"
 )
@@ -112,11 +113,29 @@ func TestFlatReadAllocationBound(t *testing.T) {
 		t.Fatalf("Flat.ReadInto allocates %.1f objects per call, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(200, func() {
-		if _, _, err := flat.Read(0, 512, 64); err != nil {
+		if _, _, err := mem.Read(flat, 0, 512, 64); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Fatalf("Flat.Read allocates %.1f objects per call, want <= 1", allocs)
+		t.Fatalf("mem.Read over Flat allocates %.1f objects per call, want <= 1", allocs)
+	}
+}
+
+// TestNORReadIntoAllocationFree pins the NOR-intf miss path: every L2
+// miss of that organization is one NOR read into the line's storage.
+func TestNORReadIntoAllocationFree(t *testing.T) {
+	nor := flash.NewNOR(1 << 20)
+	if _, err := nor.Write(0, 0, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 128)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := nor.ReadInto(0, 512, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("NOR.ReadInto allocates %.1f objects per call, want 0", allocs)
 	}
 }

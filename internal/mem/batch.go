@@ -33,58 +33,28 @@ type RunResult struct {
 	Stall sim.Duration // summed per-access stall beyond Gap
 }
 
-// BatchReader is the batched read fast path. ReadRun executes leading
-// accesses of r starting at now; dst (len >= r.Size) receives the bytes
-// of the last completed access. Implementations must be byte- and
-// timing-equivalent to ReadRunLoop over the completed prefix, but may
-// stop early (Done < Count) at a device-specific boundary - a cache
-// stops when the next access would leave its private hierarchy - and the
-// caller resumes the remainder through the scalar path.
-type BatchReader interface {
+// Batcher is the batched fast path a device may implement beside its
+// per-access methods. ReadRun executes leading accesses of r starting at
+// now; dst (len >= r.Size) receives the bytes of the last completed
+// access. WriteRun stores the same src bytes (len >= r.Size) at every
+// access's address. Both must be byte- and timing-equivalent to
+// ReadRunLoop/WriteRunLoop over the completed prefix, but may stop early
+// (Done < Count) at a device-specific boundary - a cache stops when the
+// next access would leave its private hierarchy - and the caller resumes
+// the remainder through the scalar path.
+type Batcher interface {
 	ReadRun(now sim.Time, r Run, dst []byte) (RunResult, error)
-}
-
-// BatchWriter is the batched write fast path: every access stores the
-// same src bytes (len >= r.Size) at its own address. Equivalence and
-// partial-completion semantics mirror BatchReader.
-type BatchWriter interface {
 	WriteRun(now sim.Time, r Run, src []byte) (RunResult, error)
 }
 
-// Batcher bundles both batch directions.
-type Batcher interface {
-	BatchReader
-	BatchWriter
-}
-
-// BatchOf returns a batch view of d: d itself when it implements both
-// fast paths natively, else a wrapper that executes runs as the plain
-// per-access loop, so every Device keeps working behind one call shape.
-func BatchOf(d Device) Batcher {
-	if b, ok := d.(Batcher); ok {
-		return b
-	}
-	return loopBatcher{d}
-}
-
-type loopBatcher struct{ d Device }
-
-func (l loopBatcher) ReadRun(now sim.Time, r Run, dst []byte) (RunResult, error) {
-	return ReadRunLoop(l.d, now, r, dst)
-}
-
-func (l loopBatcher) WriteRun(now sim.Time, r Run, src []byte) (RunResult, error) {
-	return WriteRunLoop(l.d, now, r, src)
-}
-
 // ReadRunLoop executes r against d one access at a time - the reference
-// semantics every BatchReader must match on the prefix it completes.
+// semantics every Batcher must match on the prefix it completes.
 func ReadRunLoop(d Device, now sim.Time, r Run, dst []byte) (RunResult, error) {
 	res := RunResult{Now: now}
 	addr := r.Addr
 	for res.Done < r.Count {
 		start := res.Now + r.Gap
-		done, err := ReadIntoOf(d, start, addr, dst[:r.Size])
+		done, err := d.ReadInto(start, addr, dst[:r.Size])
 		if err != nil {
 			return res, err
 		}
@@ -144,7 +114,7 @@ func runBounds(what string, size uint64, r Run) error {
 
 var _ Batcher = (*Flat)(nil)
 
-// ReadRun implements BatchReader. Flat has no protocol state beyond the
+// ReadRun implements Batcher. Flat has no protocol state beyond the
 // bus, so the fast path charges each access's bus time but copies bytes
 // only for the last access - the only one visible in dst.
 func (f *Flat) ReadRun(now sim.Time, r Run, dst []byte) (RunResult, error) {
@@ -168,7 +138,7 @@ func (f *Flat) ReadRun(now sim.Time, r Run, dst []byte) (RunResult, error) {
 	return res, nil
 }
 
-// WriteRun implements BatchWriter; every store must land (addresses
+// WriteRun implements Batcher; every store must land (addresses
 // differ), so only the range checks are hoisted.
 func (f *Flat) WriteRun(now sim.Time, r Run, src []byte) (RunResult, error) {
 	if err := runBounds(f.name, f.size, r); err != nil {

@@ -14,10 +14,9 @@ import (
 // Device is a byte-addressable storage layer with simulated timing.
 // Implementations are functional (reads return previously written bytes)
 // and timed (operations reserve the hardware resources they occupy and
-// return their completion time).
+// return their completion time). ReadInto is the device's only read.
 type Device interface {
-	// Read fetches n bytes at addr starting no earlier than at.
-	Read(at sim.Time, addr uint64, n int) (data []byte, done sim.Time, err error)
+	ReaderInto
 	// Write stores data at addr starting no earlier than at. Completion
 	// semantics are device-specific (posted writes return acceptance).
 	Write(at sim.Time, addr uint64, data []byte) (done sim.Time, err error)
@@ -25,35 +24,34 @@ type Device interface {
 	Size() uint64
 }
 
-// ReaderInto is the allocation-free read path: devices that implement it
-// fetch len(dst) bytes at addr directly into a caller-provided buffer.
+// ReaderInto is the device read: it fetches len(dst) bytes at addr,
+// starting no earlier than at, directly into a caller-provided buffer.
 // The contract (DESIGN.md §8):
 //
 //   - dst is owned by the caller; the device must not retain it past the
-//     call and must fill exactly len(dst) bytes on success;
+//     call and must fill exactly len(dst) bytes on success, with zeros
+//     where nothing was ever written;
 //   - dst must not alias device-internal storage (cache lines, stream
 //     buffers, page frames) — implementations copy out of their own
 //     state into dst;
-//   - timing is identical to Read: ReadInto(at, addr, make([]byte, n))
-//     and Read(at, addr, n) complete at the same simulated time and move
-//     the device's timing state identically.
+//   - timing depends only on the access and the device state, never on
+//     dst's prior contents.
 type ReaderInto interface {
 	ReadInto(at sim.Time, addr uint64, dst []byte) (done sim.Time, err error)
 }
 
-// ReadIntoOf reads len(dst) bytes at addr into dst, using d's ReadInto
-// fast path when implemented and falling back to Read plus a copy. It is
-// the call sites' one-liner for the zero-allocation datapath.
-func ReadIntoOf(d Device, at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
-	if ri, ok := d.(ReaderInto); ok {
-		return ri.ReadInto(at, addr, dst)
+// Read reads n bytes at addr from d into a fresh buffer: the one-liner
+// for callers that keep the bytes.
+func Read(d Device, at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) {
+	if n < 0 {
+		return nil, 0, CheckRange("mem.Read", d.Size(), addr, n)
 	}
-	data, done, err := d.Read(at, addr, len(dst))
+	data := make([]byte, n)
+	done, err := d.ReadInto(at, addr, data)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	copy(dst, data)
-	return done, nil
+	return data, done, nil
 }
 
 // Drainer is implemented by devices with posted work (PRAM programs,
@@ -115,21 +113,7 @@ func NewFlat(name string, size uint64, latency sim.Duration, bytesPerSec float64
 // Size implements Device.
 func (f *Flat) Size() uint64 { return f.size }
 
-// Read implements Device.
-func (f *Flat) Read(at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) {
-	if n <= 0 {
-		return nil, 0, CheckRange(f.name, f.size, addr, n)
-	}
-	out := make([]byte, n)
-	done, err := f.ReadInto(at, addr, out)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, done, nil
-}
-
-// ReadInto implements ReaderInto: the timed read without the fresh
-// buffer.
+// ReadInto implements Device.
 func (f *Flat) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
 	if err := CheckRange(f.name, f.size, addr, len(dst)); err != nil {
 		return 0, err
@@ -140,8 +124,6 @@ func (f *Flat) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) 
 	f.store.ReadInto(addr, dst)
 	return done, nil
 }
-
-var _ ReaderInto = (*Flat)(nil)
 
 // Write implements Device.
 func (f *Flat) Write(at sim.Time, addr uint64, data []byte) (sim.Time, error) {
@@ -171,13 +153,6 @@ const sparsePage = 4096
 // NewSparse returns an empty store.
 func NewSparse() *Sparse { return &Sparse{pages: map[uint64][]byte{}} }
 
-// Read returns n bytes at addr (zeroes where never written).
-func (s *Sparse) Read(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	s.ReadInto(addr, out)
-	return out
-}
-
 // ReadInto fills dst with the bytes at addr (zeroes where never
 // written) without allocating.
 func (s *Sparse) ReadInto(addr uint64, dst []byte) {
@@ -199,7 +174,7 @@ func (s *Sparse) ReadInto(addr uint64, dst []byte) {
 }
 
 // zeroFill clears b (dst may be a reused scratch buffer holding stale
-// bytes, unlike the fresh buffers Read hands out).
+// bytes).
 func zeroFill(b []byte) {
 	for i := range b {
 		b[i] = 0

@@ -31,7 +31,7 @@ func TestFlatRoundTripAndTraffic(t *testing.T) {
 	if _, err := f.Write(0, 777, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := f.Read(0, 777, len(payload))
+	got, _, err := Read(f, 0, 777, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,17 @@ func TestFlatRoundTripAndTraffic(t *testing.T) {
 
 func TestFlatBounds(t *testing.T) {
 	f := NewFlat("m", 1024, 0, 1e9)
-	if _, _, err := f.Read(0, 1024, 1); err == nil {
+	if _, err := f.ReadInto(0, 1024, make([]byte, 1)); err == nil {
 		t.Error("read past end accepted")
 	}
 	if _, err := f.Write(0, 1020, make([]byte, 8)); err == nil {
 		t.Error("write past end accepted")
 	}
-	if _, _, err := f.Read(0, 0, 0); err == nil {
+	if _, err := f.ReadInto(0, 0, nil); err == nil {
 		t.Error("zero read accepted")
+	}
+	if _, _, err := Read(f, 0, 0, -1); err == nil {
+		t.Error("negative read accepted")
 	}
 }
 
@@ -69,9 +72,16 @@ func TestCheckRangeMessages(t *testing.T) {
 	}
 }
 
+// readSparse reads n bytes at addr out of s into a fresh buffer.
+func readSparse(s *Sparse, addr uint64, n int) []byte {
+	out := make([]byte, n)
+	s.ReadInto(addr, out)
+	return out
+}
+
 func TestSparseZeroFill(t *testing.T) {
 	s := NewSparse()
-	got := s.Read(123456, 64)
+	got := readSparse(s, 123456, 64)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatal("untouched sparse memory not zero")
@@ -84,7 +94,7 @@ func TestSparseZeroFill(t *testing.T) {
 	if s.Pages() != 2 {
 		t.Fatalf("pages = %d, want 2", s.Pages())
 	}
-	got = s.Read(4090, 8)
+	got = readSparse(s, 4090, 8)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatal("cross-page round trip failed")
 	}
@@ -108,7 +118,7 @@ func TestSparseEquivalenceProperty(t *testing.T) {
 		addr := uint64(off) % uint64(len(shadow)-1000)
 		s.Write(addr, data)
 		copy(shadow[addr:], data)
-		return bytes.Equal(s.Read(addr, len(data)+32), shadow[addr:addr+uint64(len(data))+32])
+		return bytes.Equal(readSparse(s, addr, len(data)+32), shadow[addr:addr+uint64(len(data))+32])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 
 var _ mem.Batcher = (*Subsystem)(nil)
 
-// ReadRun implements mem.BatchReader. The subsystem always completes the
+// ReadRun implements mem.Batcher. The subsystem always completes the
 // whole run: unlike a private cache it has no shared level above it to
 // yield to. Execution stays access by access because the channel
 // protocol state (RAB/RDB residency, wave interleaving, wear pointers)
@@ -18,7 +18,7 @@ func (s *Subsystem) ReadRun(now sim.Time, r mem.Run, dst []byte) (mem.RunResult,
 	return mem.ReadRunLoop(s, now, r, dst)
 }
 
-// WriteRun implements mem.BatchWriter (see ReadRun).
+// WriteRun implements mem.Batcher (see ReadRun).
 func (s *Subsystem) WriteRun(now sim.Time, r mem.Run, src []byte) (mem.RunResult, error) {
 	return mem.WriteRunLoop(s, now, r, src)
 }

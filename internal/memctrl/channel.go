@@ -216,51 +216,6 @@ func (ch *channel) victimBA(mod int) uint8 {
 	return ba
 }
 
-// bindRow makes module mod's RDB hold rowAddr, skipping whatever phases
-// the buffered state allows, and returns the buffer pair, the time the
-// row data is available, and the access outcome for the latency
-// instruments (which phases were skipped, or outPaused when the
-// activate had to pause an in-flight program).
-func (ch *channel) bindRow(at sim.Time, mod int, rowAddr uint64) (ba uint8, done sim.Time, out uint8, err error) {
-	m := ch.modules[mod]
-	upper, lower := ch.cfg.Geometry.SplitRow(rowAddr)
-
-	if ch.cfg.PhaseSkipping {
-		if hit, ok := m.RDBHit(rowAddr); ok {
-			// Both addressing phases skipped: data is already sensed.
-			ch.stats.ActivateSkips++
-			return hit, at, outRDB, nil
-		}
-		if hit, ok := m.RABHit(upper); ok {
-			// Pre-active phase skipped: reuse the loaded RAB.
-			ch.stats.PreactiveSkips++
-			devAt := ch.issue(at)
-			p0 := m.Pauses()
-			done, err = m.Activate(devAt, hit, lower)
-			out = outRAB
-			if m.Pauses() != p0 {
-				out = outPaused
-			}
-			return hit, done, out, err
-		}
-	}
-	ch.stats.FullAccesses++
-	ba = ch.victimBA(mod)
-	devAt := ch.issue(at)
-	done, err = m.Preactive(devAt, ba, upper)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	devAt = ch.issue(done)
-	p0 := m.Pauses()
-	done, err = m.Activate(devAt, ba, lower)
-	out = outFull
-	if m.Pauses() != p0 {
-		out = outPaused
-	}
-	return ba, done, out, err
-}
-
 // rowReq is one row-granule read within a batch. dst is the
 // caller-provided destination the burst lands in (usually a subslice of
 // the subsystem-level output buffer), so a batch completes with the
@@ -292,12 +247,14 @@ func (ch *channel) readRowInto(at sim.Time, mod int, rowAddr uint64, col int, ds
 // readBatch processes a set of row reads. With an interleaving scheduler
 // the batch is issued phase by phase in waves of at most one row per
 // module, so one partition's tRP+tRCD overlaps another row's data burst
-// exactly as in Figure 12. Without interleaving each request runs to
-// completion before the next starts (bare-metal ordering).
+// exactly as in Figure 12. Without interleaving each request is a wave
+// of its own that runs to completion before the next starts (bare-metal
+// ordering).
 func (ch *channel) readBatch(at sim.Time, reqs []rowReq) error {
 	if !ch.pol.interleave {
 		for i := range reqs {
-			if err := ch.readOne(&reqs[i], ch.gate(at, reqs[i].mod)); err != nil {
+			wave := [1]*rowReq{&reqs[i]}
+			if err := ch.readWave(ch.gate(at, reqs[i].mod), wave[:]); err != nil {
 				return err
 			}
 			ch.complete(reqs[i].done, reqs[i].mod)
@@ -378,36 +335,6 @@ func (ch *channel) resetSeen() []int {
 		ch.seenScratch[i] = 0
 	}
 	return ch.seenScratch
-}
-
-// readOne runs all three phases of a single request back to back.
-func (ch *channel) readOne(r *rowReq, at sim.Time) error {
-	m := ch.modules[r.mod]
-	ba, rowReady, out, err := ch.bindRow(at, r.mod, r.row)
-	if err != nil {
-		return err
-	}
-	devAt := ch.issue(rowReady)
-	r.done, err = m.ReadBurstInto(devAt, ba, r.col, r.dst)
-	if err != nil {
-		return err
-	}
-	ch.stats.Reads++
-	ch.stats.BytesRead += int64(len(r.dst))
-	ch.stats.ReadPS[out] += int64(r.done - at)
-	if out == outPaused {
-		ch.stats.PausePreemptedReads++
-	}
-	if ch.hRead[outFull] != nil {
-		ch.recordRead(out, at, r.done, len(r.dst))
-	}
-	if ch.tr != nil {
-		ch.tr.Span(ch.proc, ch.tracks[r.mod], "read", at, r.done)
-	}
-	if ch.cfg.Prefetch && ch.pol.interleave {
-		ch.prefetch(rowReady, r.mod, r.row+1)
-	}
-	return nil
 }
 
 // readWave issues one wave phase by phase. A wave may carry several rows
@@ -500,8 +427,9 @@ func (ch *channel) readWave(at sim.Time, wave []*rowReq) error {
 			ch.tr.Span(ch.proc, ch.tracks[r.mod], "burst", r.rowReady, r.done)
 		}
 	}
-	// Background: sequential next-row prefetch into spare RDBs.
-	if ch.cfg.Prefetch {
+	// Background: sequential next-row prefetch into spare RDBs, only
+	// where requests overlap (bare-metal issues nothing speculative).
+	if ch.cfg.Prefetch && ch.pol.interleave {
 		for _, r := range wave {
 			ch.prefetch(r.rowReady, r.mod, r.row+1)
 		}

@@ -53,10 +53,7 @@ type programmed struct {
 	paddr uint64
 }
 
-var (
-	_ mem.Device     = (*Subsystem)(nil)
-	_ mem.ReaderInto = (*Subsystem)(nil)
-)
+var _ mem.Device = (*Subsystem)(nil)
 
 type intentRange struct {
 	lo, hi     uint64
@@ -221,26 +218,17 @@ func (s *Subsystem) Boot(at sim.Time) (done sim.Time, err error) {
 	return done, nil
 }
 
-// Read fetches n bytes at addr, starting no earlier than at, and returns
-// the data and the completion time of the last burst. The request is
-// split into row-granule operations that the per-channel scheduler
-// processes according to its policy.
+// Read fetches n bytes at addr, starting no earlier than at, into a fresh
+// buffer and returns it with the completion time of the last burst.
 func (s *Subsystem) Read(at sim.Time, addr uint64, n int) (data []byte, done sim.Time, err error) {
-	if n <= 0 {
-		return nil, 0, s.checkRange(addr, n)
-	}
-	data = make([]byte, n)
-	done, err = s.ReadInto(at, addr, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, done, nil
+	return mem.Read(s, at, addr, n)
 }
 
-// ReadInto implements mem.ReaderInto: Read straight into a caller-owned
-// buffer. Each row-granule request points at its subslice of dst, so the
-// channel bursts land in place and the whole call allocates nothing in
-// steady state (the per-channel batch scratch is reused across calls).
+// ReadInto implements mem.Device. The request is split into row-granule
+// operations that the per-channel scheduler processes according to its
+// policy. Each one points at its subslice of dst, so the channel bursts
+// land in place and the whole call allocates nothing in steady state
+// (the per-channel batch scratch is reused across calls).
 func (s *Subsystem) ReadInto(at sim.Time, addr uint64, dst []byte) (done sim.Time, err error) {
 	n := len(dst)
 	if err := s.checkRange(addr, n); err != nil {

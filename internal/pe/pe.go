@@ -397,7 +397,7 @@ func (p *PE) exec(op workload.Op) error {
 			if len(p.loadBuf) < op.Size {
 				p.loadBuf = make([]byte, op.Size)
 			}
-			done, err = mem.ReadIntoOf(p.memory, p.now, op.Addr, p.loadBuf[:op.Size])
+			done, err = p.memory.ReadInto(p.now, op.Addr, p.loadBuf[:op.Size])
 		}
 		if err != nil {
 			return fmt.Errorf("pe %d: %w", p.ID, err)

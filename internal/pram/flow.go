@@ -146,16 +146,16 @@ func (m *Module) PollStatus(at sim.Time, ba uint8, interval sim.Duration, maxPol
 		return 0, fmt.Errorf("pram: poll interval must be positive")
 	}
 	t := at
+	var status [1]byte
 	for i := 0; i < maxPolls; i++ {
 		done, col, err := m.activateWindowRow(t, ba, RegStatus)
 		if err != nil {
 			return 0, err
 		}
-		data, done, err := m.ReadBurst(done, ba, col, 1)
-		if err != nil {
+		if done, err = m.ReadBurstInto(done, ba, col, status[:]); err != nil {
 			return 0, err
 		}
-		if data[0] == StatusReady {
+		if status[0] == StatusReady {
 			return done, nil
 		}
 		t = done + interval

@@ -327,21 +327,10 @@ func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, e
 	return done, nil
 }
 
-// ReadBurst pulls n bytes starting at column col out of RDB ba (third
-// addressing phase, read flavour). The DQ bus is occupied for the burst
-// after the read preamble (RL + tDQSCK). It returns the data and the time
-// the last byte is on the bus.
-func (m *Module) ReadBurst(at sim.Time, ba uint8, col int, n int) (data []byte, done sim.Time, err error) {
-	data = make([]byte, n)
-	done, err = m.ReadBurstInto(at, ba, col, data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, done, nil
-}
-
-// ReadBurstInto is ReadBurst into a caller-provided buffer of len(dst)
-// bytes — the subsystem's allocation-free burst path.
+// ReadBurstInto pulls len(dst) bytes starting at column col out of RDB
+// ba into dst (third addressing phase, read flavour). The DQ bus is
+// occupied for the burst after the read preamble (RL + tDQSCK). It
+// returns the time the last byte is on the bus.
 func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done sim.Time, err error) {
 	n := len(dst)
 	data := dst

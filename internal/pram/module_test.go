@@ -33,7 +33,7 @@ func readRow(t *testing.T, m *Module, at sim.Time, rowAddr uint64) ([]byte, sim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, done, err := m.ReadBurst(done, 0, 0, m.Geometry().RowBytes)
+	data, done, err := readBurst(m, done, 0, 0, m.Geometry().RowBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +49,13 @@ func programRow(t *testing.T, m *Module, at sim.Time, rowAddr uint64, data []byt
 		t.Fatal(err)
 	}
 	return done
+}
+
+// readBurst reads n bytes at column col of RDB ba into a fresh buffer.
+func readBurst(m *Module, at sim.Time, ba uint8, col, n int) ([]byte, sim.Time, error) {
+	data := make([]byte, n)
+	done, err := m.ReadBurstInto(at, ba, col, data)
+	return data, done, err
 }
 
 func TestGeometryValidate(t *testing.T) {
@@ -296,7 +303,7 @@ func TestProtocolViolationsRejected(t *testing.T) {
 	if _, err := m.Activate(0, 0, 1); err == nil {
 		t.Fatal("activate without preactive accepted")
 	}
-	if _, _, err := m.ReadBurst(0, 1, 0, 8); err == nil {
+	if _, _, err := readBurst(m, 0, 1, 0, 8); err == nil {
 		t.Fatal("read without activation accepted")
 	}
 	d, _ := m.Preactive(0, 0, 0)
@@ -321,10 +328,10 @@ func TestReadBurstBoundsChecked(t *testing.T) {
 	upper, lower := g.SplitRow(1)
 	d, _ := m.Preactive(0, 0, upper)
 	d, _ = m.Activate(d, 0, lower)
-	if _, _, err := m.ReadBurst(d, 0, 30, 8); err == nil {
+	if _, _, err := readBurst(m, d, 0, 30, 8); err == nil {
 		t.Fatal("read past row end accepted")
 	}
-	if _, _, err := m.ReadBurst(d, 0, -1, 4); err == nil {
+	if _, _, err := readBurst(m, d, 0, -1, 4); err == nil {
 		t.Fatal("negative column accepted")
 	}
 }
@@ -339,7 +346,7 @@ func TestOverlayWindowMetaReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := m.ReadBurst(d, 3, 0, 12)
+	data, _, err := readBurst(m, d, 3, 0, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +541,7 @@ func readRowQuiet(m *Module, at sim.Time, rowAddr uint64) ([]byte, sim.Time) {
 	if err != nil {
 		return nil, at
 	}
-	data, d, err := m.ReadBurst(d, 0, 0, m.Geometry().RowBytes)
+	data, d, err := readBurst(m, d, 0, 0, m.Geometry().RowBytes)
 	if err != nil {
 		return nil, at
 	}

@@ -71,7 +71,7 @@ func TestOverlayProgramHeaderBurst(t *testing.T) {
 	}
 	// The reserved gaps between the fields ignore writes and read as zero.
 	rb := m.Geometry().RowBytes
-	got, _, err := m.ReadBurst(0, 0, 0, rb)
+	got, _, err := readBurst(m, 0, 0, 0, rb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestOverlayMetaBurstRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := m.ReadBurst(d, 0, col, 12)
+	got, _, err := readBurst(m, d, 0, col, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

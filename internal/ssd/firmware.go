@@ -104,20 +104,12 @@ func NewFirmwareManaged(cfg FirmwareConfig, inner mem.Device) (*FirmwareManaged,
 // Size implements mem.Device.
 func (f *FirmwareManaged) Size() uint64 { return f.inner.Size() }
 
-// Read implements mem.Device.
-func (f *FirmwareManaged) Read(at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) {
-	start := f.fw.Process(at)
-	return f.inner.Read(start, addr, n)
-}
-
-// ReadInto implements mem.ReaderInto by charging the firmware cost and
+// ReadInto implements mem.Device by charging the firmware cost and
 // passing the caller's buffer down to the inner device.
 func (f *FirmwareManaged) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
 	start := f.fw.Process(at)
-	return mem.ReadIntoOf(f.inner, start, addr, dst)
+	return f.inner.ReadInto(start, addr, dst)
 }
-
-var _ mem.ReaderInto = (*FirmwareManaged)(nil)
 
 // Write implements mem.Device.
 func (f *FirmwareManaged) Write(at sim.Time, addr uint64, data []byte) (sim.Time, error) {

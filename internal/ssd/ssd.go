@@ -126,10 +126,7 @@ type SSD struct {
 	stats Stats
 }
 
-var (
-	_ mem.Device     = (*SSD)(nil)
-	_ mem.ReaderInto = (*SSD)(nil)
-)
+var _ mem.Device = (*SSD)(nil)
 
 // New builds an SSD from cfg.
 func New(cfg Config) (*SSD, error) {
@@ -340,20 +337,7 @@ func (s *SSD) fetch(at sim.Time, lpn uint64, accessBytes int) (*bufEntry, sim.Ti
 	return e, s.dramAccess(at, accessBytes), nil
 }
 
-// Read implements mem.Device.
-func (s *SSD) Read(at sim.Time, addr uint64, n int) ([]byte, sim.Time, error) {
-	if n <= 0 {
-		return nil, 0, mem.CheckRange("ssd", s.Size(), addr, n)
-	}
-	out := make([]byte, n)
-	done, err := s.ReadInto(at, addr, out)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, done, nil
-}
-
-// ReadInto implements mem.ReaderInto: buffer-resident pages are served
+// ReadInto implements mem.Device: buffer-resident pages are served
 // without allocating.
 func (s *SSD) ReadInto(at sim.Time, addr uint64, dst []byte) (sim.Time, error) {
 	n := len(dst)

@@ -70,7 +70,7 @@ func TestSSDRoundTrip(t *testing.T) {
 	if _, err := s.Write(0, 100, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := s.Read(sim.Microseconds(10), 100, len(payload))
+	got, _, err := mem.Read(s, sim.Microseconds(10), 100, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBufferHitFastMissSlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := sim.Milliseconds(10)
-	_, d1, err := s.Read(start, 0, 16) // buffer hit
+	_, d1, err := mem.Read(s, start, 0, 16) // buffer hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,10 @@ func TestReadMissPaysPageRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Evict page 0 by touching two other pages (buffer holds 2).
-	s.Read(d, 512, 16)
-	s.Read(d, 1024, 16)
+	mem.Read(s, d, 512, 16)
+	mem.Read(s, d, 1024, 16)
 	start := sim.Milliseconds(100)
-	got, d2, err := s.Read(start, 0, 16)
+	got, d2, err := mem.Read(s, start, 0, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,10 @@ func TestSubPageWriteCausesRMWFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := s.Flush(sim.Milliseconds(1))
-	s.Read(d, 512, 1)
-	s.Read(d, 1024, 1)
-	s.Read(d, 1536, 1)
-	s.Read(d, 2048, 1)
+	mem.Read(s, d, 512, 1)
+	mem.Read(s, d, 1024, 1)
+	mem.Read(s, d, 1536, 1)
+	mem.Read(s, d, 2048, 1)
 	fills := s.Stats().Fills
 	if _, err := s.Write(sim.Milliseconds(50), 8, []byte{9, 9}); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestSubPageWriteCausesRMWFill(t *testing.T) {
 	if s.Stats().Fills != fills+1 {
 		t.Fatal("sub-page write did not fill the page")
 	}
-	got, _, _ := s.Read(sim.Milliseconds(60), 0, 16)
+	got, _, _ := mem.Read(s, sim.Milliseconds(60), 0, 16)
 	want := append(bytes.Repeat([]byte{3}, 8), 9, 9, 3, 3, 3, 3, 3, 3)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("RMW merge wrong: %v", got)
@@ -174,7 +174,7 @@ func TestGarbageCollectionRelocatesLiveData(t *testing.T) {
 		t.Fatal("GC never ran despite 50x overwrite pressure")
 	}
 	for lpn, want := range live {
-		got, _, err := s.Read(now, lpn*512, 512)
+		got, _, err := mem.Read(s, now, lpn*512, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestFirmwareManagedAddsLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, done, err := fm.Read(0, 0, 32)
+	_, done, err := mem.Read(fm, 0, 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFirmwareManagedAddsLatency(t *testing.T) {
 		t.Fatalf("firmware-managed read %v, want >= 2us", done)
 	}
 	fresh := mem.NewFlat("pram2", 1<<20, sim.Nanoseconds(100), 1.6e9)
-	_, rawDone, _ := fresh.Read(0, 0, 32)
+	_, rawDone, _ := mem.Read(fresh, 0, 0, 32)
 	if rawDone >= done {
 		t.Fatal("firmware wrapper added no cost")
 	}
@@ -231,7 +231,7 @@ func TestNORInterface(t *testing.T) {
 	if _, err := n.Write(0, 5, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := n.Read(n.Drain(), 5, len(payload))
+	got, _, err := mem.Read(n, n.Drain(), 5, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestNORInterface(t *testing.T) {
 	// 32 B read = 16 words x 10 ns = 160 ns serialized (~200 MB/s; the
 	// per-access latency sits ~3x above the 3x nm PRAM's bus share).
 	start := n.Drain()
-	_, d, _ := n.Read(start, 0, 32)
+	_, d, _ := mem.Read(n, start, 0, 32)
 	if got := d - start; got != sim.Nanoseconds(160) {
 		t.Fatalf("NOR 32B read = %v, want 160ns", got)
 	}
@@ -290,7 +290,7 @@ func TestIntegratedModeSkipsFirmwareOnHits(t *testing.T) {
 	}
 	fwBefore := s.fw.Requests()
 	start := sim.Milliseconds(1)
-	_, done, err := s.Read(start, 0, 64) // buffer hit: direct DRAM access
+	_, done, err := mem.Read(s, start, 0, 64) // buffer hit: direct DRAM access
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +303,10 @@ func TestIntegratedModeSkipsFirmwareOnHits(t *testing.T) {
 	// A miss must stage through firmware.
 	s.Flush(start)
 	for i := 1; i <= 8; i++ { // evict page 0
-		s.Read(sim.Milliseconds(10), uint64(i*512), 1)
+		mem.Read(s, sim.Milliseconds(10), uint64(i*512), 1)
 	}
 	fwBefore = s.fw.Requests()
-	if _, _, err := s.Read(sim.Milliseconds(50), 0, 64); err != nil {
+	if _, _, err := mem.Read(s, sim.Milliseconds(50), 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	if s.fw.Requests() == fwBefore {
@@ -339,7 +339,7 @@ func TestSSDFunctionalProperty(t *testing.T) {
 			}
 			now = done
 		default:
-			got, done, err := s.Read(now, addr, size)
+			got, done, err := mem.Read(s, now, addr, size)
 			if err != nil {
 				return false
 			}

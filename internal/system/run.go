@@ -154,31 +154,19 @@ func (b *build) zeroBuf(n int) []byte {
 }
 
 // stageRead streams total bytes out of dev at addr in step-sized reads
-// through the batched read path (buf must hold at least step bytes,
-// or total when smaller); the bytes are discarded. Timing matches the
-// scalar read loop it replaces access for access.
+// (buf must hold at least step bytes, or total when smaller); the bytes
+// are discarded.
 func stageRead(dev mem.Device, at sim.Time, addr uint64, total, step int64, buf []byte) (sim.Time, error) {
-	bt := mem.BatchOf(dev)
 	t := at
 	if full := total / step; full > 0 {
-		run := mem.Run{Addr: addr, Stride: step, Size: int(step), Count: int(full)}
-		res, err := bt.ReadRun(t, run, buf)
+		res, err := mem.ReadRunLoop(dev, t, mem.Run{Addr: addr, Stride: step, Size: int(step), Count: int(full)}, buf)
 		if err != nil {
 			return 0, err
 		}
 		t = res.Now
-		if res.Done < run.Count { // device yielded early: finish scalar
-			rest := run
-			rest.Addr = uint64(int64(run.Addr) + int64(res.Done)*run.Stride)
-			rest.Count = run.Count - res.Done
-			if res, err = mem.ReadRunLoop(dev, t, rest, buf); err != nil {
-				return 0, err
-			}
-			t = res.Now
-		}
 	}
 	if tail := total % step; tail > 0 {
-		d, err := mem.ReadIntoOf(dev, t, uint64(int64(addr)+total-tail), buf[:tail])
+		d, err := dev.ReadInto(t, uint64(int64(addr)+total-tail), buf[:tail])
 		if err != nil {
 			return 0, err
 		}
@@ -193,24 +181,13 @@ func stageRead(dev mem.Device, at sim.Time, addr uint64, total, step int64, buf 
 // stageWrite is stageRead for stores: every access stores the leading
 // bytes of src.
 func stageWrite(dev mem.Device, at sim.Time, addr uint64, total, step int64, src []byte) (sim.Time, error) {
-	bt := mem.BatchOf(dev)
 	t := at
 	if full := total / step; full > 0 {
-		run := mem.Run{Addr: addr, Stride: step, Size: int(step), Count: int(full)}
-		res, err := bt.WriteRun(t, run, src)
+		res, err := mem.WriteRunLoop(dev, t, mem.Run{Addr: addr, Stride: step, Size: int(step), Count: int(full)}, src)
 		if err != nil {
 			return 0, err
 		}
 		t = res.Now
-		if res.Done < run.Count {
-			rest := run
-			rest.Addr = uint64(int64(run.Addr) + int64(res.Done)*run.Stride)
-			rest.Count = run.Count - res.Done
-			if res, err = mem.WriteRunLoop(dev, t, rest, src); err != nil {
-				return 0, err
-			}
-			t = res.Now
-		}
 	}
 	if tail := total % step; tail > 0 {
 		d, err := dev.Write(t, uint64(int64(addr)+total-tail), src[:tail])

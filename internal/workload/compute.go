@@ -43,7 +43,7 @@ func (v *Vec) Get(at sim.Time, i int) (float64, sim.Time, error) {
 	if i < 0 || i >= v.n {
 		return 0, 0, fmt.Errorf("workload: index %d outside vector of %d", i, v.n)
 	}
-	done, err := mem.ReadIntoOf(v.dev, at, v.base+uint64(8*i), v.word[:])
+	done, err := v.dev.ReadInto(at, v.base+uint64(8*i), v.word[:])
 	if err != nil {
 		return 0, 0, err
 	}
@@ -74,7 +74,7 @@ func (v *Vec) Fill(at sim.Time, xs []float64) (sim.Time, error) {
 
 // Snapshot loads the whole vector in one bulk read.
 func (v *Vec) Snapshot(at sim.Time) ([]float64, sim.Time, error) {
-	b, done, err := v.dev.Read(at, v.base, 8*v.n)
+	b, done, err := mem.Read(v.dev, at, v.base, 8*v.n)
 	if err != nil {
 		return nil, 0, err
 	}
