@@ -69,14 +69,15 @@ hist-json:
 		-hist HIST_baseline.json > /dev/null
 
 # Latency regression gate: rerun the reference configuration and diff
-# per-instrument p99 against the committed baseline. The simulator is
-# deterministic, so any drift is a real behavioral change; the 10%
-# threshold only absorbs intended tuning.
+# per-instrument p99 against the committed baseline with `dramless
+# diff`. The simulator is deterministic, so any drift is a real
+# behavioral change; the 10% threshold only absorbs intended tuning. An
+# instrument that stops recording fails the gate too.
 hist-compare:
 	@mkdir -p prof
 	$(GO) run ./cmd/dramless run -system DRAM-less -kernel gemver \
 		-hist prof/hist.current.json > /dev/null
-	$(GO) run ./tools/benchjson -hist prof/hist.current.json -hist-base HIST_baseline.json
+	$(GO) run ./cmd/dramless diff -top 0 -fail-over 0.10 HIST_baseline.json prof/hist.current.json
 
 # Scheduler policy smoke. The tournament runs every registered policy
 # on one kernel: the policy registry, the per-cell private observers and
@@ -92,10 +93,10 @@ arena-smoke:
 
 # Blame attribution smoke: run the paper's two headline organizations
 # through `dramless blame` (tracing forced on, so the critical path is
-# exercised too), export both accounts and render the diff that
-# explains the DRAM-less vs Integrated-MLC gap — the diff step parses
-# both exports back, so the JSON round-trip is asserted at the CLI
-# surface. The focused test run then asserts the exactness invariant
+# exercised too), export both accounts and render the `dramless diff`
+# that explains the DRAM-less vs Integrated-MLC gap — the diff step
+# parses both exports back, so the JSON round-trip is asserted at the
+# CLI surface. The focused test run then asserts the exactness invariant
 # (phase blame sums == phase walls to the picosecond, every kind) and
 # the export round-trip at the library surface.
 blame-smoke:
@@ -104,7 +105,7 @@ blame-smoke:
 		-o prof/blame.dramless.json > /dev/null
 	$(GO) run ./cmd/dramless blame -system Integrated-MLC -kernel gemver \
 		-o prof/blame.mlc.json > /dev/null
-	$(GO) run ./cmd/dramless blame prof/blame.dramless.json prof/blame.mlc.json
+	$(GO) run ./cmd/dramless diff prof/blame.dramless.json prof/blame.mlc.json
 	$(GO) test -count 1 -run 'TestBlameSumsEqualPhaseWalls' ./internal/system/
 	$(GO) test -count 1 -run 'TestBlameJSONRoundTrip' ./internal/obs/
 
@@ -143,7 +144,8 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Fuzz smoke: a few seconds of each export-file reader fuzzer and of the
-# CLI file modes built on them (`dramless report`/`blame` on a file),
+# CLI file modes built on them (`dramless report`/`blame` on one file,
+# `dramless diff` on two),
 # starting from the committed seed corpora (testdata/fuzz) and the
 # reference-run histogram export. Go's input minimizer would spend the
 # whole budget shrinking the first new input of a large seed, so
@@ -154,6 +156,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBlameJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReportFiles$$' -fuzztime 5s -fuzzminimizetime 0 ./cmd/dramless/
 	$(GO) test -run '^$$' -fuzz '^FuzzBlameFiles$$' -fuzztime 5s -fuzzminimizetime 0 ./cmd/dramless/
+	$(GO) test -run '^$$' -fuzz '^FuzzDiffFiles$$' -fuzztime 5s -fuzzminimizetime 0 ./cmd/dramless/
 
 vet:
 	$(GO) vet ./...
@@ -163,12 +166,14 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
 # Pre-merge gate: everything a PR must pass before landing - build,
-# tests, race detector, go vet, gofmt, the example programs and the
-# perfbench module's vet and tests. `make verify` is its alias.
-ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check
+# tests, race detector, go vet, gofmt, the example programs, the
+# perfbench module's vet and tests, and the two deterministic export
+# gates (the p99 latency gate and the blame diff smoke, ~2 s together).
+# `make verify` is its alias.
+ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check hist-compare blame-smoke
 
-# ci plus the perf and latency regression gates against the committed
-# baselines, the scheduler tournament smoke run and the reader fuzzers.
-ci-full: ci bench-compare hist-compare arena-smoke blame-smoke fuzz-smoke
+# ci plus the host-timing benchmark gate against the committed
+# baseline, the scheduler tournament smoke run and the reader fuzzers.
+ci-full: ci bench-compare arena-smoke fuzz-smoke
 
 verify: ci

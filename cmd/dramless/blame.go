@@ -14,16 +14,16 @@ import (
 // cmdBlame answers "where did the time go": it simulates one system x
 // kernel cell with tracing forced on, prints the hierarchical blame
 // tree (phase -> component -> cause, exact to the picosecond) and the
-// kernel phase's critical path. With one file argument it renders a
-// previously exported account instead of simulating; with two it
-// explains the delta between two exports.
+// kernel phase's critical path. With a file argument it renders a
+// previously exported account instead of simulating (`dramless diff`
+// explains the delta between two exports).
 func cmdBlame(args []string) {
 	fs := flag.NewFlagSet("blame", flag.ExitOnError)
 	sysName := fs.String("system", "DRAM-less", "system organization (see list)")
 	kernelName := fs.String("kernel", "gemver", "workload (see list)")
 	scale := fs.Int64("scale", 256<<10, "footprint scale in bytes")
 	schedName := fs.String("scheduler", "", "override PRAM controller policy (any registry name)")
-	top := fs.Int("top", 10, "rows in the critical-path and diff tables (0 = all)")
+	top := fs.Int("top", 10, "rows in the critical-path table (0 = all)")
 	asJSON := fs.Bool("json", false, "emit the blame account as JSON instead of the text report")
 	out := fs.String("o", "", "also export the blame account JSON to this file")
 	fs.Parse(args)
@@ -46,11 +46,8 @@ func cmdBlame(args []string) {
 			os.Exit(1)
 		}
 		return
-	case 2:
-		diffBlameFiles(os.Stdout, paths, readBlameFile(paths[0]), readBlameFile(paths[1]), *top)
-		return
 	default:
-		fmt.Fprintln(os.Stderr, "usage: dramless blame [flags] [blame.json [other-blame.json]]")
+		fmt.Fprintln(os.Stderr, "usage: dramless blame [flags] [blame.json] (compare two with `dramless diff a.json b.json`)")
 		os.Exit(2)
 	}
 
@@ -126,7 +123,7 @@ func cmdBlame(args []string) {
 
 	printCriticalPath(os.Stdout, observer.Tracer(), *top)
 	if *out != "" {
-		fmt.Printf("\nblame account exported to %s (diff two runs with `dramless blame a.json b.json`)\n", *out)
+		fmt.Printf("\nblame account exported to %s (diff two runs with `dramless diff a.json b.json`)\n", *out)
 	}
 }
 
@@ -204,70 +201,9 @@ func readBlameFile(path string) *dramless.Blame {
 	return b
 }
 
-// diffBlameFiles explains the wall-time delta between two exported
-// accounts: phase totals first, then the individual accounts ranked by
-// absolute delta (A's registration order breaks ties deterministically).
-func diffBlameFiles(w io.Writer, paths []string, a, b *dramless.Blame, top int) {
-	fmt.Fprintf(w, "A = %s (wall %s)\nB = %s (wall %s)\n\n",
-		paths[0], fmtPS(blameWall(a)), paths[1], fmtPS(blameWall(b)))
-
-	fmt.Fprintf(w, "%-36s %14s %14s %14s\n", "phase", "A", "B", "Δ")
-	for _, ph := range []string{"load/", "kernel/", "store/"} {
-		av, bv := a.Sum(ph), b.Sum(ph)
-		fmt.Fprintf(w, "%-36s %14s %14s %14s\n",
-			strings.TrimSuffix(ph, "/"), fmtPS(av), fmtPS(bv), fmtSignedPS(bv-av))
-	}
-
-	// Union of account names: A's registration order, then B-only names.
-	var names []string
-	seen := map[string]bool{}
-	for _, e := range a.Entries() {
-		names, seen[e.Name] = append(names, e.Name), true
-	}
-	for _, e := range b.Entries() {
-		if !seen[e.Name] {
-			names = append(names, e.Name)
-		}
-	}
-	sort.SliceStable(names, func(i, j int) bool {
-		di, dj := b.Get(names[i])-a.Get(names[i]), b.Get(names[j])-a.Get(names[j])
-		return abs64(di) > abs64(dj)
-	})
-	shown := len(names)
-	if top > 0 && top < shown {
-		shown = top
-	}
-	fmt.Fprintf(w, "\n%-36s %14s %14s %14s\n", "account (by |Δ|)", "A", "B", "Δ")
-	for _, n := range names[:shown] {
-		av, bv := a.Get(n), b.Get(n)
-		if av == 0 && bv == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-36s %14s %14s %14s\n", n, fmtPS(av), fmtPS(bv), fmtSignedPS(bv-av))
-	}
-	if shown < len(names) {
-		fmt.Fprintf(w, "(%d more accounts; rerun with -top 0 for all)\n", len(names)-shown)
-	}
-}
-
 // blameWall sums an account's three phase scopes — the run's total wall.
 // (Sum("") would also pick up the informational raw/ accounts, which are
 // inclusive and would double-count.)
 func blameWall(b *dramless.Blame) int64 {
 	return b.Sum("load/") + b.Sum("kernel/") + b.Sum("store/")
-}
-
-// fmtSignedPS renders a picosecond delta with an explicit sign.
-func fmtSignedPS(ps int64) string {
-	if ps < 0 {
-		return "-" + fmtPS(-ps)
-	}
-	return "+" + fmtPS(ps)
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

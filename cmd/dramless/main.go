@@ -6,6 +6,7 @@
 //	dramless experiments [-full] [-scale N] [-kernels a,b,c] [-parallel N] [id ...]
 //	dramless run -system DRAM-less -kernel gemver [-scale N]
 //	dramless blame -system DRAM-less -kernel gemver [-top N]
+//	dramless diff [-top N] [-fail-over F] a.json b.json
 //	dramless arena [-policies a,b] [-systems x,y] [-kernels a,b,c]
 //	dramless list
 //
@@ -83,6 +84,8 @@ func main() {
 		cmdReport(os.Args[2:])
 	case "blame":
 		cmdBlame(os.Args[2:])
+	case "diff":
+		cmdDiff(os.Args[2:])
 	case "list":
 		cmdList()
 	case "-h", "--help", "help":
@@ -127,19 +130,25 @@ commands:
         counters, -scheduler selects any registered PRAM scheduling
         policy by name (bare-metal, interleaving, selective-erasing,
         final, palp, pause-aware, wear-aware, ...)
-  report [-json] [-cdf instrument] <hist.json> [other-hist.json]
-        render percentile tables (p50/p90/p99/p999/max) from a -hist
-        export; with two files, compare them side by side; -cdf prints
-        the named instrument's text CDF (diffable across runs); -json
+  report [-json] [-cdf instrument] <hist.json>
+        render the percentile table (p50/p90/p99/p999/max) of a -hist
+        export; -cdf prints the named instrument's text CDF; -json
         emits the table (or CDF) as machine-readable JSON
   blame [-system name] [-kernel name] [-scale bytes] [-scheduler name]
-        [-top N] [-json] [-o blame.json] [blame.json [other.json]]
+        [-top N] [-json] [-o blame.json] [blame.json]
         answer "where did the time go": simulate one cell with tracing
         forced on, print the exact phase->component->cause blame tree
         (accounts sum to each phase wall to the picosecond) and the
-        kernel phase's critical path; -o exports the account as JSON;
-        with one file argument render a previous export instead of
-        simulating, with two explain the delta between two exports
+        kernel phase's critical path (-top rows); -o exports the
+        account as JSON; with a file argument render a previous export
+        instead of simulating
+  diff  [-top N] [-fail-over F] <A.json> <B.json>
+        compare two -hist exports or two blame exports: pair the
+        instruments (accounts) by name and rank them by |B-A| of p99
+        (ps), with "only in A/B" rows; a blame diff leads with the
+        load/kernel/store totals; -fail-over exits 1 when any B exceeds
+        its A by more than that fraction or data present in A is
+        missing or empty in B
 
   experiments and run both take -cpuprofile / -memprofile <file> to
   capture pprof profiles of the simulation (see DESIGN.md §8).

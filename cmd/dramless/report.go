@@ -28,73 +28,55 @@ func writeExport(path string, asJSON, asCSV func(io.Writer) error) error {
 	return f.Close()
 }
 
-// cmdReport renders percentile tables and text CDFs from `run -hist`
-// JSON exports, and diffs two exports side by side.
+// cmdReport renders the percentile table or a text CDF of one
+// `run -hist` JSON export (`dramless diff` compares two).
 func cmdReport(args []string) {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	cdf := fs.String("cdf", "", "print the named instrument's text CDF instead of the percentile table")
 	asJSON := fs.Bool("json", false, "emit the table as machine-readable JSON instead of text")
 	fs.Parse(args)
 
-	paths := fs.Args()
-	if len(paths) < 1 || len(paths) > 2 {
-		fmt.Fprintln(os.Stderr, "usage: dramless report [-json] [-cdf instrument] <hist.json> [other-hist.json]")
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: dramless report [-json] [-cdf instrument] <hist.json> (compare two with `dramless diff a.json b.json`)")
 		os.Exit(2)
 	}
-	sets := make([]*dramless.HistogramSet, len(paths))
-	for i, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		sets[i], err = dramless.ReadHistograms(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", p, err)
-			os.Exit(1)
-		}
+	path := fs.Arg(0)
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-
-	if err := report(os.Stdout, paths, sets, *cdf, *asJSON); err != nil {
+	s, err := dramless.ReadHistograms(f)
+	f.Close()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+		os.Exit(1)
+	}
+	if err := report(os.Stdout, path, s, *cdf, *asJSON); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// report renders the requested view of one or two histogram exports to
-// w. Split from cmdReport (and given an explicit writer) so the golden
+// report renders the requested view of one histogram export to w.
+// Split from cmdReport (and given an explicit writer) so the golden
 // tests can pin the output byte for byte.
-func report(w io.Writer, paths []string, sets []*dramless.HistogramSet, cdf string, asJSON bool) error {
-	if cdf != "" {
-		for i, s := range sets {
-			h := s.Lookup(cdf)
-			if h == nil {
-				return fmt.Errorf("%s: no instrument %q (have %s)",
-					paths[i], cdf, strings.Join(s.Names(), ", "))
-			}
-			if asJSON {
-				if err := printCDFJSON(w, h); err != nil {
-					return err
-				}
-				continue
-			}
-			if len(sets) > 1 {
-				fmt.Fprintf(w, "# %s\n", paths[i])
-			}
-			printCDF(w, h)
+func report(w io.Writer, path string, s *dramless.HistogramSet, cdf string, asJSON bool) error {
+	switch {
+	case cdf != "":
+		h := s.Lookup(cdf)
+		if h == nil {
+			return fmt.Errorf("%s: no instrument %q (have %s)", path, cdf, strings.Join(s.Names(), ", "))
 		}
-		return nil
+		if asJSON {
+			return printCDFJSON(w, h)
+		}
+		printCDF(w, h)
+	case asJSON:
+		return printPercentilesJSON(w, path, s)
+	default:
+		printPercentiles(w, s)
 	}
-
-	if asJSON {
-		return printPercentilesJSON(w, paths, sets)
-	}
-	if len(sets) == 1 {
-		printPercentiles(w, sets[0])
-		return nil
-	}
-	printComparison(w, paths, sets[0], sets[1])
 	return nil
 }
 
@@ -118,63 +100,30 @@ func printPercentiles(w io.Writer, s *dramless.HistogramSet) {
 }
 
 // printPercentilesJSON emits the percentile table as a JSON array, one
-// record per non-empty instrument per file, all values in integer
-// picoseconds. Hand-rendered so the output is byte-deterministic.
-func printPercentilesJSON(w io.Writer, paths []string, sets []*dramless.HistogramSet) error {
+// record per non-empty instrument, all values in integer picoseconds.
+// Hand-rendered so the output is byte-deterministic.
+func printPercentilesJSON(w io.Writer, path string, s *dramless.HistogramSet) error {
 	bw := &strings.Builder{}
 	bw.WriteString("[")
 	first := true
-	for i, s := range sets {
-		for _, h := range s.All() {
-			if h.Count() == 0 {
-				continue
-			}
-			if !first {
-				bw.WriteString(",")
-			}
-			first = false
-			fmt.Fprintf(bw, "\n  {\"file\": %q, \"instrument\": %q, \"count\": %d", paths[i], h.Name(), h.Count())
-			labels := []string{"p50", "p90", "p99", "p999"}
-			for j, p := range reportPercentiles {
-				fmt.Fprintf(bw, ", %q: %d", labels[j], h.Percentile(p))
-			}
-			fmt.Fprintf(bw, ", \"max_ps\": %d}", h.Max())
+	for _, h := range s.All() {
+		if h.Count() == 0 {
+			continue
 		}
+		if !first {
+			bw.WriteString(",")
+		}
+		first = false
+		fmt.Fprintf(bw, "\n  {\"file\": %q, \"instrument\": %q, \"count\": %d", path, h.Name(), h.Count())
+		labels := []string{"p50", "p90", "p99", "p999"}
+		for j, p := range reportPercentiles {
+			fmt.Fprintf(bw, ", %q: %d", labels[j], h.Percentile(p))
+		}
+		fmt.Fprintf(bw, ", \"max_ps\": %d}", h.Max())
 	}
 	bw.WriteString("\n]\n")
 	_, err := io.WriteString(w, bw.String())
 	return err
-}
-
-// printComparison renders two exports' percentiles side by side with the
-// p99 delta, pairing instruments by name in the first file's order; an
-// instrument only one file registers gets an "only in" row instead.
-func printComparison(w io.Writer, paths []string, a, b *dramless.HistogramSet) {
-	fmt.Fprintf(w, "A = %s\nB = %s\n\n", paths[0], paths[1])
-	fmt.Fprintf(w, "%-28s %12s %12s %12s %12s %8s\n",
-		"instrument", "A.p50", "B.p50", "A.p99", "B.p99", "Δp99")
-	for _, ha := range a.All() {
-		hb := b.Lookup(ha.Name())
-		if hb == nil {
-			fmt.Fprintf(w, "%-28s only in A (count %d)\n", ha.Name(), ha.Count())
-			continue
-		}
-		if ha.Count() == 0 && hb.Count() == 0 {
-			continue
-		}
-		delta := "n/a"
-		if ap99 := ha.Percentile(99); ap99 > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*float64(hb.Percentile(99)-ap99)/float64(ap99))
-		}
-		fmt.Fprintf(w, "%-28s %12s %12s %12s %12s %8s\n", ha.Name(),
-			fmtPS(ha.Percentile(50)), fmtPS(hb.Percentile(50)),
-			fmtPS(ha.Percentile(99)), fmtPS(hb.Percentile(99)), delta)
-	}
-	for _, hb := range b.All() {
-		if a.Lookup(hb.Name()) == nil {
-			fmt.Fprintf(w, "%-28s only in B (count %d)\n", hb.Name(), hb.Count())
-		}
-	}
 }
 
 // printCDF renders one instrument's cumulative distribution as text:

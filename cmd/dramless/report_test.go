@@ -28,7 +28,7 @@ func goldenSet() *dramless.HistogramSet {
 // update the golden deliberately or fix the regression.
 func TestReportGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report(&buf, []string{"golden.json"}, []*dramless.HistogramSet{goldenSet()}, "", false); err != nil {
+	if err := report(&buf, "golden.json", goldenSet(), "", false); err != nil {
 		t.Fatal(err)
 	}
 	const want = "" +
@@ -44,7 +44,7 @@ func TestReportGolden(t *testing.T) {
 // per-bucket cumulative view).
 func TestReportCDFGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report(&buf, []string{"golden.json"}, []*dramless.HistogramSet{goldenSet()}, "pram.write", false); err != nil {
+	if err := report(&buf, "golden.json", goldenSet(), "pram.write", false); err != nil {
 		t.Fatal(err)
 	}
 	const want = "" +
@@ -59,11 +59,11 @@ func TestReportCDFGolden(t *testing.T) {
 // picoseconds, zero-count instruments skipped.
 func TestReportJSON(t *testing.T) {
 	var a, b bytes.Buffer
-	sets := []*dramless.HistogramSet{goldenSet()}
-	if err := report(&a, []string{"golden.json"}, sets, "", true); err != nil {
+	s := goldenSet()
+	if err := report(&a, "golden.json", s, "", true); err != nil {
 		t.Fatal(err)
 	}
-	if err := report(&b, []string{"golden.json"}, sets, "", true); err != nil {
+	if err := report(&b, "golden.json", s, "", true); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -76,45 +76,5 @@ func TestReportJSON(t *testing.T) {
 	}
 	if bytes.Contains(a.Bytes(), []byte("pram.empty")) {
 		t.Errorf("-json output must skip zero-count instruments:\n%s", a.String())
-	}
-}
-
-// TestReportComparison smoke-tests the two-file side-by-side view
-// through the same writer-based entry point the golden tests use.
-func TestReportComparison(t *testing.T) {
-	var buf bytes.Buffer
-	sets := []*dramless.HistogramSet{goldenSet(), goldenSet()}
-	if err := report(&buf, []string{"a.json", "b.json"}, sets, "", false); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"A = a.json", "B = b.json", "pram.read", "+0.0%"} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("comparison output missing %q:\n%s", want, buf.String())
-		}
-	}
-}
-
-// TestReportComparisonOneSided pins the rows of instruments only one
-// file registers: each side says so with its count, instead of
-// rendering the missing side as a 0 ps measurement.
-func TestReportComparisonOneSided(t *testing.T) {
-	a, b := goldenSet(), goldenSet()
-	a.Get("only.a").Record(1000)
-	b.Get("only.b").Record(1000)
-	b.Get("only.b").Record(2000)
-	var buf bytes.Buffer
-	if err := report(&buf, []string{"a.json", "b.json"}, []*dramless.HistogramSet{a, b}, "", false); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"only.a                       only in A (count 1)\n",
-		"only.b                       only in B (count 2)\n",
-	} {
-		if !bytes.Contains(buf.Bytes(), []byte(want)) {
-			t.Errorf("comparison missing %q:\n%s", want, buf.String())
-		}
-	}
-	if bytes.Contains(buf.Bytes(), []byte("0ps")) {
-		t.Errorf("a one-sided instrument must not render as 0 ps:\n%s", buf.String())
 	}
 }

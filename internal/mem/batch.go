@@ -98,65 +98,3 @@ func advance(res *RunResult, start, done sim.Time, issue sim.Duration) {
 	res.Now = end
 	res.Done++
 }
-
-// runBounds validates the whole run's address range once so per-access
-// iterations can skip their range checks.
-func runBounds(what string, size uint64, r Run) error {
-	addr := r.Addr
-	for i := 0; i < r.Count; i++ {
-		if err := CheckRange(what, size, addr, r.Size); err != nil {
-			return err
-		}
-		addr = uint64(int64(addr) + r.Stride)
-	}
-	return nil
-}
-
-var _ Batcher = (*Flat)(nil)
-
-// ReadRun implements Batcher. Flat has no protocol state beyond the
-// bus, so the fast path charges each access's bus time but copies bytes
-// only for the last access - the only one visible in dst.
-func (f *Flat) ReadRun(now sim.Time, r Run, dst []byte) (RunResult, error) {
-	if err := runBounds(f.name, f.size, r); err != nil {
-		return RunResult{Now: now}, err
-	}
-	res := RunResult{Now: now}
-	for res.Done < r.Count {
-		start := res.Now + r.Gap
-		done := f.bus.Transfer(start+f.latency, int64(r.Size))
-		f.reads++
-		f.bytesOut += int64(r.Size)
-		advance(&res, start, done, r.Issue)
-		if r.OnOp != nil {
-			r.OnOp(start, res.Now)
-		}
-	}
-	if r.Count > 0 {
-		f.store.ReadInto(uint64(int64(r.Addr)+int64(r.Count-1)*r.Stride), dst[:r.Size])
-	}
-	return res, nil
-}
-
-// WriteRun implements Batcher; every store must land (addresses
-// differ), so only the range checks are hoisted.
-func (f *Flat) WriteRun(now sim.Time, r Run, src []byte) (RunResult, error) {
-	if err := runBounds(f.name, f.size, r); err != nil {
-		return RunResult{Now: now}, err
-	}
-	res := RunResult{Now: now}
-	addr := r.Addr
-	for res.Done < r.Count {
-		start := res.Now + r.Gap
-		done := f.bus.Transfer(start+f.latency, int64(r.Size))
-		f.store.Write(addr, src[:r.Size])
-		f.writes++
-		f.bytesIn += int64(r.Size)
-		advance(&res, start, done, r.Issue)
-		if r.OnOp != nil {
-			r.OnOp(start, res.Now)
-		}
-		addr = uint64(int64(addr) + r.Stride)
-	}
-	return res, nil
-}

@@ -52,6 +52,10 @@ type channel struct {
 	rWaves      [][]*rowReq
 	wWaves      [][]*writeReq
 	claimed     []uint8
+	// oneRead is readRowInto's single request. It lives on the channel
+	// because readBatch keeps pointers to its requests in rWaves, which
+	// would move a stack copy to the heap on every call.
+	oneRead [1]rowReq
 
 	// tr records per-channel timeline spans when tracing is on; proc is
 	// the channel's trace process name and tracks the per-package thread
@@ -237,11 +241,11 @@ type rowReq struct {
 // readRowInto reads len(dst) bytes at column col of module-local row
 // rowAddr on module mod into dst, starting no earlier than at.
 func (ch *channel) readRowInto(at sim.Time, mod int, rowAddr uint64, col int, dst []byte) (done sim.Time, err error) {
-	reqs := [1]rowReq{{mod: mod, row: rowAddr, col: col, dst: dst}}
-	if err := ch.readBatch(at, reqs[:]); err != nil {
+	ch.oneRead[0] = rowReq{mod: mod, row: rowAddr, col: col, dst: dst}
+	if err := ch.readBatch(at, ch.oneRead[:]); err != nil {
 		return 0, err
 	}
-	return reqs[0].done, nil
+	return ch.oneRead[0].done, nil
 }
 
 // readBatch processes a set of row reads. With an interleaving scheduler

@@ -50,6 +50,12 @@ func (s *Subsystem) Release() {
 	}
 	for _, ch := range s.channels {
 		if ch.rWaves != nil {
+			// A wave can point at the channel's own oneRead; clear the
+			// stale pointers so the pooled tables do not keep this
+			// released channel (and its modules) reachable.
+			for _, w := range ch.rWaves {
+				clear(w[:cap(w)])
+			}
 			scratchPool.rWaves.Put(struct{}{}, ch.rWaves)
 			ch.rWaves = nil
 		}

@@ -121,13 +121,14 @@ func (b *Blame) MarshalJSON() ([]byte, error) {
 func (b *Blame) WriteJSON(w io.Writer) error { return writeIndented(w, b) }
 
 // ReadBlameJSON parses a WriteJSON/MarshalJSON export back into a
-// Blame (the blame subcommand's file and diff modes work from exported
-// files, not live runs). Accounts hold simulated time, so a negative
-// one - listed, or reached by summing a repeated name past the int64
-// range - is rejected.
+// Blame (the blame and diff commands work from exported files, not
+// live runs). Accounts hold simulated time, so a negative one - listed,
+// or reached by summing a repeated name past the int64 range - is
+// rejected. So is a field no account has: a histogram export is an
+// error here, not a set of zero accounts.
 func ReadBlameJSON(r io.Reader) (*Blame, error) {
 	var in []BlameEntry
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	if err := decodeStrict(r, &in); err != nil {
 		return nil, fmt.Errorf("obs: parsing blame export: %w", err)
 	}
 	b := NewBlame()

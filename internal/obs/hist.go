@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -391,14 +390,15 @@ func (s *HistogramSet) WriteCSV(w io.Writer) error {
 }
 
 // ReadHistogramsJSON parses a WriteJSON export back into a set (the
-// report and compare tools work from exported files, not live runs). It
+// report and diff commands work from exported files, not live runs). It
 // rejects a histogram no recording could have produced: an out-of-range
 // bucket, a negative bucket count, bucket counts that do not sum to
 // count, a min/max outside the first/last non-empty bucket, or
-// min > max.
+// min > max. So is a field no histogram has: a blame export is an
+// error here, not an empty set.
 func ReadHistogramsJSON(r io.Reader) (*HistogramSet, error) {
 	var in []histJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	if err := decodeStrict(r, &in); err != nil {
 		return nil, fmt.Errorf("obs: parsing histogram export: %w", err)
 	}
 	s := &HistogramSet{}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,55 @@ func TestReadHistogramsJSONAcceptsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHistogramInvariants(t, s)
+}
+
+// corpusSeed returns the bytes of one committed fuzz corpus entry (a
+// "go test fuzz v1" file holding a single []byte value).
+func corpusSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a single []byte corpus entry", path)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(data)
+}
+
+// TestReadersRejectOtherFamily pins that each reader refuses the other
+// family's export by its unknown fields: a blame export is not an empty
+// histogram set, and a histogram export is not a set of zero accounts.
+// The committed seeds read back under their own family's reader, and
+// data after the one export in a file is an error too.
+func TestReadersRejectOtherFamily(t *testing.T) {
+	hist := corpusSeed(t, "testdata/fuzz/FuzzReadHistogramsJSON/hist-baseline")
+	blame := corpusSeed(t, "testdata/fuzz/FuzzReadBlameJSON/blame-dramless-gemver")
+	if _, err := ReadHistogramsJSON(bytes.NewReader(hist)); err != nil {
+		t.Fatalf("histogram seed: %v", err)
+	}
+	if _, err := ReadBlameJSON(bytes.NewReader(blame)); err != nil {
+		t.Fatalf("blame seed: %v", err)
+	}
+	if _, err := ReadHistogramsJSON(bytes.NewReader(blame)); err == nil || !strings.Contains(err.Error(), `unknown field "ps"`) {
+		t.Errorf("blame export read as histograms: err = %v", err)
+	}
+	if _, err := ReadBlameJSON(bytes.NewReader(hist)); err == nil || !strings.Contains(err.Error(), `unknown field "count"`) {
+		t.Errorf("histogram export read as blame: err = %v", err)
+	}
+	for _, trailing := range []string{"[] x", `[] [{"name":"y"}]`} {
+		if _, err := ReadHistogramsJSON(strings.NewReader(trailing)); err == nil || !strings.Contains(err.Error(), "data after the export") {
+			t.Errorf("%q read as histograms: err = %v", trailing, err)
+		}
+		if _, err := ReadBlameJSON(strings.NewReader(trailing)); err == nil || !strings.Contains(err.Error(), "data after the export") {
+			t.Errorf("%q read as blame: err = %v", trailing, err)
+		}
+	}
 }
 
 // checkHistogramInvariants fails t unless every histogram in s is one a

@@ -188,3 +188,20 @@ func writeIndented(w io.Writer, m json.Marshaler) error {
 	_, err = buf.WriteTo(w)
 	return err
 }
+
+// decodeStrict decodes the one JSON value r holds into v, rejecting
+// fields v does not declare and anything after the value. The family
+// readers use it so an export of another family, or a file with more
+// than one export in it, is an error instead of a silently empty,
+// zeroed or partial result.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the export at offset %d", dec.InputOffset())
+	}
+	return nil
+}

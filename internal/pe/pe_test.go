@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dramless/internal/cache"
 	"dramless/internal/mem"
 	"dramless/internal/sim"
 	"dramless/internal/workload"
@@ -26,6 +27,18 @@ func (s *opsStream) Next() (workload.Op, bool) {
 
 func fastMem() mem.Device {
 	return mem.NewFlat("m", 1<<20, sim.Nanoseconds(100), 10e9)
+}
+
+// cachedMem is the production shape of a PE's memory: an L1 data cache,
+// whose ReadRun/WriteRun give the PE its batched fast path, over a flat
+// backing store.
+func cachedMem(t *testing.T) mem.Device {
+	t.Helper()
+	l1, err := cache.New(cache.L1Data(), fastMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l1
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -148,11 +161,11 @@ func TestActiveSpans(t *testing.T) {
 	}
 }
 
-// recordedRun runs ops on one PE with IPC sampling and span recording
-// on, and returns the PE and how many Steps it took.
+// recordedRun runs ops on one PE over an L1 cache with IPC sampling and
+// span recording on, and returns the PE and how many Steps it took.
 func recordedRun(t *testing.T, cfg Config, ops []workload.Op) (*PE, int) {
 	t.Helper()
-	p, err := New(3, cfg, fastMem(), &opsStream{ops: ops}, sim.Nanoseconds(7))
+	p, err := New(3, cfg, cachedMem(t), &opsStream{ops: ops}, sim.Nanoseconds(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,6 @@
 //	go test -run '^$' -bench . . | benchjson -compare BENCH_suite.json
 //
 // Input lines are echoed to stdout, so the tool tees transparently.
-//
-// With -hist and -hist-base, the tool instead diffs two `dramless run
-// -hist` JSON exports: per-instrument p99 latency deltas go to stderr
-// and the exit status is 1 when any instrument's p99 regressed by more
-// than -hist-threshold, or a baseline instrument with samples is missing
-// or empty in the current export. Stdin is not read in this mode:
-//
-//	benchjson -hist current.json -hist-base HIST_baseline.json
 package main
 
 import (
@@ -37,14 +29,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
-
-	"dramless/internal/obs"
 )
 
 // result is one benchmark line.
@@ -91,26 +80,7 @@ func main() {
 	out := flag.String("out", "BENCH_suite.json", "output JSON file")
 	compare := flag.String("compare", "", "baseline JSON file: diff ns/op against it instead of writing")
 	threshold := flag.Float64("threshold", 0.10, "with -compare, fail on ns/op regressions above this fraction")
-	hist := flag.String("hist", "", "current `dramless run -hist` JSON export (requires -hist-base)")
-	histBase := flag.String("hist-base", "", "baseline histogram export: diff per-instrument p99 against it")
-	histThreshold := flag.Float64("hist-threshold", 0.10, "with -hist, fail on p99 latency regressions above this fraction")
 	flag.Parse()
-
-	if *hist != "" || *histBase != "" {
-		if *hist == "" || *histBase == "" {
-			fmt.Fprintln(os.Stderr, "benchjson: -hist and -hist-base must be given together")
-			os.Exit(2)
-		}
-		ok, err := compareHistograms(os.Stderr, *hist, *histBase, *histThreshold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
 
 	doc := document{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -251,83 +221,6 @@ func compareBaseline(doc document, path string, threshold float64) (bool, error)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within %.0f%% of %s\n",
 		compared, threshold*100, path)
-	return true, nil
-}
-
-// readHistograms loads one `dramless run -hist` JSON export.
-func readHistograms(path string) (*obs.HistogramSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("benchjson: %w", err)
-	}
-	defer f.Close()
-	s, err := obs.ReadHistogramsJSON(f)
-	if err != nil {
-		return nil, fmt.Errorf("benchjson: %s: %w", path, err)
-	}
-	return s, nil
-}
-
-// compareHistograms diffs per-instrument p99 latency between two
-// histogram exports, printing one line per instrument to w. It reports
-// false when any instrument shared with the baseline regressed by more
-// than threshold (fractional), or when a baseline instrument with
-// samples is missing or empty in the current export: an instrument that
-// stopped recording is a regression, not a pass. The simulator is
-// deterministic, so unlike wall-clock benchmarks any p99 drift here is a
-// real behavioral change; the threshold only absorbs intended model
-// tuning.
-func compareHistograms(w io.Writer, curPath, basePath string, threshold float64) (bool, error) {
-	cur, err := readHistograms(curPath)
-	if err != nil {
-		return false, err
-	}
-	base, err := readHistograms(basePath)
-	if err != nil {
-		return false, err
-	}
-	regressions, compared := 0, 0
-	for _, h := range cur.All() {
-		if h.Count() == 0 {
-			continue
-		}
-		p99 := h.Percentile(99)
-		b := base.Lookup(h.Name())
-		if b == nil || b.Count() == 0 {
-			fmt.Fprintf(w, "benchjson: %-30s p99 %14d ps  (new, no baseline)\n", h.Name(), p99)
-			continue
-		}
-		compared++
-		old := b.Percentile(99)
-		delta := 0.0
-		if old > 0 {
-			delta = float64(p99)/float64(old) - 1
-		}
-		mark := ""
-		if delta > threshold {
-			mark = "  REGRESSION"
-			regressions++
-		}
-		fmt.Fprintf(w, "benchjson: %-30s p99 %14d ps  vs %14d  %+7.1f%%%s\n",
-			h.Name(), p99, old, delta*100, mark)
-	}
-	for _, b := range base.All() {
-		if b.Count() > 0 && cur.Lookup(b.Name()).Count() == 0 {
-			fmt.Fprintf(w, "benchjson: %-30s missing or empty (baseline p99 %d ps)  REGRESSION\n",
-				b.Name(), b.Percentile(99))
-			regressions++
-		}
-	}
-	if compared == 0 {
-		return false, fmt.Errorf("benchjson: no instruments in common between %s and %s", curPath, basePath)
-	}
-	if regressions > 0 {
-		fmt.Fprintf(w, "benchjson: %d instrument(s) regressed or vanished vs %s (p99 threshold %.0f%%)\n",
-			regressions, basePath, threshold*100)
-		return false, nil
-	}
-	fmt.Fprintf(w, "benchjson: %d instrument(s) within %.0f%% of %s\n",
-		compared, threshold*100, basePath)
 	return true, nil
 }
 
