@@ -143,15 +143,17 @@ examples-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Fuzz smoke: a few seconds of each export-file reader fuzzer and of the
-# CLI file modes built on them (`dramless report`/`blame` on one file,
-# `dramless diff` on two),
+# Fuzz smoke: a few seconds of the time-series primitives (Add, AddSpan
+# and Spread on both element types, up to the window cap), of each
+# export-file reader fuzzer and of the CLI file modes built on them
+# (`dramless report`/`blame` on one file, `dramless diff` on two),
 # starting from the committed seed corpora (testdata/fuzz) and the
 # reference-run histogram export. Go's input minimizer would spend the
 # whole budget shrinking the first new input of a large seed, so
 # minimization is off; a failing input is still written to
 # testdata/fuzz for replay.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSeries$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadHistogramsJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBlameJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReportFiles$$' -fuzztime 5s -fuzzminimizetime 0 ./cmd/dramless/
@@ -167,13 +169,14 @@ fmt-check:
 
 # Pre-merge gate: everything a PR must pass before landing - build,
 # tests, race detector, go vet, gofmt, the example programs, the
-# perfbench module's vet and tests, and the two deterministic export
-# gates (the p99 latency gate and the blame diff smoke, ~2 s together).
-# `make verify` is its alias.
-ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check hist-compare blame-smoke
+# perfbench module's vet and tests, the two deterministic export gates
+# (the p99 latency gate and the blame diff smoke, ~2 s together) and the
+# deterministic scheduler tournament smoke (~5 s). `make verify` is its
+# alias.
+ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check hist-compare blame-smoke arena-smoke
 
 # ci plus the host-timing benchmark gate against the committed
-# baseline, the scheduler tournament smoke run and the reader fuzzers.
-ci-full: ci bench-compare arena-smoke fuzz-smoke
+# baseline and the fuzzers.
+ci-full: ci bench-compare fuzz-smoke
 
 verify: ci

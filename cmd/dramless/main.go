@@ -400,6 +400,14 @@ func cmdArena(args []string) {
 		eng.Stats(), eng.PrefixStats(), time.Since(wall).Round(time.Millisecond))
 }
 
+// share returns part's fraction of total (0 when total is 0).
+func share(part, total float64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return part / total
+}
+
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	sysName := fs.String("system", "DRAM-less", "system organization (see list)")
@@ -490,8 +498,13 @@ func cmdRun(args []string) {
 	fmt.Printf("throughput %.1f MB/s\n\n", res.BandwidthMBps())
 
 	fmt.Println("time decomposition:")
-	for _, k := range res.Time.Keys() {
-		fmt.Printf("  %-10s %6.1f%%\n", k, res.Time.Share(k)*100)
+	parts := res.TimeParts()
+	var wall float64
+	for _, p := range parts {
+		wall += p.Seconds
+	}
+	for _, p := range parts {
+		fmt.Printf("  %-10s %6.1f%%\n", p.Name, share(p.Seconds, wall)*100)
 	}
 	fmt.Println("energy decomposition:")
 	bd := res.Energy.Breakdown()
@@ -499,7 +512,7 @@ func cmdRun(args []string) {
 		if bd.Get(k) == 0 {
 			continue
 		}
-		fmt.Printf("  %-12s %10.4g J  (%4.1f%%)\n", k, bd.Get(k), bd.Share(k)*100)
+		fmt.Printf("  %-12s %10.4g J  (%4.1f%%)\n", k, bd.Get(k), share(bd.Get(k), res.Energy.Total())*100)
 	}
 	fmt.Printf("total energy %.4g J\n\n", res.Energy.Total())
 

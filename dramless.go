@@ -111,7 +111,7 @@ type HistogramBucket = obs.Bucket
 // Series is one per-simulated-time-window accumulation (bytes moved, PE
 // busy picoseconds, ... per window). Obtain handles from
 // Observer.Series().
-type Series = obs.Series
+type Series = obs.Series[int64]
 
 // SeriesSet is an Observer's ordered registry of time series.
 type SeriesSet = obs.SeriesSet

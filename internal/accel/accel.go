@@ -7,6 +7,7 @@
 package accel
 
 import (
+	"errors"
 	"fmt"
 
 	"dramless/internal/cache"
@@ -15,7 +16,6 @@ import (
 	"dramless/internal/obs"
 	"dramless/internal/pe"
 	"dramless/internal/sim"
-	"dramless/internal/stats"
 	"dramless/internal/workload"
 )
 
@@ -276,7 +276,7 @@ type Report struct {
 	Start  sim.Time
 	End    sim.Time // last agent finished, caches flushed, backend drained
 	Agents []AgentRun
-	IPC    *stats.Series // aggregate instructions per bucket (nil unless sampled)
+	IPC    *obs.Series[float64] // aggregate instructions per window (nil unless sampled)
 	// Spans holds each agent's active intervals, indexed like Agents
 	// (sampled reports only). The energy model reads them through
 	// EachSpan and then drops them.
@@ -502,7 +502,7 @@ func (a *Accelerator) collect(runners []runner) (*Report, error) {
 	rep := &Report{Start: 1<<62 - 1}
 	sampled := a.cfg.SampleInterval > 0
 	if sampled {
-		rep.IPC = stats.NewSeries(a.cfg.SampleInterval)
+		rep.IPC = obs.NewSeries[float64](obs.SeriesAccelInstrs, a.cfg.SampleInterval)
 	}
 	tr := a.cfg.Obs.Tracer()
 	var hKernel, hFlush *obs.Histogram
@@ -549,9 +549,8 @@ func (a *Accelerator) collect(runners []runner) (*Report, error) {
 			return nil, err
 		}
 		if sampled {
-			ipc := core.IPCSeries()
-			for b := 0; b < ipc.Len(); b++ {
-				rep.IPC.Accumulate(ipc.BucketStart(b), ipc.At(b))
+			if err := rep.IPC.Merge(core.IPCSeries()); err != nil {
+				return nil, err
 			}
 			rep.Spans = append(rep.Spans, core.ActiveSpans())
 		}
@@ -561,6 +560,10 @@ func (a *Accelerator) collect(runners []runner) (*Report, error) {
 		r.l2.Release()
 		rep.Start = min(rep.Start, kStart)
 		rep.End = sim.Max(rep.End, d)
+	}
+	// A series that ran past its window cap dropped samples.
+	if err := errors.Join(rep.IPC.Err(), a.cfg.Obs.Series().Err()); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dramless/internal/obs"
@@ -312,6 +313,32 @@ func TestRunJobsTraced(t *testing.T) {
 			if s == nil || s.Len() == 0 {
 				t.Errorf("job %d agent %d: no active spans recorded", i, j)
 			}
+		}
+	}
+}
+
+// TestSeriesOverflowIsAnError starts RunKernel and RunJobs at 1 ms with
+// 1 ps series windows, so every sample falls past the window cap: both
+// must return an error naming the overflowed series.
+func TestSeriesOverflowIsAnError(t *testing.T) {
+	sampled := Default()
+	sampled.SampleInterval = 1
+	observed := Default()
+	observed.Obs = obs.New(obs.WithSeriesWindow(1))
+	for _, tc := range []struct {
+		name, series string
+		cfg          Config
+	}{
+		{"sampled", obs.SeriesAccelInstrs, sampled},
+		{"observed", obs.SeriesPEBusy, observed},
+	} {
+		job := smallJob("gemver", 0)
+		_, err := MustNew(tc.cfg, fastBackend()).RunKernel(sim.Millisecond, job.Kernel, workload.Params{Scale: 64 << 10, Agents: 7})
+		if err == nil || !strings.Contains(err.Error(), tc.series) {
+			t.Errorf("%s RunKernel: err = %v, want one naming %s", tc.name, err, tc.series)
+		}
+		if _, err := MustNew(tc.cfg, fastBackend()).RunJobs(sim.Millisecond, []Job{job}); err == nil {
+			t.Errorf("%s RunJobs: no error", tc.name)
 		}
 	}
 }

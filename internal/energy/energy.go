@@ -1,7 +1,7 @@
 // Package energy implements the power and energy accounting behind the
 // paper's efficiency results (Figures 1, 17, 20, 21): per-operation
 // energies for the memories and media, busy-time power for processors and
-// links, and a time-series recorder for the power/energy plots.
+// links, and a power time series for the power/energy plots.
 //
 // Absolute joules depend on constants no simulation can fully pin down;
 // what the experiments rely on is their relative order of magnitude
@@ -11,9 +11,10 @@ package energy
 
 import (
 	"fmt"
+	"slices"
 
+	"dramless/internal/obs"
 	"dramless/internal/sim"
-	"dramless/internal/stats"
 )
 
 // Params holds the energy model constants.
@@ -110,18 +111,46 @@ const (
 // over time for the Figure 20/21 plots.
 type Account struct {
 	params Params
-	byComp *stats.Breakdown
-	series *stats.Series // joules per bucket; nil unless enabled
+	byComp Components
+	series *obs.Series[float64] // joules per window; nil unless enabled
+}
+
+// Components is an account's energy by component, in the order the
+// components were first charged.
+type Components struct {
+	names  []string
+	joules []float64
+}
+
+// Keys returns the component names in first-charge order.
+func (c *Components) Keys() []string { return slices.Clone(c.names) }
+
+// Get returns the joules charged to component (0 when absent).
+func (c *Components) Get(component string) float64 {
+	if i := slices.Index(c.names, component); i >= 0 {
+		return c.joules[i]
+	}
+	return 0
+}
+
+func (c *Components) add(component string, joules float64) {
+	i := slices.Index(c.names, component)
+	if i < 0 {
+		i = len(c.names)
+		c.names = append(c.names, component)
+		c.joules = append(c.joules, 0)
+	}
+	c.joules[i] += joules
 }
 
 // NewAccount returns an account using params.
 func NewAccount(params Params) *Account {
-	return &Account{params: params, byComp: stats.NewBreakdown()}
+	return &Account{params: params}
 }
 
-// EnableSeries turns on power sampling with the given bucket interval.
+// EnableSeries turns on power sampling with the given window.
 func (a *Account) EnableSeries(interval sim.Duration) {
-	a.series = stats.NewSeries(interval)
+	a.series = obs.NewSeries[float64](obs.SeriesEnergy, interval)
 }
 
 // Params returns the model constants.
@@ -129,19 +158,17 @@ func (a *Account) Params() Params { return a.params }
 
 // Add charges joules to a component with no time attribution.
 func (a *Account) Add(component string, joules float64) {
-	a.byComp.Add(component, joules)
+	a.byComp.add(component, joules)
 }
 
 // AddSpan charges joules to a component spread uniformly over [t0, t1),
 // feeding both the breakdown and the power series.
 func (a *Account) AddSpan(component string, joules float64, t0, t1 sim.Time) {
-	a.byComp.Add(component, joules)
-	if a.series != nil {
-		if t1 <= t0 {
-			a.series.Accumulate(t0, joules)
-		} else {
-			a.series.Spread(t0, t1, joules)
-		}
+	a.byComp.add(component, joules)
+	if t1 <= t0 {
+		a.series.Add(t0, joules)
+	} else {
+		a.series.Spread(t0, t1, joules)
 	}
 }
 
@@ -154,31 +181,31 @@ func (a *Account) AddPower(component string, watts float64, t0, t1 sim.Time) {
 }
 
 // Breakdown returns the per-component totals.
-func (a *Account) Breakdown() *stats.Breakdown { return a.byComp }
+func (a *Account) Breakdown() *Components { return &a.byComp }
 
-// Total returns total joules.
-func (a *Account) Total() float64 { return a.byComp.Total() }
+// Total returns total joules, summed in first-charge order: float
+// addition is not associative, so a fixed order keeps the low bits of
+// the total deterministic.
+func (a *Account) Total() float64 {
+	var t float64
+	for _, j := range a.byComp.joules {
+		t += j
+	}
+	return t
+}
 
-// PowerSeries returns the sampled series (watts per bucket) or nil.
+// PowerSeries returns the sampled series (watts per window) or nil.
 func (a *Account) PowerSeries() []float64 {
 	if a.series == nil {
 		return nil
 	}
-	return a.series.Rate()
+	sec := a.series.Window().Seconds()
+	out := make([]float64, a.series.Len())
+	for i := range out {
+		out[i] = a.series.At(i) / sec
+	}
+	return out
 }
 
-// EnergySeries returns cumulative joules per bucket or nil.
-func (a *Account) EnergySeries() []float64 {
-	if a.series == nil {
-		return nil
-	}
-	return a.series.Cumulative()
-}
-
-// SeriesInterval returns the sampling interval (0 when disabled).
-func (a *Account) SeriesInterval() sim.Duration {
-	if a.series == nil {
-		return 0
-	}
-	return a.series.Interval
-}
+// Err reports a power series that ran past its window cap.
+func (a *Account) Err() error { return a.series.Err() }

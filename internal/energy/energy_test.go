@@ -50,6 +50,33 @@ func TestAccountBreakdown(t *testing.T) {
 	}
 }
 
+// TestBreakdown pins the component totals: repeated charges add up,
+// Keys keeps first-charge order, and an absent component reads 0.
+func TestBreakdown(t *testing.T) {
+	a := NewAccount(Default())
+	a.Add("compute", 3)
+	a.Add("storage", 6)
+	a.Add("compute", 1)
+	b := a.Breakdown()
+	if got := b.Get("compute"); got != 4 {
+		t.Fatalf("compute = %v, want 4", got)
+	}
+	if got := b.Get("absent"); got != 0 {
+		t.Fatalf("absent = %v, want 0", got)
+	}
+	if got := a.Total(); got != 10 {
+		t.Fatalf("total = %v, want 10", got)
+	}
+	keys := b.Keys()
+	if len(keys) != 2 || keys[0] != "compute" || keys[1] != "storage" {
+		t.Fatalf("keys = %v", keys)
+	}
+	keys[0] = "mutated"
+	if b.Keys()[0] != "compute" {
+		t.Fatal("Keys returned the account's own slice")
+	}
+}
+
 func TestAddPower(t *testing.T) {
 	a := NewAccount(Default())
 	a.AddPower(CompHost, 35, 0, sim.Second)
@@ -65,7 +92,7 @@ func TestAddPower(t *testing.T) {
 
 func TestPowerSeries(t *testing.T) {
 	a := NewAccount(Default())
-	if a.PowerSeries() != nil || a.EnergySeries() != nil {
+	if a.PowerSeries() != nil {
 		t.Fatal("series present before enabling")
 	}
 	a.EnableSeries(sim.Microsecond)
@@ -77,12 +104,8 @@ func TestPowerSeries(t *testing.T) {
 	if math.Abs(ps[0]-2) > 1e-6 || math.Abs(ps[1]-2) > 1e-6 {
 		t.Fatalf("power = %v, want [2 2]", ps)
 	}
-	es := a.EnergySeries()
-	if math.Abs(es[1]-4e-6) > 1e-12 {
-		t.Fatalf("cumulative energy = %v, want 4uJ", es[1])
-	}
-	if a.SeriesInterval() != sim.Microsecond {
-		t.Fatal("interval wrong")
+	if a.Err() != nil {
+		t.Fatal(a.Err())
 	}
 }
 
@@ -92,5 +115,26 @@ func TestAddSpanInstantaneous(t *testing.T) {
 	a.AddSpan(CompPRAM, 5e-9, 3*sim.Microsecond, 3*sim.Microsecond)
 	if got := a.Breakdown().Get(CompPRAM); got != 5e-9 {
 		t.Fatalf("instantaneous span lost energy: %v", got)
+	}
+}
+
+// TestSeriesCumulativeAndRate pins the power series as joules per
+// window over the window: 2 J in the first 1 us window reads 2 MW, and
+// the windows add back up to the joules charged.
+func TestSeriesCumulativeAndRate(t *testing.T) {
+	a := NewAccount(Default())
+	a.EnableSeries(sim.Microsecond)
+	a.AddSpan(CompCore, 2, 0, 0)
+	a.AddSpan(CompCore, 3, sim.Microsecond, sim.Microsecond)
+	ps := a.PowerSeries()
+	if len(ps) != 2 || math.Abs(ps[0]-2e6) > 1 || math.Abs(ps[1]-3e6) > 1 {
+		t.Fatalf("power = %v, want [2e6 3e6]", ps)
+	}
+	var joules float64
+	for _, w := range ps {
+		joules += w * sim.Microsecond.Seconds()
+	}
+	if math.Abs(joules-a.Total()) > 1e-12 {
+		t.Fatalf("series holds %v J, account %v J", joules, a.Total())
 	}
 }

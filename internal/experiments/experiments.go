@@ -12,10 +12,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
 
 	"dramless/internal/memctrl"
-	"dramless/internal/stats"
 	"dramless/internal/system"
 	"dramless/internal/workload"
 )
@@ -188,7 +189,31 @@ func (t *Table) Summary() string {
 		for _, r := range t.Rows {
 			vs = append(vs, r.Values[c])
 		}
-		fmt.Fprintf(&sb, " %s=%.3g", c, stats.Mean(vs))
+		fmt.Fprintf(&sb, " %s=%.3g", c, mean(vs))
 	}
 	return sb.String()
+}
+
+// mean returns the arithmetic mean of vs (0 when empty).
+func mean(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range vs {
+		s += v
+	}
+	return s / float64(len(vs))
+}
+
+// percentile returns the p-quantile (0..1) of vs by nearest rank on a
+// sorted copy. It returns 0 for empty input.
+func percentile(vs []float64, p float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	c := slices.Clone(vs)
+	slices.Sort(c)
+	idx := int(math.Ceil(p*float64(len(c)))) - 1
+	return c[min(max(idx, 0), len(c)-1)]
 }

@@ -336,3 +336,22 @@ func TestTableJSON(t *testing.T) {
 		t.Fatalf("tRCD = %v", parsed.Rows[0].Values["tRCD-ns"])
 	}
 }
+
+func TestPercentile(t *testing.T) {
+	vs := []float64{9, 1, 5, 3, 7}
+	for _, c := range []struct{ p, want float64 }{{0, 1}, {1, 9}, {0.5, 5}, {-1, 1}, {2, 9}, {0.2, 1}, {0.21, 3}} {
+		if got := percentile(vs, c.p); got != c.want {
+			t.Errorf("p%v = %v, want %v", c.p, got, c.want)
+		}
+	}
+	// Input must not be mutated.
+	if vs[0] != 9 || vs[1] != 1 {
+		t.Fatal("percentile sorted its input in place")
+	}
+	if percentile(nil, 0.5) != 0 || mean(nil) != 0 {
+		t.Error("empty input must read 0")
+	}
+	if got := mean(vs); got != 5 {
+		t.Errorf("mean = %v, want 5", got)
+	}
+}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"dramless/internal/energy"
 	"dramless/internal/memctrl"
 	"dramless/internal/sim"
-	"dramless/internal/stats"
 	"dramless/internal/system"
 	"dramless/internal/workload"
 )
@@ -54,7 +54,7 @@ func (e *Engine) Fig01() (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("mean normalized performance %.2f (degradation %.0f%%), mean normalized energy %.1fx (paper: up to 74%% degradation, ~9x energy)",
-			stats.Mean(perf), (1-stats.Mean(perf))*100, stats.Mean(en)))
+			mean(perf), (1-mean(perf))*100, mean(en)))
 	return t, nil
 }
 
@@ -85,7 +85,7 @@ func (e *Engine) Fig07() (*Table, error) {
 		degr = append(degr, d)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("mean degradation %.0f%%, max %.0f%% (paper: up to 80%%)",
-		stats.Mean(degr)*100, stats.Percentile(degr, 1)*100))
+		mean(degr)*100, percentile(degr, 1)*100))
 	return t, nil
 }
 
@@ -172,9 +172,9 @@ func (e *Engine) Fig13() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"mean gain over Bare-metal: Interleaving %.0f%%, Selective-erasing %.0f%%, Final %.0f%% (paper: 54%% max / 57%% / 77%%)",
-		(stats.Mean(gains[1])-1)*100,
-		(stats.Mean(gains[2])-1)*100,
-		(stats.Mean(gains[3])-1)*100))
+		(mean(gains[1])-1)*100,
+		(mean(gains[2])-1)*100,
+		(mean(gains[3])-1)*100))
 	return t, nil
 }
 
@@ -206,8 +206,8 @@ func (e *Engine) Fig15() (*Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	dl := stats.Mean(norm[system.DRAMLess])
-	hd := stats.Mean(norm[system.Heterodirect])
+	dl := mean(norm[system.DRAMLess])
+	hd := mean(norm[system.Heterodirect])
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"DRAM-less vs Hetero %.0f%%, vs Heterodirect %.0f%% (paper: +93%% and +47%%)",
 		(dl-1)*100, (dl/hd-1)*100))
@@ -224,17 +224,27 @@ func (e *Engine) Fig16() (*Table, error) {
 	e.prefetch(system.Fig15Kinds(), o.kernels())
 	comps := []string{system.TimeLoad, system.TimeCompute, system.TimeStall, system.TimeStore}
 	for _, kind := range system.Fig15Kinds() {
-		agg := stats.NewBreakdown()
+		sums := make([]float64, len(comps))
 		for _, k := range o.kernels() {
 			res, err := e.get(kind, k)
 			if err != nil {
 				return nil, err
 			}
-			agg.AddAll(res.Time)
+			for _, p := range res.TimeParts() {
+				sums[slices.Index(comps, p.Name)] += p.Seconds
+			}
+		}
+		var total float64
+		for _, v := range sums {
+			total += v
 		}
 		row := newRow(kind.String())
-		for _, c := range comps {
-			row.set(c, agg.Share(c))
+		for i, c := range comps {
+			if total == 0 {
+				row.set(c, 0)
+			} else {
+				row.set(c, sums[i]/total)
+			}
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -266,20 +276,22 @@ func (e *Engine) Fig17() (*Table, error) {
 	var dlNorm, hdNorm []float64
 	for _, kind := range system.Fig15Kinds() {
 		row := newRow(kind.String())
-		agg := stats.NewBreakdown()
+		sums := make([]float64, len(comps))
 		var norms []float64
 		for _, k := range o.kernels() {
 			res, err := e.get(kind, k)
 			if err != nil {
 				return nil, err
 			}
-			agg.AddAll(res.Energy.Breakdown())
+			for i, c := range comps {
+				sums[i] += res.Energy.Breakdown().Get(c)
+			}
 			norms = append(norms, res.Energy.Total()/baseTotals[k.Name])
 		}
-		for _, c := range comps {
-			row.set(c, agg.Get(c))
+		for i, c := range comps {
+			row.set(c, sums[i])
 		}
-		row.set("norm-total", stats.Mean(norms))
+		row.set("norm-total", mean(norms))
 		t.Rows = append(t.Rows, row)
 		if kind == system.DRAMLess {
 			dlNorm = norms
@@ -290,7 +302,7 @@ func (e *Engine) Fig17() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"DRAM-less energy = %.0f%% of Hetero, %.0f%% of Heterodirect (paper: 19%% of the advanced accelerated systems)",
-		stats.Mean(dlNorm)*100, stats.Mean(dlNorm)/stats.Mean(hdNorm)*100))
+		mean(dlNorm)*100, mean(dlNorm)/mean(hdNorm)*100))
 	return t, nil
 }
 
@@ -325,17 +337,16 @@ func (e *Engine) figIPC(id, kname string) (*Table, error) {
 		row := newRow(kind.String())
 		// Mean IPC, sustained (p50) and the stall fraction (zero-IPC buckets).
 		cycles := cfg.SampleInterval.Seconds() * 1e9
-		vals := res.Report.IPC.Values()
-		ipc := make([]float64, len(vals))
+		ipc := make([]float64, res.Report.IPC.Len())
 		zero := 0
-		for i, v := range vals {
-			ipc[i] = v / cycles
+		for i := range ipc {
+			ipc[i] = res.Report.IPC.At(i) / cycles
 			if ipc[i] < 0.05 {
 				zero++
 			}
 		}
-		row.set("mean-ipc", stats.Mean(ipc))
-		row.set("p50-ipc", stats.Percentile(ipc, 0.5))
+		row.set("mean-ipc", mean(ipc))
+		row.set("p50-ipc", percentile(ipc, 0.5))
 		row.set("idle-frac", float64(zero)/float64(max(1, len(ipc))))
 		row.set("samples", float64(len(ipc)))
 		t.Rows = append(t.Rows, row)
@@ -381,8 +392,8 @@ func (e *Engine) figPower(id, kname string) (*Table, error) {
 		}
 		row := newRow(kind.String())
 		ps := res.Energy.PowerSeries()
-		row.set("mean-power-w", stats.Mean(ps))
-		row.set("peak-power-w", stats.Percentile(ps, 1))
+		row.set("mean-power-w", mean(ps))
+		row.set("peak-power-w", percentile(ps, 1))
 		row.set("total-energy-uj", res.Energy.Total()*1e6)
 		row.set("completion-us", res.Total.Micros())
 		t.Rows = append(t.Rows, row)

@@ -72,11 +72,11 @@ type channel struct {
 	hRead         [4]*obs.Histogram
 	hWriteFull    *obs.Histogram
 	hWriteRMW     *obs.Histogram
-	sBytesRead    *obs.Series
-	sBytesWritten *obs.Series
-	sReads        *obs.Series
-	sRDBHits      *obs.Series
-	sRABHits      *obs.Series
+	sBytesRead    *obs.Series[int64]
+	sBytesWritten *obs.Series[int64]
+	sReads        *obs.Series[int64]
+	sRDBHits      *obs.Series[int64]
+	sRABHits      *obs.Series[int64]
 
 	stats Stats
 }

@@ -62,6 +62,13 @@ const (
 	// window; busy/(busy+stall) is the windowed busy fraction.
 	SeriesPEBusy  = "accel.pe_busy_ps"
 	SeriesPEStall = "accel.pe_stall_ps"
+
+	// Sampled float series (system.Config.SampleInterval), kept in the
+	// run's report rather than the Observer: instructions retired per
+	// window (the Figure 18/19 IPC) and joules per window (the Figure
+	// 20/21 power).
+	SeriesAccelInstrs = "accel.instructions"
+	SeriesEnergy      = "energy.joules"
 )
 
 // catalog holds every legal normalized instrument name.
@@ -84,7 +91,7 @@ func init() {
 		HistSystemLoad, HistSystemKernel, HistSystemStore,
 		SeriesMemBytesRead, SeriesMemBytesWritten,
 		SeriesMemReads, SeriesMemRDBHits, SeriesMemRABHits, SeriesMemWritePause,
-		SeriesPEBusy, SeriesPEStall,
+		SeriesPEBusy, SeriesPEStall, SeriesAccelInstrs, SeriesEnergy,
 	)
 	// Counter registry names (DESIGN.md §9 catalog), normalized.
 	catalogAll(

@@ -11,28 +11,43 @@ import (
 // over unless the Observer is built with WithSeriesWindow.
 const DefaultSeriesWindow = 10 * sim.Microsecond
 
-// Series accumulates an int64 value per fixed simulated-time window
-// (bytes moved, hits, busy picoseconds, ...). Windows are addressed by
+// maxWindows caps the windows one series holds, so a tiny window or a
+// far-off timestamp costs a returned error instead of the host's memory.
+// The longest `experiments -full` cell over all kinds, Integrated-TLC
+// gemver at 2 MiB, ends at 2.196 s of simulated time: 219,642 windows at
+// DefaultSeriesWindow. The cap is 41.9 s at that window, 19x that cell.
+const maxWindows = 1 << 22
+
+// Series accumulates a value per fixed simulated-time window: int64 for
+// the Observer's instruments (bytes moved, hits, busy picoseconds, ...),
+// float64 for the sampled IPC and power series. Windows are addressed by
 // simulated time only — window index = t/window — so the contents are
 // byte-deterministic and independent of host timing, worker count or
-// recording order: every record is an integer add into the window its
-// simulated timestamp selects. All methods are nil-safe; a nil *Series
-// is the disabled handle.
-type Series struct {
+// recording order: every record is an add into the window its simulated
+// timestamp selects. The window array grows on demand up to maxWindows;
+// a sample at or past the cap is dropped and marks the series
+// overflowed, which Err reports. All methods are nil-safe; a nil
+// *Series is the disabled handle.
+type Series[T int64 | float64] struct {
 	name   string
 	window sim.Duration
-	vals   []int64
+	vals   []T
+	// over is the time of the first dropped sample, 0 while none was
+	// (a sample past the cap is always at t > 0).
+	over sim.Time
 }
 
-func newSeries(name string, window sim.Duration) *Series {
+// NewSeries returns an empty series named name, accumulating over
+// window (DefaultSeriesWindow when <= 0).
+func NewSeries[T int64 | float64](name string, window sim.Duration) *Series[T] {
 	if window <= 0 {
 		window = DefaultSeriesWindow
 	}
-	return &Series{name: name, window: window, vals: make([]int64, 0, 64)}
+	return &Series[T]{name: name, window: window, vals: make([]T, 0, 64)}
 }
 
 // Name returns the instrument name.
-func (s *Series) Name() string {
+func (s *Series[T]) Name() string {
 	if s == nil {
 		return ""
 	}
@@ -40,7 +55,7 @@ func (s *Series) Name() string {
 }
 
 // Window returns the accumulation window.
-func (s *Series) Window() sim.Duration {
+func (s *Series[T]) Window() sim.Duration {
 	if s == nil {
 		return 0
 	}
@@ -49,7 +64,7 @@ func (s *Series) Window() sim.Duration {
 
 // Len returns the number of windows touched so far (index of the last
 // written window plus one).
-func (s *Series) Len() int {
+func (s *Series[T]) Len() int {
 	if s == nil {
 		return 0
 	}
@@ -57,33 +72,56 @@ func (s *Series) Len() int {
 }
 
 // At returns window i's accumulated value.
-func (s *Series) At(i int) int64 {
+func (s *Series[T]) At(i int) T {
 	if s == nil || i < 0 || i >= len(s.vals) {
 		return 0
 	}
 	return s.vals[i]
 }
 
+// Err reports a series that dropped samples at or past its cap, naming
+// the series, its window and the first time that overflowed; nil
+// otherwise.
+func (s *Series[T]) Err() error {
+	if s == nil || s.over == 0 {
+		return nil
+	}
+	return fmt.Errorf("obs: series %q overflowed: a %v window holds %d windows (%v of simulated time), but a sample reached %v",
+		s.name, s.window, maxWindows, sim.Time(maxWindows)*s.window, s.over)
+}
+
+// fits reports whether window i (the last one a sample touches) is
+// under the cap, marking the series overflowed at time t when not.
+func (s *Series[T]) fits(i, t sim.Time) bool {
+	if i < maxWindows {
+		return true
+	}
+	if s.over == 0 {
+		s.over = t
+	}
+	return false
+}
+
 // grow extends the window array through index i. Amortized append keeps
 // steady-state recording allocation-free once the run's time range has
 // been touched.
-func (s *Series) grow(i int) {
-	for len(s.vals) <= i {
-		s.vals = append(s.vals, 0)
+func (s *Series[T]) grow(i int) {
+	if n := i + 1 - len(s.vals); n > 0 {
+		s.vals = append(s.vals, make([]T, n)...)
 	}
 }
 
 // Add accumulates v into the window containing simulated time t.
 // Negative times clamp to window 0. Nil-safe.
-func (s *Series) Add(t sim.Time, v int64) {
+func (s *Series[T]) Add(t sim.Time, v T) {
 	if s == nil {
 		return
 	}
-	i := 0
-	if t > 0 {
-		i = int(t / sim.Time(s.window))
+	i := max(t, 0) / s.window
+	if !s.fits(i, t) {
+		return
 	}
-	s.grow(i)
+	s.grow(int(i))
 	s.vals[i] += v
 }
 
@@ -93,62 +131,103 @@ func (s *Series) Add(t sim.Time, v int64) {
 // exact integer arithmetic, so any decomposition of an interval into
 // sub-intervals accumulates identical window values (this is what makes
 // the batched run-folding path's contiguous spans byte-equivalent to
-// op-at-a-time recording). Nil-safe.
-func (s *Series) AddSpan(t0, t1 sim.Time) {
+// op-at-a-time recording). A span reaching past the cap is dropped
+// whole. Nil-safe.
+func (s *Series[T]) AddSpan(t0, t1 sim.Time) {
 	if s == nil || t1 <= t0 {
 		return
 	}
 	if t0 < 0 {
 		t0 = 0
 	}
-	w := sim.Time(s.window)
-	for t0 < t1 {
-		i := int(t0 / w)
-		edge := (sim.Time(i) + 1) * w
-		end := t1
-		if edge < end {
-			end = edge
-		}
-		s.grow(i)
-		s.vals[i] += int64(end - t0)
+	w := s.window
+	last := (t1 - 1) / w
+	if !s.fits(last, t1) {
+		return
+	}
+	s.grow(int(last))
+	for i := t0 / w; t0 < t1; i++ {
+		end := min((i+1)*w, t1)
+		s.vals[i] += T(end - t0)
 		t0 = end
 	}
 }
 
-// Merge accumulates other into s window by window. Both series must use
-// the same window; mismatched windows are ignored (they are different
-// instruments).
-func (s *Series) Merge(other *Series) {
-	if s == nil || other == nil || s.window != other.window {
+// Spread distributes v over [t0, t1) in proportion to each window's
+// overlap, v*(overlap/length) — the treatment for the energy or the
+// instructions of an operation spanning many windows. An empty span
+// (t1 == t0) adds v at t0; an inverted span or a zero v records
+// nothing. A span reaching past the cap is dropped whole. Nil-safe.
+func (s *Series[T]) Spread(t0, t1 sim.Time, v T) {
+	if s == nil || t1 < t0 || (t1 > t0 && v == 0) {
 		return
+	}
+	if t1 == t0 {
+		s.Add(t0, v)
+		return
+	}
+	w := s.window
+	last := (t1 - 1) / w
+	if !s.fits(last, t1) {
+		return
+	}
+	s.grow(int(last))
+	total := float64(t1 - t0)
+	for i := max(t0, 0) / w; i <= last; i++ {
+		lo, hi := max(i*w, t0), min((i+1)*w, t1)
+		if hi > lo {
+			s.vals[i] += T(float64(v) * (float64(hi-lo) / total)) // fraction first: v may be near MaxFloat64
+		}
+	}
+}
+
+// Merge accumulates other into s window by window and carries over its
+// overflow. Series over different windows are different instruments:
+// merging them is an error and leaves s unchanged.
+func (s *Series[T]) Merge(other *Series[T]) error {
+	if s == nil || other == nil {
+		return nil
+	}
+	if s.window != other.window {
+		return fmt.Errorf("obs: series %q: cannot merge a %v window into a %v window", s.name, other.window, s.window)
+	}
+	if s.over == 0 {
+		s.over = other.over
 	}
 	s.grow(len(other.vals) - 1)
 	for i, v := range other.vals {
 		s.vals[i] += v
 	}
+	return nil
 }
 
-// Equal reports whether both series hold identical windows. Trailing
-// zero windows are insignificant: a series that never saw a late sample
-// equals one that recorded a zero there.
-func (s *Series) Equal(other *Series) bool { return s.diff(other) == "" }
+// Equal reports whether both series hold identical windows and the same
+// overflow state. Trailing zero windows are insignificant: a series that
+// never saw a late sample equals one that recorded a zero there.
+func (s *Series[T]) Equal(other *Series[T]) bool { return s.diff(other) == "" }
 
-func (s *Series) key() string { return s.name }
+func (s *Series[T]) key() string { return s.name }
 
-func (s *Series) merge(o *Series) *Series {
-	s.Merge(o)
+// merge is Merge for the registry. SeriesSet.Merge checks the two sets'
+// windows first and every series shares its set's window, so Merge's
+// window error cannot occur here.
+func (s *Series[T]) merge(o *Series[T]) *Series[T] {
+	_ = s.Merge(o)
 	return s
 }
 
 // diff names the first differing window, or both window durations when
 // the series hold data over different ones.
-func (s *Series) diff(o *Series) string {
+func (s *Series[T]) diff(o *Series[T]) string {
 	if s.Window() != o.Window() && s.Len() > 0 && o.Len() > 0 {
 		return fmt.Sprintf("  %s: window %d != %d\n", s.Name(), s.Window(), o.Window())
 	}
+	if (s.Err() == nil) != (o.Err() == nil) {
+		return fmt.Sprintf("  %s: overflowed %t != %t\n", s.Name(), s.Err() != nil, o.Err() != nil)
+	}
 	for i := 0; i < max(s.Len(), o.Len()); i++ {
 		if s.At(i) != o.At(i) {
-			return fmt.Sprintf("  %s window %d: %d != %d\n", s.Name(), i, s.At(i), o.At(i))
+			return fmt.Sprintf("  %s window %d: %v != %v\n", s.Name(), i, s.At(i), o.At(i))
 		}
 	}
 	return ""
@@ -161,7 +240,7 @@ type seriesJSON struct {
 	Values   []int64 `json:"values"`
 }
 
-func (s *Series) toJSON() seriesJSON {
+func seriesToJSON(s *Series[int64]) seriesJSON {
 	vals := s.vals
 	if vals == nil {
 		vals = []int64{}
@@ -173,10 +252,10 @@ func (s *Series) toJSON() seriesJSON {
 // with the same stable-handle contract as HistogramSet.
 type SeriesSet struct {
 	window sim.Duration
-	r      registry[*Series]
+	r      registry[*Series[int64]]
 }
 
-func (s *SeriesSet) reg() *registry[*Series] {
+func (s *SeriesSet) reg() *registry[*Series[int64]] {
 	if s == nil {
 		return nil
 	}
@@ -202,12 +281,12 @@ func (s *SeriesSet) Window() sim.Duration {
 
 // Get returns the named series, registering it on first use. A nil set
 // returns a nil (safely recordable) handle.
-func (s *SeriesSet) Get(name string) *Series {
-	return s.reg().get(name, func(n string) *Series { return newSeries(n, s.window) })
+func (s *SeriesSet) Get(name string) *Series[int64] {
+	return s.reg().get(name, func(n string) *Series[int64] { return NewSeries[int64](n, s.window) })
 }
 
 // Lookup returns the named series without registering it.
-func (s *SeriesSet) Lookup(name string) *Series {
+func (s *SeriesSet) Lookup(name string) *Series[int64] {
 	sr, _ := s.reg().lookup(name)
 	return sr
 }
@@ -220,12 +299,31 @@ func (s *SeriesSet) Names() []string { return s.reg().names() }
 
 // All returns the series in registration order. The slice is shared;
 // callers must not mutate it.
-func (s *SeriesSet) All() []*Series { return s.reg().all() }
+func (s *SeriesSet) All() []*Series[int64] { return s.reg().all() }
 
 // Merge accumulates other's series into s, registering new names at the
-// tail in other's order. Sets must share a window for values to land.
-func (s *SeriesSet) Merge(other *SeriesSet) {
-	s.reg().merge(other.reg(), func(sr *Series) *Series { return newSeries(sr.name, s.window) })
+// tail in other's order. Merging a set over a different window is an
+// error and leaves s unchanged. Nil-safe on both sides.
+func (s *SeriesSet) Merge(other *SeriesSet) error {
+	if s == nil || other == nil {
+		return nil
+	}
+	if s.window != other.window {
+		return fmt.Errorf("obs: cannot merge series over a %v window into a set over a %v window", other.window, s.window)
+	}
+	s.reg().merge(other.reg(), func(sr *Series[int64]) *Series[int64] { return NewSeries[int64](sr.name, s.window) })
+	return nil
+}
+
+// Err returns the first overflowed series' error in registration order,
+// nil when none overflowed.
+func (s *SeriesSet) Err() error {
+	for _, sr := range s.All() {
+		if err := sr.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Equal reports whether both sets hold the same series in the same
@@ -238,7 +336,7 @@ func (s *SeriesSet) Diff(other *SeriesSet) string { return s.reg().diff(other.re
 
 // MarshalJSON renders the set as an ordered array of series.
 func (s *SeriesSet) MarshalJSON() ([]byte, error) {
-	return exportJSON(s.All(), (*Series).toJSON)
+	return exportJSON(s.All(), seriesToJSON)
 }
 
 // WriteJSON writes the set as indented JSON (the `-series file.json`

@@ -12,7 +12,6 @@ import (
 	"dramless/internal/mem"
 	"dramless/internal/obs"
 	"dramless/internal/sim"
-	"dramless/internal/stats"
 	"dramless/internal/workload"
 )
 
@@ -139,10 +138,10 @@ type PE struct {
 	// across the accelerator's PEs) take one contiguous span per
 	// compute-only run instead: their window sums are integer, so the
 	// split cannot change them.
-	ipc        *stats.Series // instructions per bucket, nil unless sampled
-	spans      *Spans        // active intervals, nil unless recorded
-	busyS      *obs.Series
-	stallS     *obs.Series
+	ipc        *obs.Series[float64] // instructions per window, nil unless sampled
+	spans      *Spans               // active intervals, nil unless recorded
+	busyS      *obs.Series[int64]
+	stallS     *obs.Series[int64]
 	onOp       func(start, end sim.Time) // p.recordOp once any recorder is on
 	curGap     sim.Duration              // Gap of the run being executed
 	curCompute float64                   // its per-op instruction count
@@ -170,9 +169,9 @@ func New(id int, cfg Config, memory mem.Device, stream workload.Stream, start si
 	return p, nil
 }
 
-// SampleIPC enables instruction sampling with the given bucket interval.
+// SampleIPC enables instruction sampling with the given window.
 func (p *PE) SampleIPC(interval sim.Duration) {
-	p.ipc = stats.NewSeries(interval)
+	p.ipc = obs.NewSeries[float64](obs.SeriesAccelInstrs, interval)
 	p.onOp = p.recordOp
 }
 
@@ -186,7 +185,7 @@ func (p *PE) RecordSpans() {
 // ObserveSeries attaches windowed busy (compute) and stall
 // (memory-wait) time accumulation, typically the accelerator-wide
 // shared series. Either handle may be nil.
-func (p *PE) ObserveSeries(busy, stall *obs.Series) {
+func (p *PE) ObserveSeries(busy, stall *obs.Series[int64]) {
 	if busy == nil && stall == nil {
 		return
 	}
@@ -201,9 +200,7 @@ func (p *PE) recordOp(start, end sim.Time) {
 	if p.curGap > 0 {
 		p.recordCompute(start-p.curGap, start, p.curCompute)
 	}
-	if p.ipc != nil {
-		p.ipc.Accumulate(start, 1)
-	}
+	p.ipc.Add(start, 1)
 	p.stallS.AddSpan(start, end)
 }
 
@@ -213,9 +210,7 @@ func (p *PE) recordCompute(t0, t1 sim.Time, instrs float64) {
 	if p.spans != nil {
 		p.spans.add(t0, t1)
 	}
-	if p.ipc != nil {
-		p.ipc.Spread(t0, t1, instrs)
-	}
+	p.ipc.Spread(t0, t1, instrs)
 	p.busyS.AddSpan(t0, t1)
 }
 
@@ -235,7 +230,7 @@ func (p *PE) ComputeTime() sim.Duration { return p.compute }
 func (p *PE) StallTime() sim.Duration { return p.stall }
 
 // IPCSeries returns the sampled instruction series or nil.
-func (p *PE) IPCSeries() *stats.Series { return p.ipc }
+func (p *PE) IPCSeries() *obs.Series[float64] { return p.ipc }
 
 // ActiveSpans returns the recorded active intervals, or nil unless
 // RecordSpans was called.
@@ -408,9 +403,7 @@ func (p *PE) exec(op workload.Op) error {
 		// One issue slot for the load/store itself; the rest of the
 		// access time is stall.
 		stallEnd := sim.Max(done, p.now+p.issue)
-		if p.ipc != nil {
-			p.ipc.Accumulate(p.now, 1)
-		}
+		p.ipc.Add(p.now, 1)
 		if p.stallS != nil {
 			p.stallS.AddSpan(p.now, stallEnd)
 		}

@@ -102,14 +102,6 @@ func NewClock(hz float64) Clock {
 	return Clock{period: Duration(float64(Second) / hz)}
 }
 
-// NewClockPeriod returns a clock with the given period.
-func NewClockPeriod(period Duration) Clock {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive clock period %v", period))
-	}
-	return Clock{period: period}
-}
-
 // Period returns the duration of one cycle.
 func (c Clock) Period() Duration { return c.period }
 

@@ -52,8 +52,8 @@ func requireSameRun(t *testing.T, names [2]string, got, want *Result, gotObs, wa
 	if got.Footprint != want.Footprint {
 		t.Errorf("footprint differs: %d != %d", got.Footprint, want.Footprint)
 	}
-	if !reflect.DeepEqual(got.Time, want.Time) {
-		t.Errorf("time breakdown differs:\n  %s: %+v\n  %s: %+v", g, got.Time, w, want.Time)
+	if !reflect.DeepEqual(got.TimeParts(), want.TimeParts()) {
+		t.Errorf("time breakdown differs:\n  %s: %+v\n  %s: %+v", g, got.TimeParts(), w, want.TimeParts())
 	}
 	if !reflect.DeepEqual(got.Energy, want.Energy) {
 		t.Errorf("energy account differs:\n  %s: %+v\n  %s: %+v", g, got.Energy, w, want.Energy)

@@ -132,9 +132,12 @@ func (cp *Checkpoint) Release() {
 // picosecond-identical to Run(cfg, k) — phase walls, energy, counters,
 // histograms and series all match — provided PrefixOf(cfg, k) equals
 // cp.Prefix(). Runs that trace spans fall back to a cold Run (the prefix
-// spans cannot be replayed into a foreign tracer).
+// spans cannot be replayed into a foreign tracer), and so do runs whose
+// Observer's series window is not the capture's default (the prefix
+// samples were bucketed over the default window).
 func RunForked(cfg Config, k workload.Kernel, cp *Checkpoint) (*Result, error) {
-	if cp == nil || cp.tmpl == nil || cfg.Obs.Tracer().Enabled() {
+	ss := cfg.Obs.Series()
+	if cp == nil || cp.tmpl == nil || cfg.Obs.Tracer().Enabled() || (ss != nil && ss.Window() != cp.series.Window()) {
 		return Run(cfg, k)
 	}
 	b, err := newBuild(cfg)
@@ -150,7 +153,9 @@ func RunForked(cfg Config, k workload.Kernel, cp *Checkpoint) (*Result, error) {
 	// records anything new: the capture set's registration order is the
 	// cold run's, so names land in the same sequence either way.
 	cfg.Obs.Histograms().Merge(cp.hists)
-	cfg.Obs.Series().Merge(cp.series)
+	if err := ss.Merge(cp.series); err != nil {
+		return nil, err
+	}
 	return b.finish(k, p, cp.runStart, cp.loadEnd, cp.snap, CounterPrefixForks)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dramless/internal/obs"
+	"dramless/internal/sim"
 	"dramless/internal/workload"
 )
 
@@ -26,16 +27,16 @@ func forkFilteredEntries(c *obs.Counters) []obs.Entry {
 }
 
 // runColdAndForked runs cfg cold, then forked from a freshly captured
-// checkpoint of its prefix, each under a fresh observer.
-func runColdAndForked(t *testing.T, cfg Config, k workload.Kernel) (cold, forked *Result, cObs, fObs *obs.Observer) {
+// checkpoint of its prefix, each under a fresh observer built with opts.
+func runColdAndForked(t *testing.T, cfg Config, k workload.Kernel, opts ...obs.Option) (cold, forked *Result, cObs, fObs *obs.Observer) {
 	t.Helper()
-	cfg.Obs = obs.New()
+	cfg.Obs = obs.New(opts...)
 	cold, err := Run(cfg, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg := cfg
-	fcfg.Obs = obs.New()
+	fcfg.Obs = obs.New(opts...)
 	cp, err := CapturePrefix(PrefixOf(fcfg, k))
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +72,14 @@ func TestForkedMatchesCold(t *testing.T) {
 				requireSameRun(t, [2]string{"forked", "cold"}, forked, cold, fObs, cObs, forkFilteredEntries)
 			})
 		}
+		// The checkpoint's series samples are bucketed over the default
+		// window; under any other window the fork must still match.
+		t.Run(kind.String()+"/gemver/window-1us", func(t *testing.T) {
+			cfg := testConfig(kind)
+			cfg.Scale = 128 << 10
+			cold, forked, cObs, fObs := runColdAndForked(t, cfg, workload.MustByName("gemver"), obs.WithSeriesWindow(sim.Microsecond))
+			requireSameRun(t, [2]string{"forked", "cold"}, forked, cold, fObs, cObs, forkFilteredEntries)
+		})
 	}
 }
 

@@ -61,8 +61,8 @@ func sameRun(t *testing.T, got, want *Result, gotObs, wantObs *obs.Observer) {
 	if got.Footprint != want.Footprint {
 		t.Errorf("footprint differs: %d != %d", got.Footprint, want.Footprint)
 	}
-	if !reflect.DeepEqual(got.Time, want.Time) {
-		t.Errorf("time breakdown differs:\n  got:  %+v\n  want: %+v", got.Time, want.Time)
+	if !reflect.DeepEqual(got.TimeParts(), want.TimeParts()) {
+		t.Errorf("time breakdown differs:\n  got:  %+v\n  want: %+v", got.TimeParts(), want.TimeParts())
 	}
 	if !reflect.DeepEqual(got.Energy, want.Energy) {
 		t.Errorf("energy account differs:\n  got:  %+v\n  want: %+v", got.Energy, want.Energy)

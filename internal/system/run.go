@@ -1,6 +1,7 @@
 package system
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -15,7 +16,6 @@ import (
 	"dramless/internal/pcie"
 	"dramless/internal/sim"
 	"dramless/internal/ssd"
-	"dramless/internal/stats"
 	"dramless/internal/workload"
 )
 
@@ -37,11 +37,6 @@ type Result struct {
 	Kernel sim.Duration
 	Store  sim.Duration
 	Total  sim.Duration
-
-	// Time is the Figure 16 decomposition: load / compute / mem-wait /
-	// store. Compute and mem-wait split the kernel phase by the agents'
-	// aggregate activity.
-	Time *stats.Breakdown
 
 	// Energy is the Figure 17 decomposition.
 	Energy *energy.Account
@@ -72,6 +67,29 @@ func (r *Result) BandwidthMBps() float64 {
 		return 0
 	}
 	return float64(r.Footprint) / r.Total.Seconds() / 1e6
+}
+
+// TimePart is one component of the Figure 16 decomposition.
+type TimePart struct {
+	Name    string // TimeLoad, TimeCompute, TimeStall or TimeStore
+	Seconds float64
+}
+
+// TimeParts returns the Figure 16 decomposition in order load, compute,
+// mem-wait, store. Compute and mem-wait split the kernel phase by the
+// agents' aggregate activity; a kernel phase without any is all compute,
+// with no mem-wait part.
+func (r *Result) TimeParts() []TimePart {
+	kw := r.Kernel.Seconds()
+	act := r.Report.Compute.Seconds()
+	stl := r.Report.Stall.Seconds()
+	parts := []TimePart{{TimeLoad, r.Load.Seconds()}}
+	if act+stl > 0 {
+		parts = append(parts, TimePart{TimeCompute, kw * act / (act + stl)}, TimePart{TimeStall, kw * stl / (act + stl)})
+	} else {
+		parts = append(parts, TimePart{TimeCompute, kw})
+	}
+	return append(parts, TimePart{TimeStore, r.Store.Seconds()})
 }
 
 // imageBytes is the kernel image size shipped during offload.
@@ -488,21 +506,7 @@ func (b *build) finish(k workload.Kernel, p workload.Params, runStart, loadEnd s
 		Total:     storeEnd - runStart,
 		Report:    rep,
 		Footprint: k.FootprintBytes(p),
-		Time:      stats.NewBreakdown(),
 	}
-	res.Time.Add(TimeLoad, (loadEnd - runStart).Seconds())
-	// Split the kernel phase into aggregate compute vs memory wait using
-	// the agents' activity shares.
-	kw := (kernelEnd - loadEnd).Seconds()
-	act := rep.Compute.Seconds()
-	stl := rep.Stall.Seconds()
-	if act+stl > 0 {
-		res.Time.Add(TimeCompute, kw*act/(act+stl))
-		res.Time.Add(TimeStall, kw*stl/(act+stl))
-	} else {
-		res.Time.Add(TimeCompute, kw)
-	}
-	res.Time.Add(TimeStore, (storeEnd - kernelEnd).Seconds())
 
 	res.Energy = b.accountEnergy(snap, rep, runStart, loadEnd, kernelEnd, storeEnd)
 	rep.Spans = nil // per-op data: the energy account is its only reader
@@ -526,6 +530,10 @@ func (b *build) finish(k workload.Kernel, p workload.Params, runStart, loadEnd s
 	cfg.Obs.Record(&res.Counters)
 	cfg.Obs.RecordBlame(res.Blame)
 	b.release()
+	// A time series that ran past its window cap dropped samples.
+	if err := errors.Join(res.Energy.Err(), cfg.Obs.Series().Err()); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

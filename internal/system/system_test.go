@@ -1,10 +1,13 @@
 package system
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"dramless/internal/energy"
 	"dramless/internal/memctrl"
+	"dramless/internal/obs"
 	"dramless/internal/sim"
 	"dramless/internal/workload"
 )
@@ -67,7 +70,7 @@ func TestEverySystemRuns(t *testing.T) {
 			if res.Report.Instrs <= 0 {
 				t.Fatal("no instructions retired")
 			}
-			if got := res.Time.Total(); got <= 0 {
+			if got := timeOf(res, TimeLoad) + timeOf(res, TimeCompute) + timeOf(res, TimeStall) + timeOf(res, TimeStore); got <= 0 {
 				t.Fatal("empty time breakdown")
 			}
 		})
@@ -151,17 +154,27 @@ func TestDRAMLessEnergyBelowHetero(t *testing.T) {
 	}
 }
 
+// timeOf returns the named component of res's time decomposition.
+func timeOf(res *Result, name string) float64 {
+	for _, p := range res.TimeParts() {
+		if p.Name == name {
+			return p.Seconds
+		}
+	}
+	return 0
+}
+
 func TestHeteroTimeDominatedByStaging(t *testing.T) {
 	res := runOne(t, Hetero, "gemver")
-	staging := res.Time.Get(TimeLoad) + res.Time.Get(TimeStore)
-	if staging <= res.Time.Get(TimeCompute) {
+	staging := timeOf(res, TimeLoad) + timeOf(res, TimeStore)
+	if staging <= timeOf(res, TimeCompute) {
 		t.Errorf("Hetero staging %.3g not above compute %.3g - Figure 1's motivation is missing",
-			staging, res.Time.Get(TimeCompute))
+			staging, timeOf(res, TimeCompute))
 	}
 	// DRAM-less flips this.
 	dl := runOne(t, DRAMLess, "gemver")
-	dlStaging := dl.Time.Get(TimeLoad) + dl.Time.Get(TimeStore)
-	if dlStaging >= dl.Time.Get(TimeCompute)+dl.Time.Get(TimeStall) {
+	dlStaging := timeOf(dl, TimeLoad) + timeOf(dl, TimeStore)
+	if dlStaging >= timeOf(dl, TimeCompute)+timeOf(dl, TimeStall) {
 		t.Errorf("DRAM-less staging %.3g not below kernel time", dlStaging)
 	}
 }
@@ -208,6 +221,81 @@ func TestSampledRunProducesSeries(t *testing.T) {
 	}
 	if !nonzero {
 		t.Fatal("power series all zero")
+	}
+}
+
+// TestTinySeriesWindowIsAnError runs a 64 KiB DRAM-less gemver with a
+// 1 ps series window, through an Observer and through SampleInterval.
+// Every sample then falls past the series window cap: Run and RunForked
+// must return an error naming the window, and the failing run may
+// allocate at most twice what the same run allocates at the default
+// window.
+func TestTinySeriesWindowIsAnError(t *testing.T) {
+	k := workload.MustByName("gemver")
+	base := DefaultConfig(DRAMLess)
+	base.Scale = 64 << 10
+	run := func(cfg Config) (uint64, error) {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		_, err := Run(cfg, k)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, err
+	}
+	// Each run gets a fresh Observer: an overflow is sticky.
+	observed := func(opts ...obs.Option) func() Config {
+		return func() Config {
+			cfg := base
+			cfg.Obs = obs.New(opts...)
+			return cfg
+		}
+	}
+	sampled := func(interval sim.Duration) func() Config {
+		return func() Config {
+			cfg := base
+			cfg.SampleInterval = interval
+			return cfg
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		ref, tiny  func() Config
+		wantInErrs []string
+	}{
+		{"observer", observed(), observed(obs.WithSeriesWindow(1)), []string{"1ps window", obs.SeriesMemBytesRead}},
+		{"sample-interval", sampled(obs.DefaultSeriesWindow), sampled(1), []string{"1ps window", obs.SeriesAccelInstrs}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := run(tc.ref()); err != nil { // warm the storage pools
+				t.Fatal(err)
+			}
+			ref, err := run(tc.ref())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tiny, err := run(tc.tiny())
+			if err == nil {
+				t.Fatal("1 ps window: Run returned no error")
+			}
+			for _, want := range tc.wantInErrs {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %s", err, want)
+				}
+			}
+			if tiny > 2*ref {
+				t.Errorf("failing run allocated %d B, more than twice the default window's %d B", tiny, ref)
+			}
+			t.Logf("allocated %d B at 1 ps, %d B at the default window; error: %v", tiny, ref, err)
+			cfg := tc.tiny()
+			cp, err := CapturePrefix(PrefixOf(cfg, k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cp.Release()
+			if _, err := RunForked(cfg, k, cp); err == nil {
+				t.Error("1 ps window: RunForked returned no error")
+			}
+		})
 	}
 }
 
