@@ -1,45 +1,62 @@
 package pram
 
-import "dramless/internal/freelist"
+import (
+	"slices"
 
-// segPool recycles row-segment slabs across simulation runs. Forking a
-// checkpointed prefix deep-copies every materialized segment of every
-// module; without recycling, each of the suite's hundreds of forked
-// cells would re-allocate the full segment population just to drop it at
-// the end of the run. Released segments come back stale: newSeg zeroes
-// them (the zero value is "pristine"), so pooled and fresh segments are
-// indistinguishable, and Module.CopyFrom overwrites them entirely.
-var segPool freelist.List[Geometry, *rowSeg]
+	"dramless/internal/freelist"
+)
 
-// zero restores the pristine zero-value state of every slab.
-func (s *rowSeg) zero() {
-	clear(s.data)
-	clear(s.state)
-	clear(s.written)
-	clear(s.lastProg)
-	clear(s.lastRead)
-}
+// contentPool and stampPool recycle segment slabs across simulation
+// runs: without recycling, each of the suite's hundreds of forked cells
+// would re-allocate the slabs it writes just to drop them at the end of
+// the run. Released slabs come back stale; rowSeg's writable accessors
+// overwrite or clear them entirely, so pooled and fresh slabs are
+// indistinguishable. entPool recycles the modules' segment entry tables
+// the same way: every fork builds fresh modules whose tables would
+// otherwise re-grow.
+var (
+	contentPool freelist.List[Geometry, segContent]
+	stampPool   freelist.List[struct{}, *segStamps]
+	entPool     freelist.List[struct{}, []rowSeg]
+)
 
-// Release returns every materialized segment to the pool and detaches
-// them from the module. Call only when the module's contents are no
-// longer needed (end of a run whose results have been collected).
+// Release returns every slab the module owns to the pools and detaches
+// all segments. Borrowed slabs stay with the module that owns them. Call
+// only when the module's contents are no longer needed (end of a run
+// whose results have been collected) and, for a module others were
+// forked from, only after every fork has been released.
 func (m *Module) Release() {
-	if len(m.segs) == 0 {
-		m.memoSeg, m.memoID = nil, 0
-		return
+	for i := range m.ents {
+		s := &m.ents[i]
+		if s.ownsCont {
+			contentPool.Put(m.geo, s.content)
+		}
+		if s.ownsStamp {
+			stampPool.Put(struct{}{}, s.stamps)
+		}
+		*s = rowSeg{}
 	}
-	freelist.PutMap(&segPool, m.geo, m.segs)
-	m.memoSeg, m.memoID = nil, 0
+	if cap(m.ents) > 0 {
+		entPool.Put(struct{}{}, m.ents[:0])
+		m.ents = nil
+	}
+	clear(m.segs)
+	m.memoSeg, m.memoID = nil, noSeg
 }
 
 // CopyFrom clones src's complete device state into m: protocol-tracker
-// and buffer-pair state, overlay-window registers, array contents (deep
-// copies via the segment pool), partition timelines, program-buffer and
-// boot state, and activity counters. The DQ bus is NOT copied — packages
-// on one channel share the channel's bus resource, which the channel
-// copies exactly once. Construction-time wiring (pause hook, pausing
-// flag, instruments) is also left to the fresh construction both sides
-// went through.
+// and buffer-pair state, overlay-window registers, array contents,
+// partition timelines, program-buffer and boot state, and activity
+// counters. The array contents are shared, not copied: m borrows every
+// slab of src and copies one only when it first writes to it (rowSeg).
+// src must therefore stay unmodified, and unreleased, until m is
+// released; a checkpoint template frozen at capture is such a source,
+// and any number of modules may fork it concurrently.
+//
+// The DQ bus is NOT copied — packages on one channel share the channel's
+// bus resource, which the channel copies exactly once. Construction-time
+// wiring (pause hook, pausing flag, instruments) is also left to the
+// fresh construction both sides went through.
 func (m *Module) CopyFrom(src *Module) {
 	m.par = src.par // MRW mutates BurstLen during boot
 	m.track.CopyFrom(src.track)
@@ -53,17 +70,13 @@ func (m *Module) CopyFrom(src *Module) {
 	}
 	*m.ow = *src.ow
 	m.Release()
-	for id, s := range src.segs {
-		ns, ok := segPool.Get(m.geo)
-		if !ok {
-			ns = newSeg(m.geo)
-		}
-		copy(ns.data, s.data)
-		copy(ns.state, s.state)
-		copy(ns.written, s.written)
-		copy(ns.lastProg, s.lastProg)
-		copy(ns.lastRead, s.lastRead)
-		m.segs[id] = ns
+	m.ents, _ = entPool.Get(struct{}{})
+	m.ents = slices.Grow(m.ents, len(src.ents))
+	for _, s := range src.ents {
+		m.ents = append(m.ents, rowSeg{content: s.content, stamps: s.stamps})
+	}
+	for id, i := range src.segs {
+		m.segs[id] = i
 	}
 	for i := range m.partitions {
 		m.partitions[i].CopyFrom(src.partitions[i])

@@ -184,51 +184,134 @@ func (g Geometry) CheckRow(row uint64) error {
 	return nil
 }
 
-// Row storage is segmented: segRows consecutive rows share one lazily
-// allocated rowSeg whose slabs hold data, per-word cell state and the
-// per-row program/read timestamps. Keying storage per segment instead of
-// per 32 B row keeps the map three orders of magnitude smaller, and the
-// module's one-entry segment memo turns the sequential row streams the
-// datapath produces into plain array indexing (the per-row map was the
-// top non-copy cost of the whole suite once the caches stopped
-// allocating).
+// Row storage is segmented: segRows consecutive rows share one segment
+// entry. Keying storage per segment instead of per 32 B row keeps the
+// map three orders of magnitude smaller, and the module's one-entry
+// segment memo turns the sequential row streams the datapath produces
+// into plain array indexing (the per-row map was the top non-copy cost
+// of the whole suite once the caches stopped allocating).
 const (
 	segBits = 8 // 256 rows (8 KiB of data) per segment
 	segRows = 1 << segBits
 	segMask = segRows - 1
+	noSeg   = ^uint64(0) // no segment has this number
 )
 
-// rowSeg is the storage of segRows consecutive rows. All slabs use the
-// Go zero value as "pristine": data reads back zero and state is
-// lpddr.CellFresh until a program or LoadRow marks the row written.
+// segContent is the array content of segRows consecutive rows; the
+// zero segContent (nil slabs) is a segment with no content yet. All
+// slabs use the Go zero value as "pristine": data reads back zero and
+// state is lpddr.CellFresh until a program or LoadRow marks the row
+// written.
+type segContent struct {
+	data    []byte            // segRows * RowBytes
+	state   []lpddr.CellState // segRows * WordsPerRow
+	written []bool            // per row: ever programmed or loaded
+}
+
+// segStamps is the per-row timing history of segRows consecutive rows.
+// Most rows of a checkpoint template are only ever loaded, never
+// programmed or activated on a timed path, so the stamps live apart from
+// the content and are allocated only when a row is first stamped.
+type segStamps struct {
+	lastProg [segRows]sim.Time // last program completion
+	lastRead [segRows]sim.Time // last array activation
+}
+
+// rowSeg is one module's entry for a segment: content slabs and a
+// stamps slab, each missing (pristine), owned by this module, or
+// borrowed read-only from the module this one was forked from
+// (CopyFrom). A module writes only through slabs it owns; the first
+// write to a borrowed or missing slab gives the entry a private copy.
+// Ownership lives in the entry, never on the slab, because forks of one
+// template run concurrently and a slab's sharers must not write to it.
+// The content's slice headers sit in the entry itself, so a row access
+// reaches the data through one pointer, as before the split.
 type rowSeg struct {
-	data     []byte            // segRows * RowBytes
-	state    []lpddr.CellState // segRows * WordsPerRow
-	written  []bool            // per row: ever programmed or loaded
-	lastProg []sim.Time        // per row: last program completion
-	lastRead []sim.Time        // per row: last array activation
+	content   segContent
+	stamps    *segStamps
+	ownsCont  bool
+	ownsStamp bool
 }
 
-func newSeg(g Geometry) *rowSeg {
-	if s, ok := segPool.Get(g); ok {
-		s.zero()
-		return s
+// written reports whether row idx was ever programmed or loaded.
+func (s *rowSeg) written(idx int) bool {
+	return s.content.data != nil && s.content.written[idx]
+}
+
+// lastProg returns row idx's last program completion (0 if none).
+func (s *rowSeg) lastProg(idx int) sim.Time {
+	if s.stamps == nil {
+		return 0
 	}
-	return &rowSeg{
-		data:     make([]byte, segRows*g.RowBytes),
-		state:    make([]lpddr.CellState, segRows*g.WordsPerRow()),
-		written:  make([]bool, segRows),
-		lastProg: make([]sim.Time, segRows),
-		lastRead: make([]sim.Time, segRows),
+	return s.stamps.lastProg[idx]
+}
+
+// lastRead returns row idx's last array activation (0 if none).
+func (s *rowSeg) lastRead(idx int) sim.Time {
+	if s.stamps == nil {
+		return 0
 	}
+	return s.stamps.lastRead[idx]
 }
 
-// rowData returns the data slab of row idx within the segment.
-func (s *rowSeg) rowData(idx, rowBytes int) []byte {
-	return s.data[idx*rowBytes : (idx+1)*rowBytes]
+// writableContent returns a content slab the entry owns, copying the
+// borrowed one (or starting pristine) on first use.
+func (s *rowSeg) writableContent(g Geometry) *segContent {
+	if !s.ownsCont {
+		s.ownContent(g)
+	}
+	return &s.content
 }
 
-// rowState returns the per-word cell states of row idx within the segment.
-func (s *rowSeg) rowState(idx, wordsPerRow int) []lpddr.CellState {
-	return s.state[idx*wordsPerRow : (idx+1)*wordsPerRow]
+func (s *rowSeg) ownContent(g Geometry) {
+	c, ok := contentPool.Get(g)
+	if !ok {
+		c = segContent{
+			data:    make([]byte, segRows*g.RowBytes),
+			state:   make([]lpddr.CellState, segRows*g.WordsPerRow()),
+			written: make([]bool, segRows),
+		}
+	}
+	if s.content.data != nil {
+		copy(c.data, s.content.data)
+		copy(c.state, s.content.state)
+		copy(c.written, s.content.written)
+	} else {
+		clear(c.data)
+		clear(c.state)
+		clear(c.written)
+	}
+	s.content, s.ownsCont = c, true
+}
+
+// writableStamps returns a stamps slab the entry owns, copying the
+// borrowed one (or starting at zero) on first use.
+func (s *rowSeg) writableStamps() *segStamps {
+	if !s.ownsStamp {
+		s.ownStamps()
+	}
+	return s.stamps
+}
+
+func (s *rowSeg) ownStamps() {
+	ts, ok := stampPool.Get(struct{}{})
+	if !ok {
+		ts = new(segStamps)
+	}
+	if s.stamps != nil {
+		*ts = *s.stamps
+	} else {
+		*ts = segStamps{}
+	}
+	s.stamps, s.ownsStamp = ts, true
+}
+
+// rowState returns the per-word cell states of row idx within c.
+func (c *segContent) rowState(idx, wordsPerRow int) []lpddr.CellState {
+	return c.state[idx*wordsPerRow : (idx+1)*wordsPerRow]
+}
+
+// rowData returns the data of row idx within c.
+func (c *segContent) rowData(idx, rowBytes int) []byte {
+	return c.data[idx*rowBytes : (idx+1)*rowBytes]
 }

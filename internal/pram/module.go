@@ -48,10 +48,14 @@ type Module struct {
 
 	ow *overlay
 
-	// Array content, segmented (see rowSeg). memoSeg short-circuits the
-	// map for the segment the last access touched: the datapath's row
-	// streams are sequential, so nearly every lookup repeats the segment.
-	segs    map[uint64]*rowSeg
+	// Array content, segmented: segs maps a segment number to its entry
+	// in ents (see rowSeg). memoSeg short-circuits the map for the
+	// segment the last access touched: the datapath's row streams are
+	// sequential, so nearly every lookup repeats the segment. It points
+	// into ents, so it is reset whenever ents may move; memoID is noSeg
+	// while it is unset.
+	segs    map[uint64]int32
+	ents    []rowSeg
 	memoSeg *rowSeg
 	memoID  uint64
 
@@ -100,11 +104,12 @@ func NewModule(geo Geometry, par lpddr.Params) (*Module, error) {
 		return nil, err
 	}
 	m := &Module{
-		geo:   geo,
-		par:   par,
-		track: lpddr.NewTracker(par.NumRAB),
-		segs:  make(map[uint64]*rowSeg),
-		bus:   sim.NewResource("pram.dq"),
+		geo:    geo,
+		par:    par,
+		track:  lpddr.NewTracker(par.NumRAB),
+		segs:   make(map[uint64]int32),
+		memoID: noSeg,
+		bus:    sim.NewResource("pram.dq"),
 	}
 	for i := 0; i < geo.Partitions; i++ {
 		m.partitions = append(m.partitions, sim.NewResource(fmt.Sprintf("pram.part%d", i)))
@@ -126,34 +131,45 @@ func MustNewModule(geo Geometry, par lpddr.Params) *Module {
 	return m
 }
 
-// seg returns the segment holding rowAddr plus the row's index within
-// it, materializing the segment on first touch.
+// seg returns the entry of the segment holding rowAddr plus the row's
+// index within it, adding an empty entry on first touch. The entry is
+// valid until the next seg call.
 func (m *Module) seg(rowAddr uint64) (*rowSeg, int) {
 	id := rowAddr >> segBits
-	if m.memoSeg != nil && m.memoID == id {
-		return m.memoSeg, int(rowAddr & segMask)
+	if m.memoID != id {
+		m.lookup(id)
 	}
-	s := m.segs[id]
-	if s == nil {
-		s = newSeg(m.geo)
-		m.segs[id] = s
-	}
-	m.memoID, m.memoSeg = id, s
-	return s, int(rowAddr & segMask)
+	return m.memoSeg, int(rowAddr & segMask)
 }
 
-// peek is seg without materialization: it returns a nil segment when no
-// access has touched rowAddr's segment yet.
+// lookup points the memo at segment id's entry, adding an empty one on
+// first touch.
+func (m *Module) lookup(id uint64) {
+	i, ok := m.segs[id]
+	if !ok {
+		if m.ents == nil {
+			m.ents, _ = entPool.Get(struct{}{})
+		}
+		i = int32(len(m.ents))
+		m.ents = append(m.ents, rowSeg{})
+		m.segs[id] = i
+	}
+	m.memoID, m.memoSeg = id, &m.ents[i]
+}
+
+// peek is seg without adding an entry: it returns nil when no access has
+// touched rowAddr's segment yet.
 func (m *Module) peek(rowAddr uint64) (*rowSeg, int) {
 	id := rowAddr >> segBits
-	if m.memoSeg != nil && m.memoID == id {
+	if m.memoID == id {
 		return m.memoSeg, int(rowAddr & segMask)
 	}
-	s := m.segs[id]
-	if s != nil {
-		m.memoID, m.memoSeg = id, s
+	i, ok := m.segs[id]
+	if !ok {
+		return nil, int(rowAddr & segMask)
 	}
-	return s, int(rowAddr & segMask)
+	m.memoID, m.memoSeg = id, &m.ents[i]
+	return m.memoSeg, int(rowAddr & segMask)
 }
 
 // EnableWritePausing turns on the write-pause/resume behaviour (the
@@ -321,9 +337,13 @@ func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, e
 	m.rdbWindow[ba] = false
 	m.rdbRow[ba] = rowAddr
 	seg, idx := m.seg(rowAddr)
-	copy(m.rdbData[ba], seg.rowData(idx, m.geo.RowBytes))
+	if seg.content.data != nil {
+		copy(m.rdbData[ba], seg.content.rowData(idx, m.geo.RowBytes))
+	} else {
+		clear(m.rdbData[ba])
+	}
 	m.stats.Activates++
-	seg.lastRead[idx] = done
+	seg.writableStamps().lastRead[idx] = done
 	return done, nil
 }
 
@@ -424,7 +444,7 @@ func (m *Module) ProgBufFreeAt() sim.Time { return m.bufFreeAt }
 // completed (0 if never programmed on a timed path).
 func (m *Module) LastProgramEnd(rowAddr uint64) sim.Time {
 	if seg, idx := m.peek(rowAddr); seg != nil {
-		return seg.lastProg[idx]
+		return seg.lastProg(idx)
 	}
 	return 0
 }
@@ -444,12 +464,11 @@ func (m *Module) PreEraseBackground(from sim.Time, rowAddr uint64, contractDead 
 		return err
 	}
 	seg, idx := m.peek(rowAddr)
-	if seg == nil || !seg.written[idx] {
+	if seg == nil || !seg.written(idx) {
 		return nil // never written: already pristine
 	}
-	state := seg.rowState(idx, m.geo.WordsPerRow())
 	needs := false
-	for _, st := range state {
+	for _, st := range seg.content.rowState(idx, m.geo.WordsPerRow()) {
 		if st == lpddr.CellProgrammed {
 			needs = true
 			break
@@ -461,23 +480,22 @@ func (m *Module) PreEraseBackground(from sim.Time, rowAddr uint64, contractDead 
 	// Safety: the background erase retroactively occupies an idle window
 	// in the past. Unless the contents were contract-dead, a read since
 	// the last program means the erase would have corrupted that read.
-	if !contractDead && seg.lastRead[idx] > seg.lastProg[idx] {
+	if !contractDead && seg.lastRead(idx) > seg.lastProg(idx) {
 		return nil
 	}
 	part := m.partitions[m.geo.PartitionOf(rowAddr)]
-	start := part.Acquire(sim.Max(from, seg.lastProg[idx]), m.par.CellOverwriteExtra)
+	start := part.Acquire(sim.Max(from, seg.lastProg(idx)), m.par.CellOverwriteExtra)
 	end := start + m.par.CellOverwriteExtra
 	if end > m.busyUntil {
 		m.busyUntil = end
 	}
-	data := seg.rowData(idx, m.geo.RowBytes)
-	for i := range data {
-		data[i] = 0
-	}
+	c := seg.writableContent(m.geo)
+	clear(c.rowData(idx, m.geo.RowBytes))
+	state := c.rowState(idx, m.geo.WordsPerRow())
 	for i := range state {
 		state[i] = lpddr.CellErased
 	}
-	seg.lastProg[idx] = end
+	seg.writableStamps().lastProg[idx] = end
 	for i := range m.rdbValid {
 		if m.rdbValid[i] && !m.rdbWindow[i] && m.rdbRow[i] == rowAddr {
 			m.rdbValid[i] = false
@@ -521,9 +539,10 @@ func (m *Module) program(at sim.Time) error {
 	}
 
 	seg, idx := m.seg(rowAddr)
-	seg.written[idx] = true
-	state := seg.rowState(idx, m.geo.WordsPerRow())
-	data := seg.rowData(idx, m.geo.RowBytes)
+	c := seg.writableContent(m.geo)
+	c.written[idx] = true
+	state := c.rowState(idx, m.geo.WordsPerRow())
+	data := c.rowData(idx, m.geo.RowBytes)
 
 	// Determine the op time from the slowest word, then commit data and
 	// new cell states.
@@ -580,7 +599,7 @@ func (m *Module) program(at sim.Time) error {
 	if bf := at + progBufHold; bf > m.bufFreeAt {
 		m.bufFreeAt = bf
 	}
-	seg.lastProg[idx] = end
+	seg.writableStamps().lastProg[idx] = end
 	m.stats.Programs++
 	m.stats.ProgramsBy[slowest]++
 	m.stats.ProgramTime += opTime
@@ -610,12 +629,10 @@ func (m *Module) erase(at sim.Time) error {
 		m.busyUntil = end
 	}
 	for rowA := base; rowA < base+uint64(m.geo.EraseRows) && rowA < m.geo.RowsPerModule; rowA++ {
-		if seg, idx := m.peek(rowA); seg != nil && seg.written[idx] {
-			data := seg.rowData(idx, m.geo.RowBytes)
-			for i := range data {
-				data[i] = 0
-			}
-			state := seg.rowState(idx, m.geo.WordsPerRow())
+		if seg, idx := m.peek(rowA); seg != nil && seg.written(idx) {
+			c := seg.writableContent(m.geo)
+			clear(c.rowData(idx, m.geo.RowBytes))
+			state := c.rowState(idx, m.geo.WordsPerRow())
 			for i := range state {
 				state[i] = lpddr.CellErased
 			}
@@ -635,10 +652,10 @@ func (m *Module) erase(at sim.Time) error {
 func (m *Module) WordState(addr uint64) lpddr.CellState {
 	rowAddr := m.geo.RowOf(addr)
 	seg, idx := m.peek(rowAddr)
-	if seg == nil {
+	if seg == nil || seg.content.data == nil {
 		return lpddr.CellFresh
 	}
-	return seg.rowState(idx, m.geo.WordsPerRow())[m.geo.ColOf(addr)/m.geo.WordBytes]
+	return seg.content.rowState(idx, m.geo.WordsPerRow())[m.geo.ColOf(addr)/m.geo.WordBytes]
 }
 
 // LoadRow stores data into a row bypassing protocol and timing, marking
@@ -653,9 +670,10 @@ func (m *Module) LoadRow(rowAddr uint64, data []byte) error {
 		return fmt.Errorf("pram: %d bytes exceed the row", len(data))
 	}
 	seg, idx := m.seg(rowAddr)
-	seg.written[idx] = true
-	copy(seg.rowData(idx, m.geo.RowBytes), data)
-	state := seg.rowState(idx, m.geo.WordsPerRow())
+	c := seg.writableContent(m.geo)
+	c.written[idx] = true
+	copy(c.rowData(idx, m.geo.RowBytes), data)
+	state := c.rowState(idx, m.geo.WordsPerRow())
 	wb := m.geo.WordBytes
 	for w := 0; w*wb < len(data); w++ {
 		state[w] = lpddr.CellProgrammed
@@ -667,8 +685,8 @@ func (m *Module) LoadRow(rowAddr uint64, data []byte) error {
 // bypassing timing; for tests and debugging only.
 func (m *Module) PeekRow(rowAddr uint64) []byte {
 	out := make([]byte, m.geo.RowBytes)
-	if seg, idx := m.peek(rowAddr); seg != nil {
-		copy(out, seg.rowData(idx, m.geo.RowBytes))
+	if seg, idx := m.peek(rowAddr); seg != nil && seg.content.data != nil {
+		copy(out, seg.content.rowData(idx, m.geo.RowBytes))
 	}
 	return out
 }

@@ -186,24 +186,37 @@ func TestOverlayBurstMatchesByteWrites(t *testing.T) {
 }
 
 // TestSegmentFootprint pins the host memory of a materialized row
-// segment: data, cell state, written flag and the two timestamps must
-// stay within 64 B per row, so widening a slab's element type fails here
-// instead of quietly doubling the simulator's resident set.
+// segment, one cap per storage kind, so widening a slab's element type
+// fails here instead of quietly growing the simulator's resident set:
+// content (data, cell state, written flag) within 41 B per row, and the
+// two timestamps 16 B per row of a stamped segment. A segment touched
+// only by LoadRow - the bulk of every checkpoint template - holds no
+// timestamp storage at all.
 func TestSegmentFootprint(t *testing.T) {
 	m := testModule(t)
 	if err := m.LoadRow(3, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	s, _ := m.peek(3)
-	if s == nil {
-		t.Fatal("LoadRow did not materialize a segment")
+	if s == nil || s.content.data == nil {
+		t.Fatal("LoadRow did not materialize segment content")
 	}
-	total := len(s.data)*int(unsafe.Sizeof(s.data[0])) +
-		len(s.state)*int(unsafe.Sizeof(s.state[0])) +
-		len(s.written)*int(unsafe.Sizeof(s.written[0])) +
-		len(s.lastProg)*int(unsafe.Sizeof(s.lastProg[0])) +
-		len(s.lastRead)*int(unsafe.Sizeof(s.lastRead[0]))
-	if perRow := total / segRows; perRow > 64 {
-		t.Fatalf("segment slabs take %d B per row, want <= 64", perRow)
+	if s.stamps != nil {
+		t.Fatal("LoadRow allocated timestamp storage")
+	}
+	c := s.content
+	content := len(c.data)*int(unsafe.Sizeof(c.data[0])) +
+		len(c.state)*int(unsafe.Sizeof(c.state[0])) +
+		len(c.written)*int(unsafe.Sizeof(c.written[0]))
+	if perRow := content / segRows; perRow > 41 {
+		t.Errorf("content slabs take %d B per row, want <= 41", perRow)
+	}
+
+	readRow(t, m, 0, 3)
+	if s, _ = m.peek(3); s.stamps == nil {
+		t.Fatal("an activation did not allocate timestamp storage")
+	}
+	if perRow := int(unsafe.Sizeof(*s.stamps)) / segRows; perRow != 16 {
+		t.Errorf("timestamps take %d B per stamped row, want 16", perRow)
 	}
 }

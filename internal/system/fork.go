@@ -101,6 +101,7 @@ func CapturePrefix(pr Prefix) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.releaseBufs()
 	return &Checkpoint{
 		pr:       pr,
 		tmpl:     b,

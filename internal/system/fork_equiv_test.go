@@ -41,6 +41,10 @@ func runColdAndForked(t *testing.T, cfg Config, k workload.Kernel, opts ...obs.O
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A template keeps no staging buffers: forks stage through their own.
+	if cp.tmpl.scratch != nil || cp.tmpl.zeros != nil {
+		t.Errorf("captured %s template holds staging buffers (scratch %d B, zeros %d B)", cfg.Kind, len(cp.tmpl.scratch), len(cp.tmpl.zeros))
+	}
 	forked, err = RunForked(fcfg, k, cp)
 	if err != nil {
 		t.Fatal(err)

@@ -537,13 +537,12 @@ func (b *build) finish(k workload.Kernel, p workload.Params, runStart, loadEnd s
 	return res, nil
 }
 
-// release returns pooled storage (PRAM row segments, SSD buffer entries,
-// flash page frames, sparse memory pages, staging buffers) once the
-// run's results are collected. Checkpoint template builds are released
-// only through Checkpoint.Release, after the last fork: forks keep
-// reading their state for the checkpoint's lifetime.
-func (b *build) release() {
+// releaseBufs returns the staging buffers to bufPool. A checkpoint
+// template calls it at capture: forks stage through buffers of their
+// own, so the template has no further use for them.
+func (b *build) releaseBufs() {
 	bufPool.mu.Lock()
+	defer bufPool.mu.Unlock()
 	if b.scratch != nil {
 		bufPool.scratch = append(bufPool.scratch, b.scratch)
 		b.scratch = nil
@@ -552,7 +551,15 @@ func (b *build) release() {
 		bufPool.zeros = append(bufPool.zeros, b.zeros)
 		b.zeros = nil
 	}
-	bufPool.mu.Unlock()
+}
+
+// release returns pooled storage (PRAM row segments, SSD buffer entries,
+// flash page frames, sparse memory pages, staging buffers) once the
+// run's results are collected. Checkpoint template builds are released
+// only through Checkpoint.Release, after the last fork: forks keep
+// reading their state for the checkpoint's lifetime.
+func (b *build) release() {
+	b.releaseBufs()
 	if b.sub != nil {
 		b.sub.Release()
 	}
