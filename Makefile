@@ -25,14 +25,15 @@ race-experiments:
 	$(GO) test -race -count 1 ./internal/experiments/...
 
 # Focused race pass on the simulation core: the timing primitives, the
-# accelerator (PE interleave, RunJobs waves), the caches and the PRAM
-# row store. Each simulation runs on one goroutine; the shared state
-# this pass guards is the process-wide cache line-storage pool that
-# concurrent experiment workers draw from, and the PRAM segment slabs
-# that concurrent forks of one checkpoint template borrow, kept under
-# the race detector even if the full-module sweep is ever trimmed.
+# accelerator (PE interleave, RunJobs waves), the caches, the PRAM row
+# store and the PRAM controller. Each simulation runs on one goroutine;
+# the shared state this pass guards is the process-wide cache
+# line-storage pool that concurrent experiment workers draw from, and
+# the PRAM segment slabs and wear count slabs that concurrent forks of
+# one checkpoint template borrow, kept under the race detector even if
+# the full-module sweep is ever trimmed.
 race-sim:
-	$(GO) test -race -count 1 ./internal/sim/... ./internal/accel/... ./internal/cache/... ./internal/pram/...
+	$(GO) test -race -count 1 ./internal/sim/... ./internal/accel/... ./internal/cache/... ./internal/pram/... ./internal/memctrl/...
 
 # Full benchmark sweep; BenchmarkAllExperiments is the top-level number
 # to track (serial vs parallel over the shared result cache).

@@ -15,6 +15,11 @@ var scratchPool struct {
 	wWaves freelist.List[struct{}, [][]*writeReq]
 }
 
+// wearSlabPool recycles the wear leveler's owned count slabs across
+// runs the same way. Released slabs come back stale; wearState.count
+// overwrites or clears a slab entirely before its first use.
+var wearSlabPool freelist.List[struct{}, *wearSlab]
+
 // CopyFrom clones src's complete subsystem state into s: boot status,
 // declared write-intent ranges, wear-leveler position, and every
 // channel's scheduler and device state. Both subsystems must have been
@@ -35,9 +40,14 @@ func (s *Subsystem) CopyFrom(src *Subsystem) {
 }
 
 // Release returns every module's row segments to the package-level
-// segment pool and the batch/wave scratch to the scratch pool. Call only
-// once the run's results have been collected.
+// segment pool, the batch/wave scratch to the scratch pool and the wear
+// count slabs the subsystem owns to wearSlabPool. Call only once the
+// run's results have been collected and, for a subsystem others were
+// forked from, only after every fork has been released.
 func (s *Subsystem) Release() {
+	if s.wear != nil {
+		s.wear.release()
+	}
 	for c := range s.batches {
 		if s.batches[c] != nil {
 			scratchPool.rows.Put(struct{}{}, s.batches[c])
@@ -69,16 +79,31 @@ func (s *Subsystem) Release() {
 	}
 }
 
+// CopyFrom clones src's leveler state into w. The wear counts are
+// shared, not copied: w borrows every slab of src and copies one only
+// when it first counts a program there, so src must stay unmodified, and
+// unreleased, until w is released.
 func (w *wearState) CopyFrom(src *wearState) {
 	copy(w.start, src.start)
 	copy(w.gap, src.gap)
 	copy(w.writes, src.writes)
 	w.moves = src.moves
 	w.movePS = src.movePS
-	w.perRow = make(map[uint64]int64, len(src.perRow))
-	for row, c := range src.perRow {
-		w.perRow[row] = c
+	w.release()
+	for id, e := range src.slabs {
+		w.slabs[id] = wearEnt{counts: e.counts}
 	}
+}
+
+// release returns the slabs w owns to wearSlabPool and detaches every
+// slab; borrowed ones stay with their owner.
+func (w *wearState) release() {
+	for _, e := range w.slabs {
+		if e.owned {
+			wearSlabPool.Put(struct{}{}, e.counts)
+		}
+	}
+	clear(w.slabs)
 }
 
 func (ch *channel) copyFrom(src *channel) {

@@ -22,6 +22,11 @@ import (
 // Gap moves are real work: the displaced row is read and reprogrammed
 // through the regular channel paths, so leveling costs bandwidth exactly
 // as it would on hardware.
+//
+// Per-row program counts live in fixed slabs of wearSlabRows rows, keyed
+// by slab number and shared copy-on-write like the PRAM content slabs: a
+// fork (CopyFrom) borrows its source's slabs and copies one on the first
+// program it counts there.
 
 // wearState tracks the leveler of one subsystem. The physical row space
 // splits into regions of R rows serving R-1 logical rows each (one spare
@@ -35,8 +40,49 @@ type wearState struct {
 	moves      int64
 	movePS     int64 // simulated ps spent on gap-move copies (blame)
 
-	// perRow counts physical-row programs for endurance reporting.
-	perRow map[uint64]int64
+	// slabs counts physical-row programs for endurance reporting, keyed
+	// by slab number (row >> wearSlabBits).
+	slabs map[uint64]wearEnt
+}
+
+const (
+	wearSlabBits = 9 // 512 rows (4 KiB of counts) per slab
+	wearSlabRows = 1 << wearSlabBits
+	wearSlabMask = wearSlabRows - 1
+)
+
+// wearSlab holds the program counts of wearSlabRows consecutive physical
+// rows.
+type wearSlab [wearSlabRows]int64
+
+// wearEnt is one leveler's entry for a slab, owned or borrowed read-only
+// from the leveler it was forked from (CopyFrom). Ownership lives in the
+// entry, never on the slab, because forks of one checkpoint template run
+// concurrently and a slab's sharers must not write to it.
+type wearEnt struct {
+	counts *wearSlab
+	owned  bool
+}
+
+// count adds one program to physical row row, first copying a borrowed
+// slab (or starting one at zero).
+func (w *wearState) count(row uint64) {
+	id := row >> wearSlabBits
+	e := w.slabs[id]
+	if !e.owned {
+		c, ok := wearSlabPool.Get(struct{}{})
+		if !ok {
+			c = new(wearSlab)
+		}
+		if e.counts != nil {
+			*c = *e.counts
+		} else {
+			*c = wearSlab{}
+		}
+		e = wearEnt{counts: c, owned: true}
+		w.slabs[id] = e
+	}
+	e.counts[row&wearSlabMask]++
 }
 
 // WearConfig enables start-gap leveling in a Config.
@@ -86,7 +132,7 @@ func (s *Subsystem) initWear() {
 		start:      make([]uint64, regions),
 		gap:        make([]uint64, regions),
 		writes:     make([]int64, regions),
-		perRow:     map[uint64]int64{},
+		slabs:      map[uint64]wearEnt{},
 	}
 	for i := range w.gap {
 		w.gap[i] = r - 1 // spare starts at the top of each region
@@ -154,7 +200,7 @@ func (s *Subsystem) noteProgram(at sim.Time, paddr uint64) (sim.Time, error) {
 	}
 	w := s.wear
 	prow := paddr / s.rowBytes
-	w.perRow[prow]++
+	w.count(prow)
 	region := prow / w.regionRows
 	if region >= w.regions {
 		return at, nil // identity tail is not leveled
@@ -195,7 +241,7 @@ func (s *Subsystem) noteProgram(at sim.Time, paddr uint64) (sim.Time, error) {
 	}
 	w.movePS += int64(d - at)
 	w.gap[region]--
-	w.perRow[dst]++
+	w.count(dst)
 	return d, nil
 }
 
@@ -236,13 +282,18 @@ func (s *Subsystem) WearStats() WearStats {
 	out.GapMoves = s.wear.moves
 	out.GapMovePS = s.wear.movePS
 	var total int64
-	for _, c := range s.wear.perRow {
-		total += c
-		if c > out.MaxWear {
-			out.MaxWear = c
+	for _, e := range s.wear.slabs {
+		for _, c := range e.counts {
+			if c == 0 {
+				continue
+			}
+			total += c
+			out.Rows++
+			if c > out.MaxWear {
+				out.MaxWear = c
+			}
 		}
 	}
-	out.Rows = len(s.wear.perRow)
 	if out.Rows > 0 {
 		out.MeanWear = float64(total) / float64(out.Rows)
 	}

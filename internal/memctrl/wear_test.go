@@ -51,7 +51,6 @@ func TestWearMapUnmapInverse(t *testing.T) {
 		start:  make([]uint64, 5),
 		gap:    []uint64{15, 15, 15, 15, 15},
 		writes: make([]int64, 5),
-		perRow: map[uint64]int64{},
 	}
 	logicalRows := uint64(5*15 + 7)
 	check := func() {

@@ -10,16 +10,29 @@ import (
 // Histogram geometry: log-linear (HDR-style) buckets over non-negative
 // int64 picosecond samples. Each power-of-two octave is divided into
 // 2^histSubBits equal-width sub-buckets, so relative error is bounded by
-// 1/2^histSubBits (~3%) at every magnitude while the bucket count stays
-// fixed — the counts array is preallocated once and Record is a shift,
-// an add and two compares (zero allocations, pinned).
+// 1/2^histSubBits (~3%) at every magnitude while the bucket geometry
+// stays fixed. The counts are stored one block of histSubs counters per
+// octave, allocated on the first sample that lands in it: a run's
+// instruments see a handful of the histOctaves octaves each, and every
+// forked run builds its own set. Record in an octave already touched is
+// a shift, an add and two compares (zero allocations, pinned); it
+// allocates at most once per octave over a histogram's life.
 const (
 	histSubBits = 5
 	histSubs    = 1 << histSubBits // sub-buckets per octave
 	// histBuckets covers every non-negative int64: the maximum sample
 	// 2^63-1 lands in bucket (63-histSubBits-1)*histSubs + (histSubs*2-1).
 	histBuckets = (63-histSubBits)*histSubs + histSubs
+	// histOctaves is the block count: bucket i is counter
+	// i&(histSubs-1) of block i>>histSubBits.
+	histOctaves = histBuckets / histSubs
 )
+
+// histBlock holds the counts of one octave's histSubs buckets.
+type histBlock [histSubs]int64
+
+// zeroBlock stands in for an octave with no block in comparisons.
+var zeroBlock histBlock
 
 // histBucketOf maps a non-negative sample to its bucket index.
 func histBucketOf(v int64) int {
@@ -48,13 +61,12 @@ func histBucketBounds(i int) (low, high int64) {
 
 // Histogram is a fixed-geometry latency distribution: int64 samples
 // (picoseconds by convention) in log-linear buckets. The zero value is
-// NOT ready to use — obtain instances from a HistogramSet, which
-// preallocates the bucket array so recording never allocates. All
-// methods are nil-safe; a nil *Histogram is the disabled handle model
-// code holds when observation is off.
+// NOT ready to use — obtain instances from a HistogramSet. All methods
+// are nil-safe; a nil *Histogram is the disabled handle model code holds
+// when observation is off.
 type Histogram struct {
 	name   string
-	counts []int64
+	blocks [histOctaves]*histBlock // nil until a sample lands in the octave
 	n      int64
 	sum    int64
 	min    int64
@@ -62,7 +74,47 @@ type Histogram struct {
 }
 
 func newHistogram(name string) *Histogram {
-	return &Histogram{name: name, counts: make([]int64, histBuckets), min: math.MaxInt64}
+	return &Histogram{name: name, min: math.MaxInt64}
+}
+
+// block returns octave o's counts, allocating them on first use.
+func (h *Histogram) block(o int) *histBlock {
+	b := h.blocks[o]
+	if b == nil {
+		b = new(histBlock)
+		h.blocks[o] = b
+	}
+	return b
+}
+
+// count returns bucket i's count. Nil-safe.
+func (h *Histogram) count(i int) int64 {
+	if h == nil || h.blocks[i>>histSubBits] == nil {
+		return 0
+	}
+	return h.blocks[i>>histSubBits][i&(histSubs-1)]
+}
+
+// each calls fn for every non-empty bucket in ascending order, stopping
+// early when fn returns false.
+func (h *Histogram) each(fn func(i int, c int64) bool) {
+	for o, b := range h.blocks {
+		if b == nil {
+			continue
+		}
+		for j, c := range b {
+			if c != 0 && !fn(o<<histSubBits+j, c) {
+				return
+			}
+		}
+	}
+}
+
+// nonEmpty returns how many buckets hold samples.
+func (h *Histogram) nonEmpty() int {
+	n := 0
+	h.each(func(int, int64) bool { n++; return true })
+	return n
 }
 
 // Name returns the instrument name.
@@ -75,23 +127,27 @@ func (h *Histogram) Name() string {
 
 // Record adds one sample. Negative samples clamp to zero (latencies are
 // non-negative by construction; clamping keeps a model bug from
-// corrupting the geometry). Nil-safe and allocation-free.
+// corrupting the geometry). Nil-safe, and allocation-free once the
+// sample's octave holds a sample.
 func (h *Histogram) Record(v int64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
+	v = max(v, 0)
+	// Octave o and sub-bucket of histBucketOf(v), computed directly
+	// rather than by splitting the bucket index: that keeps Record within
+	// the compiler's inlining budget, so instrument sites inline it.
+	o := max(bits.Len64(uint64(v))-histSubBits, 0)
+	b := h.blocks[o]
+	if b == nil {
+		b = new(histBlock)
+		h.blocks[o] = b
 	}
-	h.counts[histBucketOf(v)]++
+	b[uint64(v)>>max(o-1, 0)&(histSubs-1)]++
 	h.n++
 	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
+	h.min = min(h.min, v)
+	h.max = max(h.max, v)
 }
 
 // Count returns how many samples were recorded.
@@ -143,21 +199,23 @@ func (h *Histogram) Percentile(p float64) int64 {
 		rank = h.n
 	}
 	var cum int64
-	for i, c := range h.counts {
+	v := h.max
+	h.each(func(i int, c int64) bool {
 		cum += c
-		if cum >= rank {
-			_, high := histBucketBounds(i)
-			v := high - 1
-			if v > h.max {
-				v = h.max
-			}
-			if v < h.min {
-				v = h.min
-			}
-			return v
+		if cum < rank {
+			return true
 		}
-	}
-	return h.max
+		_, high := histBucketBounds(i)
+		v = high - 1
+		if v > h.max {
+			v = h.max
+		}
+		if v < h.min {
+			v = h.min
+		}
+		return false
+	})
+	return v
 }
 
 // Bucket is one non-empty histogram bucket: Count samples in [Low, High).
@@ -173,14 +231,12 @@ func (h *Histogram) Buckets() []Bucket {
 	if h == nil || h.n == 0 {
 		return nil
 	}
-	out := make([]Bucket, 0, 16)
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	out := make([]Bucket, 0, h.nonEmpty())
+	h.each(func(i int, c int64) bool {
 		low, high := histBucketBounds(i)
 		out = append(out, Bucket{Low: low, High: high, Count: c})
-	}
+		return true
+	})
 	return out
 }
 
@@ -197,8 +253,14 @@ func (h *Histogram) Merge(other *Histogram) {
 	if h == nil || other == nil || other.n == 0 {
 		return
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for o, b := range other.blocks {
+		if b == nil {
+			continue
+		}
+		dst := h.block(o)
+		for j, c := range b {
+			dst[j] += c
+		}
 	}
 	h.n += other.n
 	h.sum += other.sum
@@ -221,8 +283,15 @@ func (h *Histogram) Equal(other *Histogram) bool {
 	if h.n != other.n || h.sum != other.sum || h.min != other.min || h.max != other.max {
 		return false
 	}
-	for i, c := range h.counts {
-		if c != other.counts[i] {
+	for o, a := range h.blocks {
+		b := other.blocks[o]
+		if a == nil {
+			a = &zeroBlock
+		}
+		if b == nil {
+			b = &zeroBlock
+		}
+		if *a != *b {
 			return false
 		}
 	}
@@ -243,14 +312,7 @@ func (h *Histogram) Diff(other *Histogram) string {
 	}
 	diffs := 0
 	for i := 0; i < histBuckets && diffs < 8; i++ {
-		var a, b int64
-		if h != nil {
-			a = h.counts[i]
-		}
-		if other != nil {
-			b = other.counts[i]
-		}
-		if a != b {
+		if a, b := h.count(i), other.count(i); a != b {
 			low, high := histBucketBounds(i)
 			out += fmt.Sprintf("  bucket %d [%d,%d): %d != %d\n", i, low, high, a, b)
 			diffs++
@@ -280,16 +342,15 @@ type histJSON struct {
 
 func (h *Histogram) toJSON() histJSON {
 	out := histJSON{Name: h.Name(), Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
-	if h == nil {
+	if h == nil || h.n == 0 {
 		return out
 	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	out.Buckets = make([]histBucketJSON, 0, h.nonEmpty())
+	h.each(func(i int, c int64) bool {
 		low, high := histBucketBounds(i)
 		out.Buckets = append(out.Buckets, histBucketJSON{Bucket: i, Low: low, High: high, Count: c})
-	}
+		return true
+	})
 	return out
 }
 
@@ -308,10 +369,10 @@ func (h *Histogram) diff(o *Histogram) string {
 }
 
 // HistogramSet is an ordered registry of named histograms: Get returns a
-// stable handle, creating (and preallocating) the histogram on first
-// use, so instrument sites resolve their handle once at construction and
-// record without lookups. Registration order is deterministic because
-// every instrumented component resolves its handles in fixed code order.
+// stable handle, creating the histogram on first use, so instrument
+// sites resolve their handle once at construction and record without
+// lookups. Registration order is deterministic because every
+// instrumented component resolves its handles in fixed code order.
 type HistogramSet struct{ r registry[*Histogram] }
 
 func (s *HistogramSet) reg() *registry[*Histogram] {
@@ -375,15 +436,15 @@ func (s *HistogramSet) WriteCSV(w io.Writer) error {
 	}
 	for _, h := range s.All() {
 		var cum int64
-		for i, c := range h.counts {
-			if c == 0 {
-				continue
-			}
+		var err error
+		h.each(func(i int, c int64) bool {
 			cum += c
 			low, high := histBucketBounds(i)
-			if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d\n", h.name, low, high, c, cum); err != nil {
-				return err
-			}
+			_, err = fmt.Fprintf(w, "%s,%d,%d,%d,%d\n", h.name, low, high, c, cum)
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -411,7 +472,7 @@ func ReadHistogramsJSON(r io.Reader) (*HistogramSet, error) {
 			if b.Count < 0 {
 				return nil, fmt.Errorf("obs: histogram %q: bucket %d has negative count %d", hj.Name, b.Bucket, b.Count)
 			}
-			h.counts[b.Bucket] = b.Count
+			h.block(b.Bucket >> histSubBits)[b.Bucket&(histSubs-1)] = b.Count
 		}
 		if err := h.importSummary(hj); err != nil {
 			return nil, fmt.Errorf("obs: histogram %q: %w", hj.Name, err)
@@ -425,18 +486,21 @@ func ReadHistogramsJSON(r io.Reader) (*HistogramSet, error) {
 func (h *Histogram) importSummary(hj histJSON) error {
 	var total int64
 	first, last := -1, -1
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
+	overflow := false
+	h.each(func(i int, c int64) bool {
 		if total > math.MaxInt64-c {
-			return fmt.Errorf("bucket counts overflow")
+			overflow = true
+			return false
 		}
 		total += c
 		if first < 0 {
 			first = i
 		}
 		last = i
+		return true
+	})
+	if overflow {
+		return fmt.Errorf("bucket counts overflow")
 	}
 	if total != hj.Count {
 		return fmt.Errorf("bucket counts sum to %d, count is %d", total, hj.Count)

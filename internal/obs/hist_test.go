@@ -2,7 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -189,9 +193,10 @@ func TestHistogramExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramRecordAllocationFree pins Record at zero allocations for
-// both live and nil handles — the condition that lets every hot path
-// record unconditionally.
+// TestHistogramRecordAllocationFree pins Record at zero allocations in
+// an octave that already holds a sample, and always for a nil handle —
+// the condition that lets every hot path record unconditionally. A live
+// handle allocates at most one block per octave over its life.
 func TestHistogramRecordAllocationFree(t *testing.T) {
 	var set HistogramSet
 	h := set.Get("pin")
@@ -207,5 +212,286 @@ func TestHistogramRecordAllocationFree(t *testing.T) {
 	allocs = testing.AllocsPerRun(200, func() { nh.Record(42) })
 	if allocs != 0 {
 		t.Fatalf("nil Record allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// denseHist is the reference the per-octave block storage must match:
+// the same geometry with every bucket in one preallocated array.
+type denseHist struct {
+	name             string
+	counts           [histBuckets]int64
+	n, sum, min, max int64
+}
+
+func newDense(name string) *denseHist { return &denseHist{name: name, min: math.MaxInt64} }
+
+func (d *denseHist) record(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	d.counts[histBucketOf(v)]++
+	d.n++
+	d.sum += v
+	d.min = min(d.min, v)
+	d.max = max(d.max, v)
+}
+
+func (d *denseHist) merge(o *denseHist) {
+	if o.n == 0 {
+		return
+	}
+	for i, c := range o.counts {
+		d.counts[i] += c
+	}
+	d.n += o.n
+	d.sum += o.sum
+	d.min = min(d.min, o.min)
+	d.max = max(d.max, o.max)
+}
+
+func (d *denseHist) minOrZero() int64 {
+	if d.n == 0 {
+		return 0
+	}
+	return d.min
+}
+
+func (d *denseHist) percentile(p float64) int64 {
+	if d.n == 0 {
+		return 0
+	}
+	rank := min(max(int64(math.Ceil(p/100*float64(d.n))), 1), d.n)
+	var cum int64
+	for i, c := range d.counts {
+		if cum += c; cum >= rank {
+			_, high := histBucketBounds(i)
+			return max(min(high-1, d.max), d.min)
+		}
+	}
+	return d.max
+}
+
+func (d *denseHist) buckets() []Bucket {
+	var out []Bucket
+	for i, c := range d.counts {
+		if c != 0 {
+			low, high := histBucketBounds(i)
+			out = append(out, Bucket{Low: low, High: high, Count: c})
+		}
+	}
+	return out
+}
+
+func (d *denseHist) diff(o *denseHist) string {
+	if d.n == 0 && o.n == 0 {
+		return ""
+	}
+	out := ""
+	if d.n != o.n || d.sum != o.sum || d.minOrZero() != o.minOrZero() || d.max != o.max {
+		out += fmt.Sprintf("  count %d/%d sum %d/%d min %d/%d max %d/%d\n",
+			d.n, o.n, d.sum, o.sum, d.minOrZero(), o.minOrZero(), d.max, o.max)
+	}
+	diffs := 0
+	for i := 0; i < histBuckets && diffs < 8; i++ {
+		if d.counts[i] != o.counts[i] {
+			low, high := histBucketBounds(i)
+			out += fmt.Sprintf("  bucket %d [%d,%d): %d != %d\n", i, low, high, d.counts[i], o.counts[i])
+			diffs++
+		}
+	}
+	return out
+}
+
+// denseExports renders ds the way WriteJSON and WriteCSV render a set.
+func denseExports(t *testing.T, ds []*denseHist) (jsonOut, csvOut []byte) {
+	t.Helper()
+	all := make([]histJSON, 0, len(ds))
+	var csv bytes.Buffer
+	csv.WriteString("name,low,high,count,cum\n")
+	for _, d := range ds {
+		hj := histJSON{Name: d.name, Count: d.n, Sum: d.sum, Min: d.minOrZero(), Max: d.max}
+		var cum int64
+		for i, c := range d.counts {
+			if c == 0 {
+				continue
+			}
+			low, high := histBucketBounds(i)
+			hj.Buckets = append(hj.Buckets, histBucketJSON{Bucket: i, Low: low, High: high, Count: c})
+			cum += c
+			fmt.Fprintf(&csv, "%s,%d,%d,%d,%d\n", d.name, low, high, c, cum)
+		}
+		all = append(all, hj)
+	}
+	b, err := json.MarshalIndent(all, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n'), csv.Bytes()
+}
+
+// blockCount is how many octave blocks h holds.
+func blockCount(h *Histogram) int {
+	n := 0
+	for _, b := range h.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// histSamples returns n fixed-seed samples whose bit lengths cover every
+// octave, plus the edge values: zero, negatives (which clamp to zero)
+// and MaxInt64.
+func histSamples(seed int64, n int) []int64 {
+	r := rand.New(rand.NewSource(seed))
+	out := []int64{0, -1, -12345, math.MinInt64, math.MaxInt64}
+	for len(out) < n {
+		out = append(out, r.Int63()>>r.Intn(64))
+	}
+	return out
+}
+
+// TestHistogramMatchesDense pins the per-octave block storage to the
+// dense reference: statistics, percentiles, buckets, merges in both
+// directions, equality and diffs, and byte-equal exports and import, on
+// samples spanning every octave. It also pins the footprint: samples in
+// k octaves leave exactly k blocks.
+func TestHistogramMatchesDense(t *testing.T) {
+	sampleSets := map[string][]int64{
+		"wide":   histSamples(1, 4000),
+		"other":  histSamples(2, 3000),
+		"narrow": {5, 7, 900, 901, 950, 1 << 20, 1<<20 + 3},
+		"empty":  nil,
+	}
+	names := []string{"wide", "other", "narrow", "empty"}
+	build := func(names ...string) (*HistogramSet, []*denseHist) {
+		var set HistogramSet
+		var ds []*denseHist
+		for _, name := range names {
+			h, d := set.Get(name), newDense(name)
+			for _, v := range sampleSets[name] {
+				h.Record(v)
+				d.record(v)
+			}
+			ds = append(ds, d)
+		}
+		return &set, ds
+	}
+	check := func(label string, h *Histogram, d *denseHist) {
+		t.Helper()
+		if h.Count() != d.n || h.Sum() != d.sum || h.Min() != d.minOrZero() || h.Max() != d.max {
+			t.Errorf("%s: count/sum/min/max %d/%d/%d/%d, dense %d/%d/%d/%d", label,
+				h.Count(), h.Sum(), h.Min(), h.Max(), d.n, d.sum, d.minOrZero(), d.max)
+		}
+		for _, p := range []float64{0, 50, 90, 99, 100} {
+			if got, want := h.Percentile(p), d.percentile(p); got != want {
+				t.Errorf("%s: p%g = %d, dense %d", label, p, got, want)
+			}
+		}
+		if got, want := h.Buckets(), d.buckets(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: buckets differ from dense:\n  %v\n  %v", label, got, want)
+		}
+		octaves := map[int]bool{}
+		for i, c := range d.counts {
+			if c != 0 {
+				octaves[i>>histSubBits] = true
+			}
+		}
+		if got := blockCount(h); got != len(octaves) {
+			t.Errorf("%s: %d blocks for samples in %d octaves", label, got, len(octaves))
+		}
+	}
+
+	set, ds := build(names...)
+	if got := blockCount(set.Lookup("wide")); got != histOctaves {
+		t.Fatalf("wide samples touch %d of %d octaves; the fixture must cover them all", got, histOctaves)
+	}
+	for i, h := range set.All() {
+		check(h.Name(), h, ds[i])
+	}
+
+	// Merge in both directions, including into and from an empty one.
+	for _, pair := range [][2]string{{"wide", "other"}, {"other", "wide"}, {"narrow", "wide"}, {"empty", "narrow"}, {"narrow", "empty"}} {
+		a, da := build(pair[0])
+		b, db := build(pair[1])
+		ha, hb := a.All()[0], b.All()[0]
+		if ha.Equal(hb) != (da[0].diff(db[0]) == "") {
+			t.Errorf("%s vs %s: Equal = %v, dense diff %q", pair[0], pair[1], ha.Equal(hb), da[0].diff(db[0]))
+		}
+		if got, want := ha.Diff(hb), da[0].diff(db[0]); got != want {
+			t.Errorf("%s vs %s: Diff\n%s\ndense\n%s", pair[0], pair[1], got, want)
+		}
+		ha.Merge(hb)
+		da[0].merge(db[0])
+		check(pair[0]+"+"+pair[1], ha, da[0])
+	}
+	again, _ := build(names...)
+	if !set.Equal(again) || set.Diff(again) != "" {
+		t.Errorf("identically built sets must be Equal:\n%s", set.Diff(again))
+	}
+
+	wantJSON, wantCSV := denseExports(t, ds)
+	var gotJSON, gotCSV bytes.Buffer
+	if err := set.WriteJSON(&gotJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.WriteCSV(&gotCSV); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
+		t.Error("WriteJSON differs from the dense export")
+	}
+	if !bytes.Equal(gotCSV.Bytes(), wantCSV) {
+		t.Error("WriteCSV differs from the dense export")
+	}
+	back, err := ReadHistogramsJSON(bytes.NewReader(wantJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(set) {
+		t.Fatalf("round trip lost data:\n%s", back.Diff(set))
+	}
+	for i, h := range back.All() {
+		check("read "+h.Name(), h, ds[i])
+	}
+	var reJSON bytes.Buffer
+	if err := back.WriteJSON(&reJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reJSON.Bytes(), wantJSON) {
+		t.Error("re-export of the imported set differs")
+	}
+}
+
+// BenchmarkHistogramRecord records into a warm handle: every octave the
+// loop reaches already holds a block, so it reports 0 B/op.
+func BenchmarkHistogramRecord(b *testing.B) {
+	var set HistogramSet
+	h := set.Get("bench.lat_ps")
+	vals := histSamples(1, 1024)
+	for _, v := range vals {
+		h.Record(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(vals[i&1023])
+	}
+}
+
+// BenchmarkHistogramFresh is what a forked run's instruments cost: a new
+// set of 15 histograms, each recorded once.
+func BenchmarkHistogramFresh(b *testing.B) {
+	names := make([]string, 15)
+	for i := range names {
+		names[i] = fmt.Sprintf("bench.h%d_ps", i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var set HistogramSet
+		for j, name := range names {
+			set.Get(name).Record(int64(j+1) * 1000)
+		}
 	}
 }

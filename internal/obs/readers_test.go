@@ -130,12 +130,13 @@ func checkHistogramInvariants(t *testing.T, s *HistogramSet) {
 	t.Helper()
 	for _, h := range s.All() {
 		var total int64
-		for _, c := range h.counts {
+		h.each(func(_ int, c int64) bool {
 			if c < 0 {
 				t.Fatalf("%q: negative bucket count %d", h.Name(), c)
 			}
 			total += c
-		}
+			return true
+		})
 		if total != h.Count() {
 			t.Fatalf("%q: buckets sum to %d, count %d", h.Name(), total, h.Count())
 		}

@@ -35,6 +35,21 @@ func filteredEntries(c *obs.Counters) []obs.Entry {
 	return out
 }
 
+// requireSameCounters fails t unless got's and want's counter registries,
+// as entries filters them, hold the same names and values in order.
+func requireSameCounters(t *testing.T, names [2]string, got, want *Result, entries func(*obs.Counters) []obs.Entry) {
+	t.Helper()
+	ge, we := entries(&got.Counters), entries(&want.Counters)
+	if len(ge) != len(we) {
+		t.Fatalf("counter registries differ in size: %d != %d", len(ge), len(we))
+	}
+	for i := range ge {
+		if ge[i] != we[i] {
+			t.Errorf("counter %q: %s %+v != %s %+v", ge[i].Name, names[0], ge[i], names[1], we[i])
+		}
+	}
+}
+
 // requireSameRun fails t unless got reproduces want exactly: phase
 // walls, footprint, time and energy accounts (power series included),
 // the kernel report (IPC series included) save the engine event totals,
@@ -65,15 +80,7 @@ func requireSameRun(t *testing.T, names [2]string, got, want *Result, gotObs, wa
 		t.Errorf("kernel report differs:\n  %s: %+v\n  %s: %+v", g, gr, w, wr)
 	}
 
-	ge, we := entries(&got.Counters), entries(&want.Counters)
-	if len(ge) != len(we) {
-		t.Fatalf("counter registries differ in size: %d != %d", len(ge), len(we))
-	}
-	for i := range ge {
-		if ge[i] != we[i] {
-			t.Errorf("counter %q: %s %+v != %s %+v", ge[i].Name, g, ge[i], w, we[i])
-		}
-	}
+	requireSameCounters(t, names, got, want, entries)
 
 	// The latency histograms and windowed series must agree byte for
 	// byte: the batched fast paths are required to record every

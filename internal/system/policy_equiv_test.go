@@ -39,8 +39,10 @@ func policyExports(t *testing.T, name, kname string) (*Result, []byte, []byte) {
 
 // TestPolicyConformance is the policy registry's system-level oracle:
 // every registered policy must run deterministically — byte-identical
-// histogram/series exports and identical phase walls for a cold run and
-// a run forked from its populate/load checkpoint.
+// histogram/series exports, identical phase walls and an identical
+// counter registry (save the prefix-origin and engine event counters;
+// the wear leveler's memctrl.wear.* among them) for a cold run and a run
+// forked from its populate/load checkpoint.
 func TestPolicyConformance(t *testing.T) {
 	for _, name := range memctrl.PolicyNames() {
 		for _, kname := range policyEquivKernels {
@@ -66,6 +68,7 @@ func TestPolicyConformance(t *testing.T) {
 				if forked.Total != serial.Total || forked.Kernel != serial.Kernel {
 					t.Errorf("forked walls differ: total %v != %v", forked.Total, serial.Total)
 				}
+				requireSameCounters(t, [2]string{"forked", "cold"}, forked, serial, forkFilteredEntries)
 				var fb bytes.Buffer
 				if err := cfg.Obs.Histograms().WriteJSON(&fb); err != nil {
 					t.Fatal(err)
