@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare arena-smoke blame-smoke examples-smoke perfbench-check fuzz-smoke profile trace vet fmt-check ci ci-full verify
+.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare digest-check arena-smoke blame-smoke examples-smoke perfbench-check fuzz-smoke profile trace vet fmt-check ci ci-full verify
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,23 @@ hist-compare:
 	$(GO) run ./cmd/dramless run -system DRAM-less -kernel gemver \
 		-hist prof/hist.current.json > /dev/null
 	$(GO) run ./cmd/dramless diff -top 0 -fail-over 0.10 HIST_baseline.json prof/hist.current.json
+
+# Output digests: the sha256 of the whole experiment suite's JSON and of
+# the arena-1m tournament's cell set (every policy on DRAM-less at 1 MiB
+# over four kernels). The simulator is deterministic, so any drift is a
+# behavioural change: the tables, the counters and the energy model all
+# feed these bytes. Only a change that means to move reproduced numbers
+# updates the two values, and says so. ~4.5 s together.
+DIGEST_EXPERIMENTS := 9f9fe3738e4f7ab1ae8d2cc570b66c7e72fc52eb429f465b45ebfb227afe9a9d
+DIGEST_ARENA := 24e89d2409ab371c48351a3d8f53600110d7790c03d99a9c87356bb282d8fd2f
+digest-check:
+	@got=$$($(GO) run ./cmd/dramless experiments -parallel 1 -json | sha256sum | cut -d' ' -f1); \
+	if [ "$$got" != "$(DIGEST_EXPERIMENTS)" ]; then \
+		echo "digest-check: experiments -json hashes to $$got, want $(DIGEST_EXPERIMENTS)"; exit 1; fi
+	@got=$$($(GO) run ./cmd/dramless arena -parallel 1 -scale 1048576 -kernels durbin,lu,floyd,jaco1d -json | sha256sum | cut -d' ' -f1); \
+	if [ "$$got" != "$(DIGEST_ARENA)" ]; then \
+		echo "digest-check: arena -json hashes to $$got, want $(DIGEST_ARENA)"; exit 1; fi
+	@echo "digest-check: both output digests match"
 
 # Scheduler policy smoke. The tournament runs every registered policy
 # on one kernel: the policy registry, the per-cell private observers and
@@ -172,10 +189,10 @@ fmt-check:
 # Pre-merge gate: everything a PR must pass before landing - build,
 # tests, race detector, go vet, gofmt, the example programs, the
 # perfbench module's vet and tests, the two deterministic export gates
-# (the p99 latency gate and the blame diff smoke, ~2 s together) and the
-# deterministic scheduler tournament smoke (~5 s). `make verify` is its
-# alias.
-ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check hist-compare blame-smoke arena-smoke
+# (the p99 latency gate and the blame diff smoke, ~2 s together), the two
+# output digests (~4.5 s) and the deterministic scheduler tournament
+# smoke (~5 s). `make verify` is its alias.
+ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check hist-compare blame-smoke digest-check arena-smoke
 
 # ci plus the host-timing benchmark gate against the committed
 # baseline and the fuzzers.

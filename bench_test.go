@@ -319,8 +319,13 @@ func BenchmarkPRAMWriteRow(b *testing.B) {
 func benchCaches(b *testing.B, size uint64) (l1, l2 *cache.Cache) {
 	b.Helper()
 	lower := mem.NewFlat("lower", size, sim.Nanoseconds(100), 1e9)
-	l2 = cache.MustNew(cache.L2(), lower)
-	l1 = cache.MustNew(cache.L1Data(), l2)
+	l2, err := cache.New(cache.L2(), lower)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if l1, err = cache.New(cache.L1Data(), l2); err != nil {
+		b.Fatal(err)
+	}
 	b.Cleanup(func() { l1.Release(); l2.Release() })
 	return l1, l2
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"dramless"
 )
@@ -51,18 +50,7 @@ func cmdBlame(args []string) {
 		os.Exit(2)
 	}
 
-	var kind dramless.SystemKind
-	found := false
-	for _, k := range dramless.SystemKinds() {
-		if strings.EqualFold(k.String(), *sysName) {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "unknown system %q (see `dramless list`)\n", *sysName)
-		os.Exit(2)
-	}
+	kind := systemKind(*sysName)
 	w, err := dramless.WorkloadByName(*kernelName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -75,12 +63,7 @@ func cmdBlame(args []string) {
 	cfg := dramless.NewSystemConfig(kind, dramless.WithObserver(observer))
 	cfg.Scale = *scale
 	if *schedName != "" {
-		p, err := dramless.PolicyByName(*schedName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Policy = p.Name()
+		cfg.Policy = policyName(*schedName)
 	}
 	res, err := dramless.RunSystem(cfg, w)
 	if err != nil {

@@ -202,12 +202,7 @@ func cmdExperiments(args []string) {
 	}
 	o.Parallelism = *parallel
 	if *schedName != "" {
-		p, err := dramless.PolicyByName(*schedName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		o.Policy = p.Name()
+		o.Policy = policyName(*schedName)
 	}
 
 	ids := fs.Args()
@@ -352,28 +347,13 @@ func cmdArena(args []string) {
 	var pols []string
 	if *policies != "" {
 		for _, name := range strings.Split(*policies, ",") {
-			p, err := dramless.PolicyByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			pols = append(pols, p.Name())
+			pols = append(pols, policyName(strings.TrimSpace(name)))
 		}
 	}
 	var kinds []dramless.SystemKind
 	if *systems != "" {
 		for _, name := range strings.Split(*systems, ",") {
-			found := false
-			for _, k := range dramless.SystemKinds() {
-				if strings.EqualFold(k.String(), strings.TrimSpace(name)) {
-					kinds, found = append(kinds, k), true
-					break
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown system %q (see `dramless list`)\n", name)
-				os.Exit(2)
-			}
+			kinds = append(kinds, systemKind(name))
 		}
 	}
 
@@ -400,6 +380,30 @@ func cmdArena(args []string) {
 		eng.Stats(), eng.PrefixStats(), time.Since(wall).Round(time.Millisecond))
 }
 
+// systemKind resolves a system organization name, case-insensitively and
+// ignoring surrounding spaces; an unknown name exits 2, quoted as given.
+func systemKind(name string) dramless.SystemKind {
+	for _, k := range dramless.SystemKinds() {
+		if strings.EqualFold(k.String(), strings.TrimSpace(name)) {
+			return k
+		}
+	}
+	fmt.Fprintf(os.Stderr, "unknown system %q (see `dramless list`)\n", name)
+	os.Exit(2)
+	return 0
+}
+
+// policyName resolves a scheduling policy name to its canonical registry
+// name; an unknown name exits 2 with the registry's error.
+func policyName(name string) string {
+	p, err := dramless.PolicyByName(name)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	return p.Name()
+}
+
 // share returns part's fraction of total (0 when total is 0).
 func share(part, total float64) float64 {
 	if total == 0 {
@@ -423,18 +427,7 @@ func cmdRun(args []string) {
 	stopProf := startProf()
 	defer stopProf()
 
-	var kind dramless.SystemKind
-	found := false
-	for _, k := range dramless.SystemKinds() {
-		if strings.EqualFold(k.String(), *sysName) {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "unknown system %q (see `dramless list`)\n", *sysName)
-		os.Exit(2)
-	}
+	kind := systemKind(*sysName)
 	w, err := dramless.WorkloadByName(*kernelName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -449,12 +442,7 @@ func cmdRun(args []string) {
 	cfg := dramless.NewSystemConfig(kind, dramless.WithObserver(observer))
 	cfg.Scale = *scale
 	if *schedName != "" {
-		p, err := dramless.PolicyByName(*schedName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Policy = p.Name()
+		cfg.Policy = policyName(*schedName)
 	}
 	res, err := dramless.RunSystem(cfg, w)
 	if err != nil {

@@ -435,7 +435,7 @@ func NewExperimentEngine(o ExperimentOptions) *ExperimentEngine {
 
 // ExperimentIDs lists every reproducible table and figure.
 func ExperimentIDs() []string {
-	all := experiments.All()
+	all := experiments.Registry()
 	out := make([]string, 0, len(all))
 	for _, e := range all {
 		out = append(out, e.ID)

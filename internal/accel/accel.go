@@ -137,15 +137,6 @@ func New(cfg Config, backend mem.Device) (*Accelerator, error) {
 	}, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config, backend mem.Device) *Accelerator {
-	a, err := New(cfg, backend)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Config returns the build configuration.
 func (a *Accelerator) Config() Config { return a.cfg }
 
@@ -155,7 +146,7 @@ func (a *Accelerator) Backend() mem.Device { return a.backend }
 // Agents returns how many PEs execute kernels (all but the server).
 func (a *Accelerator) Agents() int { return a.cfg.NumPEs - 1 }
 
-// PSC exposes the power/sleep controller's state and residencies.
+// PSC exposes the power/sleep controller (boot and transition counts).
 func (a *Accelerator) PSC() *PSC { return a.psc }
 
 // QueueWait returns the cumulative job-queue wait across every RunJobs

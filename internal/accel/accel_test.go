@@ -150,7 +150,10 @@ func TestRunOnPRAMSubsystemEndToEnd(t *testing.T) {
 	// Full DRAM-less stack: PEs -> L1 -> L2 -> MCU -> FPGA -> PRAM.
 	cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
 	cfg.Geometry.RowsPerModule = 1 << 16
-	sub := memctrl.MustNew(cfg)
+	sub, err := memctrl.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := MustNew(Default(), sub)
 	rep, err := a.RunKernel(0, workload.MustByName("trisolv"), workload.Params{Scale: 64 << 10, Agents: 7})
 	if err != nil {
@@ -259,4 +262,13 @@ func TestMCUStrideDoesNotAggregate(t *testing.T) {
 func readsOf(f *mem.Flat) int64 {
 	r, _, _, _ := f.Traffic()
 	return r
+}
+
+// MustNew is New for known-good configurations.
+func MustNew(cfg Config, backend mem.Device) *Accelerator {
+	a, err := New(cfg, backend)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }

@@ -35,31 +35,19 @@ func (s PEState) String() string {
 	}
 }
 
-// pscTransition is one recorded state change.
-type pscTransition struct {
-	agent int
-	state PEState
-	at    sim.Time
-}
-
-// PSC tracks every agent's power state over time. The server drives it;
-// the energy model integrates the per-state residencies.
+// PSC tracks every agent's power state over time. The server drives it.
 type PSC struct {
-	states []PEState
-	since  []sim.Time
-	log    []pscTransition
-	boots  int64
-
-	// residency[agent][state] accumulates closed spans.
-	residency [][3]sim.Duration
+	states      []PEState
+	since       []sim.Time // when each agent entered its current state
+	transitions int
+	boots       int64
 }
 
 // newPSC returns a controller with all agents asleep at time zero.
 func newPSC(agents int) *PSC {
 	return &PSC{
-		states:    make([]PEState, agents),
-		since:     make([]sim.Time, agents),
-		residency: make([][3]sim.Duration, agents),
+		states: make([]PEState, agents),
+		since:  make([]sim.Time, agents),
 	}
 }
 
@@ -70,7 +58,7 @@ func (p *PSC) checkAgent(agent int) error {
 	return nil
 }
 
-// transition closes the current span and enters the new state.
+// transition leaves the current state and enters the new one.
 func (p *PSC) transition(at sim.Time, agent int, to PEState) error {
 	if err := p.checkAgent(agent); err != nil {
 		return err
@@ -78,10 +66,9 @@ func (p *PSC) transition(at sim.Time, agent int, to PEState) error {
 	if at < p.since[agent] {
 		return fmt.Errorf("accel: PSC transition for agent %d at %v before %v", agent, at, p.since[agent])
 	}
-	p.residency[agent][p.states[agent]] += at - p.since[agent]
 	p.states[agent] = to
 	p.since[agent] = at
-	p.log = append(p.log, pscTransition{agent: agent, state: to, at: at})
+	p.transitions++
 	return nil
 }
 
@@ -117,21 +104,8 @@ func (p *PSC) Sleep(at sim.Time, agent int) error {
 	return p.transition(at, agent, StateSleep)
 }
 
-// State returns an agent's current power state.
-func (p *PSC) State(agent int) PEState { return p.states[agent] }
-
-// Residency returns how long the agent has spent in state, including the
-// open span up to `at`.
-func (p *PSC) Residency(agent int, state PEState, at sim.Time) sim.Duration {
-	d := p.residency[agent][state]
-	if p.states[agent] == state && at > p.since[agent] {
-		d += at - p.since[agent]
-	}
-	return d
-}
-
 // Transitions returns how many state changes have been recorded.
-func (p *PSC) Transitions() int { return len(p.log) }
+func (p *PSC) Transitions() int { return p.transitions }
 
 // Boots returns how many reboot sequences completed (the PSC-reboot
 // observability counter: each kernel launch reboots its agents).

@@ -9,7 +9,8 @@ import (
 
 func TestPSCLifecycle(t *testing.T) {
 	p := newPSC(2)
-	if p.State(0) != StateSleep {
+	// Agents start asleep, so a sleep is rejected and a boot accepted.
+	if err := p.Sleep(0, 0); err == nil {
 		t.Fatal("agents must start asleep")
 	}
 	running, err := p.Boot(sim.Microseconds(10), 0, sim.Microseconds(5))
@@ -19,24 +20,25 @@ func TestPSCLifecycle(t *testing.T) {
 	if running != sim.Microseconds(15) {
 		t.Fatalf("running at %v, want 15us", running)
 	}
-	if p.State(0) != StateRunning {
-		t.Fatalf("state = %v", p.State(0))
+	if _, err := p.Boot(sim.Microseconds(20), 0, sim.Microseconds(5)); err == nil {
+		t.Fatal("booting a running agent accepted")
 	}
 	if err := p.Sleep(sim.Microseconds(40), 0); err != nil {
 		t.Fatal(err)
 	}
-	at := sim.Microseconds(100)
-	if got := p.Residency(0, StateSleep, at); got != sim.Microseconds(70) {
-		t.Fatalf("sleep residency = %v, want 70us (10 before boot + 60 after)", got)
+	if p.Transitions() != 3 || p.Boots() != 1 {
+		t.Fatalf("transitions = %d, boots = %d, want 3 and 1", p.Transitions(), p.Boots())
 	}
-	if got := p.Residency(0, StateBooting, at); got != sim.Microseconds(5) {
-		t.Fatalf("boot residency = %v", got)
+	// Back asleep: the next boot starts when asked and runs after the launch.
+	running, err = p.Boot(sim.Microseconds(100), 0, sim.Microseconds(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := p.Residency(0, StateRunning, at); got != sim.Microseconds(25) {
-		t.Fatalf("run residency = %v", got)
+	if running != sim.Microseconds(105) {
+		t.Fatalf("second boot running at %v, want 105us", running)
 	}
-	if p.Transitions() != 3 {
-		t.Fatalf("transitions = %d", p.Transitions())
+	if p.Transitions() != 5 || p.Boots() != 2 {
+		t.Fatalf("transitions = %d, boots = %d, want 5 and 2", p.Transitions(), p.Boots())
 	}
 }
 
@@ -66,21 +68,21 @@ func TestPSCDrivenByRunKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	psc := a.PSC()
-	for i := 0; i < a.Agents(); i++ {
-		if psc.State(i) != StateSleep {
-			t.Fatalf("agent %d not back asleep after the kernel", i)
-		}
-		if psc.Residency(i, StateRunning, rep.End) <= 0 {
-			t.Fatalf("agent %d recorded no running time", i)
-		}
-		if psc.Residency(i, StateBooting, rep.End) != a.Config().LaunchOverhead {
-			t.Fatalf("agent %d boot residency %v, want one launch",
-				i, psc.Residency(i, StateBooting, rep.End))
-		}
+	// One boot (sleep -> booting -> running) and one sleep per agent.
+	if psc.Boots() != int64(a.Agents()) {
+		t.Fatalf("boots = %d, want %d", psc.Boots(), a.Agents())
 	}
-	// Boot + sleep per agent.
 	if psc.Transitions() != 3*a.Agents() {
 		t.Fatalf("transitions = %d, want %d", psc.Transitions(), 3*a.Agents())
+	}
+	for i := 0; i < a.Agents(); i++ {
+		running, err := psc.Boot(rep.End, i, a.Config().LaunchOverhead)
+		if err != nil {
+			t.Fatalf("agent %d not back asleep after the kernel: %v", i, err)
+		}
+		if running != rep.End+a.Config().LaunchOverhead {
+			t.Fatalf("agent %d running at %v, want one launch after %v", i, running, rep.End)
+		}
 	}
 }
 
@@ -91,16 +93,13 @@ func TestPSCDrivenByRunJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	psc := a.PSC()
-	booted := 0
+	if psc.Boots() != 6 || psc.Transitions() != 18 {
+		t.Fatalf("boots = %d, transitions = %d, want 6 and 18 (two 3-agent jobs)",
+			psc.Boots(), psc.Transitions())
+	}
 	for i := 0; i < a.Agents(); i++ {
-		if psc.State(i) != StateSleep {
+		if err := psc.Sleep(sim.Second, i); err == nil {
 			t.Fatalf("agent %d not asleep", i)
 		}
-		if psc.Residency(i, StateRunning, sim.Second) > 0 {
-			booted++
-		}
-	}
-	if booted != 6 {
-		t.Fatalf("%d agents ran, want 6 (two 3-agent jobs)", booted)
 	}
 }

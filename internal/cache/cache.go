@@ -220,24 +220,12 @@ func (c *Cache) Release() {
 	c.storage = storage{}
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config, lower mem.Device) *Cache {
-	c, err := New(cfg, lower)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Size implements mem.Device: the cache is transparent, exposing the
 // lower device's space.
 func (c *Cache) Size() uint64 { return c.lower.Size() }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64, off int) {
 	lineAddr := addr >> c.lineShift

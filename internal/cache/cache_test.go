@@ -350,3 +350,12 @@ func TestStoragePoolConcurrentUse(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MustNew is New for known-good configurations.
+func MustNew(cfg Config, lower mem.Device) *Cache {
+	c, err := New(cfg, lower)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}

@@ -27,12 +27,12 @@ type Params struct {
 	CachePerByteJ float64
 
 	// PRAM device energies per operation.
-	PRAMActivateJ   float64 // sense one 256-bit row into an RDB
-	PRAMBurstJ      float64 // one 32 B burst on the DQ bus
-	PRAMProgramJ    float64 // SET-dominated fresh/erased program of a row
-	PRAMOverwriteJ  float64 // RESET+SET overwrite of a row
-	PRAMEraseJ      float64 // 60 ms bulk erase
-	PRAMIdleWattsGB float64 // negligible standby (non-volatile): ~0
+	// Standby is negligible (non-volatile), so PRAM has no idle power.
+	PRAMActivateJ  float64 // sense one 256-bit row into an RDB
+	PRAMBurstJ     float64 // one 32 B burst on the DQ bus
+	PRAMProgramJ   float64 // SET-dominated fresh/erased program of a row
+	PRAMOverwriteJ float64 // RESET+SET overwrite of a row
+	PRAMEraseJ     float64 // 60 ms bulk erase
 
 	// Flash media energies per operation.
 	FlashReadPageJ    float64
@@ -61,12 +61,11 @@ func Default() Params {
 
 		CachePerByteJ: 30e-12,
 
-		PRAMActivateJ:   4e-9,  // ~15 pJ/bit sensing
-		PRAMBurstJ:      1e-9,  // DQ toggling per 32 B
-		PRAMProgramJ:    15e-9, // ~50 pJ/bit SET train
-		PRAMOverwriteJ:  28e-9, // RESET+SET
-		PRAMEraseJ:      4e-6,  // long bulk pulse
-		PRAMIdleWattsGB: 0,
+		PRAMActivateJ:  4e-9,  // ~15 pJ/bit sensing
+		PRAMBurstJ:     1e-9,  // DQ toggling per 32 B
+		PRAMProgramJ:   15e-9, // ~50 pJ/bit SET train
+		PRAMOverwriteJ: 28e-9, // RESET+SET
+		PRAMEraseJ:     4e-6,  // long bulk pulse
 
 		FlashReadPageJ:    10e-6,
 		FlashProgramPageJ: 60e-6,
@@ -108,9 +107,9 @@ const (
 )
 
 // Account accumulates energy by component and optionally samples power
-// over time for the Figure 20/21 plots.
+// over time for the Figure 20/21 plots. The zero value is an empty
+// account with power sampling off.
 type Account struct {
-	params Params
 	byComp Components
 	series *obs.Series[float64] // joules per window; nil unless enabled
 }
@@ -143,18 +142,10 @@ func (c *Components) add(component string, joules float64) {
 	c.joules[i] += joules
 }
 
-// NewAccount returns an account using params.
-func NewAccount(params Params) *Account {
-	return &Account{params: params}
-}
-
 // EnableSeries turns on power sampling with the given window.
 func (a *Account) EnableSeries(interval sim.Duration) {
 	a.series = obs.NewSeries[float64](obs.SeriesEnergy, interval)
 }
-
-// Params returns the model constants.
-func (a *Account) Params() Params { return a.params }
 
 // Add charges joules to a component with no time attribution.
 func (a *Account) Add(component string, joules float64) {

@@ -38,7 +38,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 }
 
 func TestAccountBreakdown(t *testing.T) {
-	a := NewAccount(Default())
+	a := new(Account)
 	a.Add(CompPRAM, 2)
 	a.Add(CompCore, 3)
 	a.Add(CompPRAM, 1)
@@ -53,7 +53,7 @@ func TestAccountBreakdown(t *testing.T) {
 // TestBreakdown pins the component totals: repeated charges add up,
 // Keys keeps first-charge order, and an absent component reads 0.
 func TestBreakdown(t *testing.T) {
-	a := NewAccount(Default())
+	a := new(Account)
 	a.Add("compute", 3)
 	a.Add("storage", 6)
 	a.Add("compute", 1)
@@ -78,7 +78,7 @@ func TestBreakdown(t *testing.T) {
 }
 
 func TestAddPower(t *testing.T) {
-	a := NewAccount(Default())
+	a := new(Account)
 	a.AddPower(CompHost, 35, 0, sim.Second)
 	if got := a.Total(); math.Abs(got-35) > 1e-9 {
 		t.Fatalf("1s at 35W = %v J", got)
@@ -91,7 +91,7 @@ func TestAddPower(t *testing.T) {
 }
 
 func TestPowerSeries(t *testing.T) {
-	a := NewAccount(Default())
+	a := new(Account)
 	if a.PowerSeries() != nil {
 		t.Fatal("series present before enabling")
 	}
@@ -110,7 +110,7 @@ func TestPowerSeries(t *testing.T) {
 }
 
 func TestAddSpanInstantaneous(t *testing.T) {
-	a := NewAccount(Default())
+	a := new(Account)
 	a.EnableSeries(sim.Microsecond)
 	a.AddSpan(CompPRAM, 5e-9, 3*sim.Microsecond, 3*sim.Microsecond)
 	if got := a.Breakdown().Get(CompPRAM); got != 5e-9 {
@@ -122,7 +122,7 @@ func TestAddSpanInstantaneous(t *testing.T) {
 // window over the window: 2 J in the first 1 us window reads 2 MW, and
 // the windows add back up to the joules charged.
 func TestSeriesCumulativeAndRate(t *testing.T) {
-	a := NewAccount(Default())
+	a := new(Account)
 	a.EnableSeries(sim.Microsecond)
 	a.AddSpan(CompCore, 2, 0, 0)
 	a.AddSpan(CompCore, 3, sim.Microsecond, sim.Microsecond)

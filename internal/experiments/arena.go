@@ -134,8 +134,6 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 
 	type rowData struct {
 		label   string
-		kind    system.Kind
-		policy  string
 		geomean float64
 		row     *Row
 	}
@@ -174,7 +172,7 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 			r.set("mean-rd-ns", dist.Mean()/1e3)
 			r.set("p99-rd-ns", float64(dist.Percentile(99))/1e3)
 			r.set("d-p99-ns", float64(dist.Percentile(99)-baseP99)/1e3)
-			rows = append(rows, &rowData{label: label, kind: kind, policy: pol, geomean: gm, row: r})
+			rows = append(rows, &rowData{label: label, geomean: gm, row: r})
 		}
 	}
 

@@ -15,10 +15,10 @@ func quickOpts() Options {
 }
 
 func TestAllExperimentsGenerate(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tab, err := e.Gen(quickOpts())
+			tab, err := e.Gen(NewEngine(quickOpts()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func TestAllExperimentsGenerate(t *testing.T) {
 }
 
 func TestFig01Shape(t *testing.T) {
-	tab, err := Fig01(quickOpts())
+	tab, err := NewEngine(quickOpts()).Table("fig01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFig01Shape(t *testing.T) {
 }
 
 func TestFig07Shape(t *testing.T) {
-	tab, err := Fig07(quickOpts())
+	tab, err := NewEngine(quickOpts()).Table("fig07")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestFig12Shape(t *testing.T) {
 // which would flatten every column to 1.
 func TestFig13IgnoresPolicyOverride(t *testing.T) {
 	o := quickOpts()
-	plain, err := Fig13(o)
+	plain, err := NewEngine(o).Table("fig13")
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Policy = "palp"
-	over, err := Fig13(o)
+	over, err := NewEngine(o).Table("fig13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFig13IgnoresPolicyOverride(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	tab, err := Fig15(quickOpts())
+	tab, err := NewEngine(quickOpts()).Table("fig15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestFig15Shape(t *testing.T) {
 }
 
 func TestFig16Shape(t *testing.T) {
-	tab, err := Fig16(quickOpts())
+	tab, err := NewEngine(quickOpts()).Table("fig16")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFig16Shape(t *testing.T) {
 }
 
 func TestFig17Shape(t *testing.T) {
-	tab, err := Fig17(quickOpts())
+	tab, err := NewEngine(quickOpts()).Table("fig17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,8 @@ func TestFig17Shape(t *testing.T) {
 }
 
 func TestFig18Fig19Shape(t *testing.T) {
-	for _, gen := range []func(Options) (*Table, error){Fig18, Fig19} {
-		tab, err := gen(quickOpts())
+	for _, id := range []string{"fig18", "fig19"} {
+		tab, err := NewEngine(quickOpts()).Table(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,8 +224,8 @@ func TestFig18Fig19Shape(t *testing.T) {
 }
 
 func TestFig20Fig21Shape(t *testing.T) {
-	for _, gen := range []func(Options) (*Table, error){Fig20, Fig21} {
-		tab, err := gen(quickOpts())
+	for _, id := range []string{"fig20", "fig21"} {
+		tab, err := NewEngine(quickOpts()).Table(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,11 +270,10 @@ func TestUnknownKernelErrorsInOptions(t *testing.T) {
 	o.Kernels = []string{"nope"}
 	e := NewEngine(o)
 	for name, call := range map[string]func() error{
-		"Table":  func() error { _, err := e.Table("table3"); return err },
-		"Tables": func() error { _, err := e.Tables(); return err },
-		"Arena":  func() error { _, err := e.Arena(nil, nil); return err },
-		"Fig15":  func() error { _, err := Fig15(o); return err },
-		"Table3": func() error { _, err := Table3(o); return err },
+		"Table":        func() error { _, err := e.Table("table3"); return err },
+		"Tables":       func() error { _, err := e.Tables(); return err },
+		"Arena":        func() error { _, err := e.Arena(nil, nil); return err },
+		"fresh engine": func() error { _, err := NewEngine(o).Table("fig15"); return err },
 	} {
 		err := call()
 		if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "gemver") {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFig15Full(t *testing.T) {
-	tab, err := Fig15(Fast())
+	tab, err := NewEngine(Fast()).Table("fig15")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,19 +16,15 @@ import (
 // how many figures need it, and so distinct cells execute on the
 // engine's worker pool. Each generator first prefetches the cells it
 // will read, then assembles its rows in a fixed serial order - the
-// rendered tables are byte-identical at any parallelism. The package
-// also keeps an Options-level function per figure (Fig01, Fig15, ...)
-// that runs on a private engine, for one-off use. Those functions and
-// Engine.Table/Tables/Arena report invalid Options as errors; the
-// generator methods assume options they already validated.
+// rendered tables are byte-identical at any parallelism. Run one through
+// Engine.Table (Registry lists the ids): Engine.Table/Tables/Arena report
+// invalid Options as errors; the generator methods assume options they
+// already validated.
 
 // Fig01 reproduces the motivation study: application performance and
 // energy of a real accelerated system (Hetero) normalized to an ideal
 // system whose accelerator memory already holds all data. The paper
 // reports up to 74% performance degradation and ~9x energy.
-func Fig01(o Options) (*Table, error) { return NewEngine(o).Table("fig01") }
-
-// Fig01 generates Figure 1 through the engine's shared cache.
 func (e *Engine) Fig01() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig01", Title: "accelerated system vs ideal (normalized)"}
@@ -61,9 +57,6 @@ func (e *Engine) Fig01() (*Table, error) {
 // Fig07 reproduces the firmware study: performance degradation of
 // managing the PRAM subsystem with traditional SSD firmware versus the
 // oracle hardware-automated controller (the paper reports up to 80%).
-func Fig07(o Options) (*Table, error) { return NewEngine(o).Table("fig07") }
-
-// Fig07 generates Figure 7 through the engine's shared cache.
 func (e *Engine) Fig07() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig07", Title: "firmware-managed PRAM vs oracle controller"}
@@ -128,9 +121,6 @@ func Fig12(Options) (*Table, error) {
 // DRAM-less subsystem under Bare-metal / Interleaving / Selective-erasing
 // / Final, plus each workload's write ratio (the circles). Each column
 // sets its own policy, so Options.Policy does not apply.
-func Fig13(o Options) (*Table, error) { return NewEngine(o).Table("fig13") }
-
-// Fig13 generates Figure 13 through the engine's shared cache.
 func (e *Engine) Fig13() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig13", Title: "scheduler bandwidth, normalized to Bare-metal"}
@@ -180,9 +170,6 @@ func (e *Engine) Fig13() (*Table, error) {
 
 // Fig15 reproduces the headline throughput comparison: the ten systems'
 // data-processing bandwidth normalized to Hetero.
-func Fig15(o Options) (*Table, error) { return NewEngine(o).Table("fig15") }
-
-// Fig15 generates Figure 15 through the engine's shared cache.
 func (e *Engine) Fig15() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig15", Title: "throughput normalized to Hetero"}
@@ -215,9 +202,6 @@ func (e *Engine) Fig15() (*Table, error) {
 }
 
 // Fig16 reproduces the execution-time decomposition.
-func Fig16(o Options) (*Table, error) { return NewEngine(o).Table("fig16") }
-
-// Fig16 generates Figure 16 through the engine's shared cache.
 func (e *Engine) Fig16() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig16", Title: "execution time decomposition (fraction of total)"}
@@ -253,9 +237,6 @@ func (e *Engine) Fig16() (*Table, error) {
 }
 
 // Fig17 reproduces the energy decomposition, normalized to Hetero.
-func Fig17(o Options) (*Table, error) { return NewEngine(o).Table("fig17") }
-
-// Fig17 generates Figure 17 through the engine's shared cache.
 func (e *Engine) Fig17() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "fig17", Title: "energy decomposition (J, plus total normalized to Hetero)"}
@@ -357,15 +338,9 @@ func (e *Engine) figIPC(id, kname string) (*Table, error) {
 }
 
 // Fig18 reproduces the read-intensive IPC time series (gemver).
-func Fig18(o Options) (*Table, error) { return NewEngine(o).Table("fig18") }
-
-// Fig18 generates Figure 18 through the engine's shared cache.
 func (e *Engine) Fig18() (*Table, error) { return e.figIPC("fig18", "gemver") }
 
 // Fig19 reproduces the write-intensive IPC time series (doitg).
-func Fig19(o Options) (*Table, error) { return NewEngine(o).Table("fig19") }
-
-// Fig19 generates Figure 19 through the engine's shared cache.
 func (e *Engine) Fig19() (*Table, error) { return e.figIPC("fig19", "doitg") }
 
 // powerConfig is the capture configuration of the Figure 20/21 series:
@@ -404,15 +379,9 @@ func (e *Engine) figPower(id, kname string) (*Table, error) {
 }
 
 // Fig20 reproduces the read-intensive power/energy capture (gemver).
-func Fig20(o Options) (*Table, error) { return NewEngine(o).Table("fig20") }
-
-// Fig20 generates Figure 20 through the engine's shared cache.
 func (e *Engine) Fig20() (*Table, error) { return e.figPower("fig20", "gemver") }
 
 // Fig21 reproduces the write-intensive power/energy capture (doitg).
-func Fig21(o Options) (*Table, error) { return NewEngine(o).Table("fig21") }
-
-// Fig21 generates Figure 21 through the engine's shared cache.
 func (e *Engine) Fig21() (*Table, error) { return e.figPower("fig21", "doitg") }
 
 func max(a, b int) int {

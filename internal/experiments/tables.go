@@ -75,9 +75,6 @@ func Table2(Options) (*Table, error) {
 
 // Table3 renders the workload characteristics: write intensity (output
 // per input volume), data volume and class for every kernel.
-func Table3(o Options) (*Table, error) { return NewEngine(o).Table("table3") }
-
-// Table3 generates Table III from the engine's options.
 func (e *Engine) Table3() (*Table, error) {
 	o := e.o
 	t := &Table{ID: "table3", Title: "workload characteristics"}
@@ -220,26 +217,4 @@ func Registry() []Experiment {
 		{"sec5-interleave", optionsOnly(Sec5Interleave)},
 		{"sec5-selerase", optionsOnly(Sec5SelErase)},
 	}
-}
-
-// All returns every experiment generator keyed by id, in paper order.
-// Each Gen call builds a private engine; share one engine (NewEngine +
-// Table/Tables) to reuse simulations across experiments.
-func All() []struct {
-	ID  string
-	Gen func(Options) (*Table, error)
-} {
-	reg := Registry()
-	out := make([]struct {
-		ID  string
-		Gen func(Options) (*Table, error)
-	}, 0, len(reg))
-	for _, x := range reg {
-		gen := x.Gen
-		out = append(out, struct {
-			ID  string
-			Gen func(Options) (*Table, error)
-		}{x.ID, func(o Options) (*Table, error) { return gen(NewEngine(o)) }})
-	}
-	return out
 }

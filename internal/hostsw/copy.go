@@ -1,12 +1,10 @@
 package hostsw
 
-// CopyFrom clones src's CPU/DRAM timelines and I/O totals into h. Both
-// hosts must share the same cost model; checkpoint forks construct a
-// fresh host and then copy the mutable state across.
+// CopyFrom clones src's CPU/DRAM timelines (the DRAM pipe carries the
+// copied-byte total) into h. Both hosts must share the same cost model;
+// checkpoint forks construct a fresh host and then copy the mutable
+// state across.
 func (h *Host) CopyFrom(src *Host) {
 	h.cpu.CopyFrom(src.cpu)
 	h.mem.CopyFrom(src.mem)
-	h.syscalls = src.syscalls
-	h.iops = src.iops
-	h.bytesCopied = src.bytesCopied
 }

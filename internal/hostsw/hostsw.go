@@ -68,10 +68,6 @@ type Host struct {
 	costs Costs
 	cpu   *sim.Resource
 	mem   *sim.Pipe
-
-	syscalls    int64
-	iops        int64
-	bytesCopied int64
 }
 
 // New returns a host with the given cost model.
@@ -86,26 +82,13 @@ func New(costs Costs) (*Host, error) {
 	}, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(costs Costs) *Host {
-	h, err := New(costs)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Costs returns the cost model.
-func (h *Host) Costs() Costs { return h.costs }
-
 // CPUBusy returns cumulative host CPU time consumed by stack work; the
 // energy model charges host power for it.
 func (h *Host) CPUBusy() sim.Duration { return h.cpu.BusyTime() }
 
-// Stats returns (syscalls, I/O requests, bytes copied).
-func (h *Host) Stats() (syscalls, iops, bytesCopied int64) {
-	return h.syscalls, h.iops, h.bytesCopied
-}
+// BytesCopied returns the bytes the host copied between kernel and user
+// buffers; the energy model charges host DRAM traffic for them.
+func (h *Host) BytesCopied() int64 { return h.mem.BytesMoved() }
 
 // IOOps returns how many I/O requests n bytes of buffered file I/O issue.
 func (h *Host) IOOps(n int64) int64 {
@@ -127,18 +110,7 @@ func (h *Host) FileIO(at sim.Time, n int64) (done sim.Time, perOp sim.Duration, 
 	perOp = h.costs.Syscall + h.costs.FSPerOp + h.costs.Interrupt + h.costs.ContextSwitch
 	done = h.cpu.AcquireUntil(at, sim.Duration(ops)*perOp)
 	done = h.mem.Transfer(done, n) // kernel buffer -> user pages
-	h.syscalls += ops
-	h.iops += ops
-	h.bytesCopied += n
 	return done, perOp, ops
-}
-
-// Memcpy charges one host-DRAM copy of n bytes (e.g. staging a pinned
-// DMA buffer).
-func (h *Host) Memcpy(at sim.Time, n int64) sim.Time {
-	h.bytesCopied += n
-	start := h.cpu.Acquire(at, h.mem.TransferTime(n))
-	return h.mem.Transfer(start, n)
 }
 
 // Deserialize charges turning n file bytes into accelerator-ready
@@ -152,7 +124,6 @@ func (h *Host) Deserialize(at sim.Time, n int64) sim.Time {
 // plus driver work, no data movement): how a host kicks a P2P DMA or
 // offloads a kernel.
 func (h *Host) Submit(at sim.Time) sim.Time {
-	h.syscalls++
 	return h.cpu.AcquireUntil(at, h.costs.Syscall+h.costs.FSPerOp/2)
 }
 

@@ -71,7 +71,10 @@ func TestValidation(t *testing.T) {
 func TestOffloadLoadsSegmentsIntoPRAM(t *testing.T) {
 	cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
 	cfg.Geometry.RowsPerModule = 1 << 16
-	sub := memctrl.MustNew(cfg)
+	sub, err := memctrl.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	img := sample()
 	var pushed int64

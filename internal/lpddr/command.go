@@ -99,16 +99,6 @@ func Encode(c Command) (Packet, error) {
 	return Packet(uint32(c.Op)<<opShift | uint32(c.BA)<<baShift | c.Addr), nil
 }
 
-// MustEncode is Encode for commands known to be in range; it panics on
-// error and is intended for tests and table construction.
-func MustEncode(c Command) Packet {
-	p, err := Encode(c)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Decode unpacks a signal packet.
 func Decode(p Packet) (Command, error) {
 	if uint32(p) >= 1<<packetBits {

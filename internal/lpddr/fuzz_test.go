@@ -48,3 +48,13 @@ func FuzzTracker(f *testing.F) {
 		}
 	})
 }
+
+// MustEncode is Encode for commands known to be in range; it panics on
+// error and is intended for tests.
+func MustEncode(c Command) Packet {
+	p, err := Encode(c)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}

@@ -42,12 +42,6 @@ func TestDerivedTiming(t *testing.T) {
 	if got := p.TBurst(); got != sim.Nanoseconds(20) {
 		t.Errorf("tBURST = %v, want 20ns (BL16 at 2.5ns DDR)", got)
 	}
-	if got := p.BurstBytes(); got != 32 {
-		t.Errorf("burst bytes = %d, want 32", got)
-	}
-	if got := p.BurstsPerRow(); got != 1 {
-		t.Errorf("bursts per row = %d, want 1", got)
-	}
 	// The paper reports ~100 ns end-to-end read including three-phase
 	// addressing; the derived value must land near that.
 	lat := p.RowReadLatency()
@@ -242,4 +236,23 @@ func TestStringFormats(t *testing.T) {
 	if CellErased.String() != "erased" || CellFresh.String() != "fresh" || CellProgrammed.String() != "programmed" {
 		t.Error("cell state strings wrong")
 	}
+}
+
+// Activated reports whether buffer pair ba holds a sensed row.
+func (t *Tracker) Activated(ba uint8) bool {
+	return int(ba) < t.numRAB && t.activated[ba]
+}
+
+// Loaded reports whether RAB ba holds an upper row address.
+func (t *Tracker) Loaded(ba uint8) bool {
+	return int(ba) < t.numRAB && t.rabLoaded[ba]
+}
+
+// Reset clears all protocol state (device power cycle).
+func (t *Tracker) Reset() {
+	for i := range t.rabLoaded {
+		t.rabLoaded[i] = false
+		t.activated[i] = false
+	}
+	t.history = t.history[:0]
 }

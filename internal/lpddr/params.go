@@ -157,20 +157,6 @@ func (p *Params) TBurst() sim.Duration {
 	return sim.Duration(p.BurstLen/2) * p.TCK
 }
 
-// BurstBytes returns the payload of one burst: BurstLen beats x 2 bytes
-// per beat on the x16 interface.
-func (p *Params) BurstBytes() int { return p.BurstLen * 2 }
-
-// BurstsPerRow returns how many read/write-phase bursts a full RDB
-// transfer takes.
-func (p *Params) BurstsPerRow() int {
-	n := p.RDBBytes / p.BurstBytes()
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // ReadPreamble returns RL + tDQSCK: command to first read data.
 func (p *Params) ReadPreamble() sim.Duration { return p.RL() + p.TDQSCK }
 

@@ -75,22 +75,3 @@ func (t *Tracker) Observe(c Command) error {
 	}
 	return nil
 }
-
-// Activated reports whether buffer pair ba holds a sensed row.
-func (t *Tracker) Activated(ba uint8) bool {
-	return int(ba) < t.numRAB && t.activated[ba]
-}
-
-// Loaded reports whether RAB ba holds an upper row address.
-func (t *Tracker) Loaded(ba uint8) bool {
-	return int(ba) < t.numRAB && t.rabLoaded[ba]
-}
-
-// Reset clears all protocol state (device power cycle).
-func (t *Tracker) Reset() {
-	for i := range t.rabLoaded {
-		t.rabLoaded[i] = false
-		t.activated[i] = false
-	}
-	t.history = t.history[:0]
-}

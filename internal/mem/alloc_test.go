@@ -14,9 +14,19 @@ import (
 	"dramless/internal/sim"
 )
 
+// newCache builds a cache over lower or fails the test.
+func newCache(t *testing.T, cfg cache.Config, lower mem.Device) *cache.Cache {
+	t.Helper()
+	c, err := cache.New(cfg, lower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCacheHitReadIntoAllocationFree(t *testing.T) {
 	flat := mem.NewFlat("lower", 1<<20, 100*sim.Nanosecond, 12.8e9)
-	c := cache.MustNew(cache.L1Data(), flat)
+	c := newCache(t, cache.L1Data(), flat)
 	payload := make([]byte, 256)
 	for i := range payload {
 		payload[i] = byte(i)
@@ -44,7 +54,7 @@ func TestCacheHitReadIntoAllocationFree(t *testing.T) {
 // nothing, like the scalar hit path it folds.
 func TestCacheReadRunAllocationFree(t *testing.T) {
 	flat := mem.NewFlat("lower", 1<<20, 100*sim.Nanosecond, 12.8e9)
-	c := cache.MustNew(cache.L1Data(), flat)
+	c := newCache(t, cache.L1Data(), flat)
 	run := mem.Run{Addr: 4096, Stride: 32, Size: 32, Count: 64, Gap: 10 * sim.Nanosecond, Issue: sim.Nanosecond}
 	dst := make([]byte, 32)
 	// Warm scalar: misses over a non-Cache lower level stop a run, so
@@ -72,7 +82,7 @@ func TestCacheReadRunAllocationFree(t *testing.T) {
 // TestCacheWriteRunAllocationFree is the store-side pin.
 func TestCacheWriteRunAllocationFree(t *testing.T) {
 	flat := mem.NewFlat("lower", 1<<20, 100*sim.Nanosecond, 12.8e9)
-	c := cache.MustNew(cache.L1Data(), flat)
+	c := newCache(t, cache.L1Data(), flat)
 	run := mem.Run{Addr: 8192, Stride: 32, Size: 32, Count: 64, Gap: 10 * sim.Nanosecond, Issue: sim.Nanosecond}
 	src := make([]byte, 32)
 	for i := range src {

@@ -34,8 +34,7 @@ func conformanceCases() []conformanceCase {
 		}},
 		{"CacheStack", func(t *testing.T) (mem.Device, sim.Time) {
 			flat := mem.NewFlat("lower", 1<<20, 100*sim.Nanosecond, 12.8e9)
-			l2 := cache.MustNew(cache.L2(), flat)
-			return cache.MustNew(cache.L1Data(), l2), 0
+			return newCache(t, cache.L1Data(), newCache(t, cache.L2(), flat)), 0
 		}},
 		{"Subsystem", func(t *testing.T) (mem.Device, sim.Time) {
 			cfg := memctrl.DefaultPolicyConfig(memctrl.Final)
@@ -51,7 +50,11 @@ func conformanceCases() []conformanceCase {
 			return sub, ready
 		}},
 		{"SSD", func(t *testing.T) (mem.Device, sim.Time) {
-			return ssd.MustNew(ssd.DefaultConfig(flash.SLC(), 1<<20)), 0
+			s, err := ssd.New(ssd.DefaultConfig(flash.SLC(), 1<<20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, 0
 		}},
 		{"FirmwareManaged", func(t *testing.T) (mem.Device, sim.Time) {
 			fm, err := ssd.NewFirmwareManaged(ssd.DefaultFirmware(), mem.NewFlat("inner", 1<<20, 100*sim.Nanosecond, 12.8e9))

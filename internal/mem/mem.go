@@ -199,6 +199,3 @@ func (s *Sparse) Write(addr uint64, data []byte) {
 		off += take
 	}
 }
-
-// Pages returns how many pages have been materialized.
-func (s *Sparse) Pages() int { return len(s.pages) }

@@ -124,3 +124,6 @@ func TestSparseEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Pages returns how many pages have been materialized.
+func (s *Sparse) Pages() int { return len(s.pages) }

@@ -138,3 +138,25 @@ type Stats struct {
 	WriteFullPS int64
 	WriteRMWPS  int64
 }
+
+// Add adds sign times o to s field by field: sign 1 sums two snapshots,
+// -1 takes the delta between them.
+func (s *Stats) Add(o Stats, sign int64) {
+	s.Reads += sign * o.Reads
+	s.Writes += sign * o.Writes
+	s.PreactiveSkips += sign * o.PreactiveSkips
+	s.ActivateSkips += sign * o.ActivateSkips
+	s.FullAccesses += sign * o.FullAccesses
+	s.Prefetches += sign * o.Prefetches
+	s.InterleaveOverlaps += sign * o.InterleaveOverlaps
+	s.PreErasedRows += sign * o.PreErasedRows
+	s.PartitionOverlapWins += sign * o.PartitionOverlapWins
+	s.PausePreemptedReads += sign * o.PausePreemptedReads
+	s.BytesRead += sign * o.BytesRead
+	s.BytesWritten += sign * o.BytesWritten
+	for i := range s.ReadPS {
+		s.ReadPS[i] += sign * o.ReadPS[i]
+	}
+	s.WriteFullPS += sign * o.WriteFullPS
+	s.WriteRMWPS += sign * o.WriteRMWPS
+}

@@ -131,15 +131,6 @@ func New(cfg Config) (*Subsystem, error) {
 	return s, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config) *Subsystem {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Config returns the build configuration.
 func (s *Subsystem) Config() Config { return s.cfg }
 
@@ -426,23 +417,7 @@ func (s *Subsystem) Drain() sim.Time {
 func (s *Subsystem) Stats() Stats {
 	var out Stats
 	for _, ch := range s.channels {
-		out.Reads += ch.stats.Reads
-		out.Writes += ch.stats.Writes
-		out.PreactiveSkips += ch.stats.PreactiveSkips
-		out.ActivateSkips += ch.stats.ActivateSkips
-		out.FullAccesses += ch.stats.FullAccesses
-		out.Prefetches += ch.stats.Prefetches
-		out.InterleaveOverlaps += ch.stats.InterleaveOverlaps
-		out.PreErasedRows += ch.stats.PreErasedRows
-		out.PartitionOverlapWins += ch.stats.PartitionOverlapWins
-		out.PausePreemptedReads += ch.stats.PausePreemptedReads
-		out.BytesRead += ch.stats.BytesRead
-		out.BytesWritten += ch.stats.BytesWritten
-		for i := range out.ReadPS {
-			out.ReadPS[i] += ch.stats.ReadPS[i]
-		}
-		out.WriteFullPS += ch.stats.WriteFullPS
-		out.WriteRMWPS += ch.stats.WriteRMWPS
+		out.Add(ch.stats, 1)
 	}
 	return out
 }
@@ -466,21 +441,7 @@ func (s *Subsystem) ModuleStats() pram.Stats {
 	var out pram.Stats
 	for _, ch := range s.channels {
 		for _, m := range ch.modules {
-			ms := m.Stats()
-			out.Preactives += ms.Preactives
-			out.Activates += ms.Activates
-			out.WindowAct += ms.WindowAct
-			out.ReadBursts += ms.ReadBursts
-			out.WriteBursts += ms.WriteBursts
-			out.Programs += ms.Programs
-			for i := range out.ProgramsBy {
-				out.ProgramsBy[i] += ms.ProgramsBy[i]
-			}
-			out.Erases += ms.Erases
-			out.BytesRead += ms.BytesRead
-			out.BytesWritten += ms.BytesWritten
-			out.ProgramTime += ms.ProgramTime
-			out.Pauses += ms.Pauses
+			out.Add(m.Stats(), 1)
 		}
 	}
 	return out

@@ -42,9 +42,6 @@ type Crossbar struct {
 	// port").
 	in  []*sim.Resource
 	out []*sim.Resource
-
-	transfers int64
-	bytes     int64
 }
 
 // New builds a crossbar.
@@ -60,18 +57,6 @@ func New(cfg Config) (*Crossbar, error) {
 	return x, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config) *Crossbar {
-	x, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return x
-}
-
-// Config returns the crossbar configuration.
-func (x *Crossbar) Config() Config { return x.cfg }
-
 // Transfer moves n bytes from port src to port dst starting no earlier
 // than at and returns arrival time. Source egress and destination
 // ingress both reserve the wire time; different port pairs proceed in
@@ -86,19 +71,5 @@ func (x *Crossbar) Transfer(at sim.Time, src, dst int, n int64) (done sim.Time, 
 	wire := sim.Duration(float64(n) / x.cfg.BytesPerSec * float64(sim.Second))
 	start := x.in[src].Acquire(at, wire)
 	end := x.out[dst].AcquireUntil(start, wire)
-	x.transfers++
-	x.bytes += n
 	return end + x.cfg.HopLatency, nil
-}
-
-// Stats returns (transfers, bytes moved).
-func (x *Crossbar) Stats() (transfers, bytes int64) { return x.transfers, x.bytes }
-
-// BusyTime returns total port-busy time across the fabric.
-func (x *Crossbar) BusyTime() sim.Duration {
-	var t sim.Duration
-	for p := 0; p < x.cfg.Ports; p++ {
-		t += x.in[p].BusyTime() + x.out[p].BusyTime()
-	}
-	return t
 }

@@ -54,23 +54,19 @@ func TestBadPortsRejected(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	x := MustNew(Default())
-	x.Transfer(0, 0, 1, 100)
-	x.Transfer(0, 1, 2, 200)
-	n, b := x.Stats()
-	if n != 2 || b != 300 {
-		t.Fatalf("stats = %d, %d", n, b)
-	}
-	if x.BusyTime() == 0 {
-		t.Fatal("no busy time recorded")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	c := Default()
 	c.Ports = 1
 	if err := c.Validate(); err == nil {
 		t.Fatal("single-port crossbar accepted")
 	}
+}
+
+// MustNew is New for known-good configurations.
+func MustNew(cfg Config) *Crossbar {
+	x, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return x
 }

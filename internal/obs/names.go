@@ -203,7 +203,3 @@ func allDigits(s string) bool {
 // Cataloged reports whether name (after index normalization) is a
 // declared instrument.
 func Cataloged(name string) bool { return catalog[NormalizeName(name)] }
-
-// CatalogSize returns how many normalized names the catalog declares
-// (test hook).
-func CatalogSize() int { return len(catalog) }

@@ -66,3 +66,6 @@ func TestCatalogCoversDeclaredInstruments(t *testing.T) {
 			CatalogSize(), len(declared))
 	}
 }
+
+// CatalogSize returns how many normalized names the catalog declares.
+func CatalogSize() int { return len(catalog) }

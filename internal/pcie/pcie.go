@@ -65,18 +65,6 @@ func NewLink(cfg LinkConfig) (*Link, error) {
 	return &Link{cfg: cfg, wire: sim.NewPipe(cfg.Name, cfg.BytesPerSec, cfg.Latency)}, nil
 }
 
-// MustNewLink is NewLink for known-good configurations.
-func MustNewLink(cfg LinkConfig) *Link {
-	l, err := NewLink(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
-// Config returns the link configuration.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // DMA moves n bytes across the link starting no earlier than at and
 // returns when the final completion lands. Large transfers split into
 // MaxPayload descriptors that pipeline on the wire; the setup cost is
@@ -122,9 +110,6 @@ func (l *Link) CountersInto(c *obs.Counters) {
 
 // BusyTime returns cumulative wire occupancy, for energy accounting.
 func (l *Link) BusyTime() sim.Duration { return l.wire.BusyTime() }
-
-// FreeAt returns when the wire next idles.
-func (l *Link) FreeAt() sim.Time { return l.wire.FreeAt() }
 
 // P2P is the peer-to-peer DMA fabric of the Heterodirect configurations:
 // data flows SSD -> switch -> accelerator, crossing both endpoint links

@@ -83,3 +83,12 @@ func TestSerializationOnWire(t *testing.T) {
 		t.Fatal("concurrent DMAs did not serialize on the wire")
 	}
 }
+
+// MustNewLink is NewLink for known-good configurations.
+func MustNewLink(cfg LinkConfig) *Link {
+	l, err := NewLink(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return l
+}

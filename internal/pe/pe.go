@@ -99,8 +99,7 @@ func (s *Spans) add(t0, t1 sim.Time) {
 
 // PE is one processing element mid-run.
 type PE struct {
-	ID  int
-	cfg Config
+	ID int
 
 	memory  mem.Device
 	batcher mem.Batcher // non-nil when memory has a batched fast path
@@ -156,7 +155,7 @@ func New(id int, cfg Config, memory mem.Device, stream workload.Stream, start si
 		return nil, fmt.Errorf("pe %d: nil memory or stream", id)
 	}
 	p := &PE{
-		ID: id, cfg: cfg, memory: memory, stream: stream, now: start,
+		ID: id, memory: memory, stream: stream, now: start,
 		clock:       sim.NewClock(cfg.ClockHz),
 		ipcEff:      cfg.effectiveIPC(),
 		memoCompute: -1,
@@ -216,9 +215,6 @@ func (p *PE) recordCompute(t0, t1 sim.Time, instrs float64) {
 
 // Now returns the PE's local time.
 func (p *PE) Now() sim.Time { return p.now }
-
-// Done reports stream exhaustion.
-func (p *PE) Done() bool { return p.done }
 
 // Instructions returns instructions retired so far.
 func (p *PE) Instructions() int64 { return p.instrs }
@@ -423,18 +419,4 @@ func (p *PE) payload(n int) []byte {
 		}
 	}
 	return p.storeBuf[:n]
-}
-
-// Run steps the PE to completion (single-PE convenience; multi-PE runs
-// interleave Steps in time order via the accel package).
-func (p *PE) Run() error {
-	for {
-		ok, err := p.Step()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-	}
 }

@@ -257,7 +257,10 @@ func TestMemoryErrorPropagates(t *testing.T) {
 func TestKernelStreamRunsOnPE(t *testing.T) {
 	k := workload.MustByName("trisolv")
 	params := workload.Params{Scale: 16 << 10, Agents: 2}
-	stream := workload.MustStream(k, params, 0)
+	stream, err := workload.NewStream(k, params, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, _ := New(0, Default(), fastMem(), stream, 0)
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
@@ -283,5 +286,22 @@ func TestDSPIntrinsicsDoubleComputeRate(t *testing.T) {
 	with, without := run(true), run(false)
 	if without != 2*with {
 		t.Fatalf("without intrinsics %v, want 2x the optimized %v", without, with)
+	}
+}
+
+// Done reports stream exhaustion.
+func (p *PE) Done() bool { return p.done }
+
+// Run steps the PE to completion (single-PE convenience; multi-PE runs
+// interleave Steps in time order via the accel package).
+func (p *PE) Run() error {
+	for {
+		ok, err := p.Step()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
 	}
 }

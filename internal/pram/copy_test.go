@@ -19,7 +19,7 @@ import (
 // re-allocation.
 func TestCopyFromReusesSegments(t *testing.T) {
 	src := testModule(t)
-	row := make([]byte, src.Geometry().RowBytes)
+	row := make([]byte, src.geo.RowBytes)
 	for i := range row {
 		row[i] = byte(i*7 + 1)
 	}
@@ -69,7 +69,7 @@ var watchedRows = []uint64{progRow, eraseRow, actRow, keptRow, borrowRow, 0, seg
 func forkTemplate(t *testing.T) *Module {
 	t.Helper()
 	m := testModule(t)
-	row := make([]byte, m.Geometry().RowBytes)
+	row := make([]byte, m.geo.RowBytes)
 	for r := uint64(0); r < 3*segRows; r++ {
 		for i := range row {
 			row[i] = byte(r) ^ byte(i*3+1)
@@ -95,7 +95,7 @@ func forkTraffic(m *Module, data []byte) error {
 	if err := m.PreEraseBackground(at, eraseRow, false); err != nil {
 		return err
 	}
-	upper, lower := m.Geometry().SplitRow(actRow)
+	upper, lower := m.geo.SplitRow(actRow)
 	done, err := m.Preactive(m.BusyUntil(), 0, upper)
 	if err != nil {
 		return err
@@ -147,8 +147,8 @@ type moduleView struct {
 func viewOf(m *Module) moduleView {
 	var v moduleView
 	for _, r := range watchedRows {
-		addr := r * uint64(m.Geometry().RowBytes)
-		v.rows = append(v.rows, rowView{m.PeekRow(r), m.WordState(addr), m.LastProgramEnd(r)})
+		addr := r * uint64(m.geo.RowBytes)
+		v.rows = append(v.rows, rowView{m.PeekRow(r), wordState(m, addr), m.LastProgramEnd(r)})
 	}
 	s, idx := m.peek(actRow)
 	v.actRead = s.lastRead(idx)
@@ -170,7 +170,7 @@ func sameView(a, b moduleView) bool {
 // slab released while some other module still reads it shows up as
 // corrupted contents there.
 func scribble(m *Module) {
-	for r := uint64(0); r < m.Geometry().RowsPerModule; r += segRows {
+	for r := uint64(0); r < m.geo.RowsPerModule; r += segRows {
 		s, _ := m.seg(r)
 		c := s.writableContent(m.geo)
 		for i := range c.data {

@@ -116,27 +116,6 @@ func (m *Module) ProgramRow(at sim.Time, ba uint8, rowAddr uint64, data []byte) 
 	return done, nil
 }
 
-// EraseSegment performs the overlay-window erase flow for the segment
-// containing rowAddr. The data path never uses this (60 ms block); it
-// exists for management operations and tests.
-func (m *Module) EraseSegment(at sim.Time, ba uint8, rowAddr uint64) (done sim.Time, err error) {
-	if err := m.geo.CheckRow(rowAddr); err != nil {
-		return 0, err
-	}
-	done, err = m.writeWindow(at, ba, RegCode, []byte{CmdErase})
-	if err != nil {
-		return 0, err
-	}
-	addrBytes := []byte{byte(rowAddr), byte(rowAddr >> 8), byte(rowAddr >> 16), byte(rowAddr >> 24)}
-	if done, err = m.writeWindow(done, ba, RegAddr, addrBytes); err != nil {
-		return 0, err
-	}
-	if done, err = m.writeWindow(done, ba, RegExec, []byte{1}); err != nil {
-		return 0, err
-	}
-	return done, nil
-}
-
 // PollStatus reads the status register via the window until it reports
 // ready, charging one read burst per poll at the given interval, and
 // returns the time the ready value was observed. It gives up after

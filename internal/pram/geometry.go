@@ -101,46 +101,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// TileAddress is the sub-partition decomposition of one row (Figure 3b):
-// which partition serves it, which half partition (each with its own
-// local Y-decoder), which dual-wordline block and tile within that half,
-// and the wordline inside the tile. The 256-bit row senses through both
-// halves at once - "64 I/O operations per half partition ... a 128-bit
-// parallel data access for each partition" per half.
-type TileAddress struct {
-	Partition     int
-	HalfPartition int // 0 or 1
-	Block         int // dual-WL scheme groups every two tiles
-	Tile          int // tile within the half partition
-	Wordline      int
-}
-
-// Decompose maps a row address onto the tile structure. Rows spread over
-// the partition's wordlines first (a wordline holds one row slice in
-// every tile of the half), then wrap.
-func (g Geometry) Decompose(rowAddr uint64) (TileAddress, error) {
-	if err := g.CheckRow(rowAddr); err != nil {
-		return TileAddress{}, err
-	}
-	tilesPerHalf := g.TilesPerPartition / 2
-	inPart := rowAddr / uint64(g.Partitions) // row index within the partition
-	wl := int(inPart % uint64(g.TileWLs))
-	beyond := int(inPart / uint64(g.TileWLs))
-	tile := beyond % tilesPerHalf
-	return TileAddress{
-		Partition:     g.PartitionOf(rowAddr),
-		HalfPartition: beyond / tilesPerHalf % 2,
-		Block:         tile / 2,
-		Tile:          tile,
-		Wordline:      wl,
-	}, nil
-}
-
-// CellsPerPartition returns the PRAM core count one partition holds.
-func (g Geometry) CellsPerPartition() int64 {
-	return int64(g.TilesPerPartition) * int64(g.TileBLs) * int64(g.TileWLs)
-}
-
 func (g Geometry) rowBits() int { return bits.Len64(g.RowsPerModule - 1) }
 
 // Size returns the module capacity in bytes.

@@ -32,10 +32,9 @@ const (
 
 // initState tracks boot progress for MRR(MRStatus).
 type initState struct {
-	owbaRow  uint32
-	readyAt  sim.Time
-	booted   bool
-	burstSet bool
+	owbaRow uint32
+	readyAt sim.Time
+	booted  bool
 }
 
 // ModeRegisterWrite applies an MRW command at time at and returns when the
@@ -56,7 +55,6 @@ func (m *Module) ModeRegisterWrite(at sim.Time, reg uint32, val uint8) (done sim
 		switch val {
 		case 4, 8, 16:
 			m.par.BurstLen = int(val)
-			m.boot.burstSet = true
 		default:
 			return 0, fmt.Errorf("pram: MRW burst length %d not in {4,8,16}", val)
 		}

@@ -10,18 +10,33 @@ import (
 // Stats counts device-level activity for the energy model and the
 // experiment reports.
 type Stats struct {
-	Preactives   int64
-	Activates    int64 // array row activations (window accesses excluded)
-	WindowAct    int64 // activations routed to the overlay window
-	ReadBursts   int64
-	WriteBursts  int64
-	Programs     int64
-	ProgramsBy   [3]int64 // indexed by lpddr.CellState of the slowest word
-	Erases       int64
-	BytesRead    int64
-	BytesWritten int64
-	ProgramTime  sim.Duration // cumulative array program time
-	Pauses       int64        // programs preempted by reads (write pausing)
+	Preactives  int64
+	Activates   int64 // array row activations (window accesses excluded)
+	WindowAct   int64 // activations routed to the overlay window
+	ReadBursts  int64
+	WriteBursts int64
+	Programs    int64
+	ProgramsBy  [3]int64 // indexed by lpddr.CellState of the slowest word
+	Erases      int64
+	ProgramTime sim.Duration // cumulative array program time
+	Pauses      int64        // programs preempted by reads (write pausing)
+}
+
+// Add adds sign times o to s field by field: sign 1 sums two snapshots,
+// -1 takes the delta between them.
+func (s *Stats) Add(o Stats, sign int64) {
+	s.Preactives += sign * o.Preactives
+	s.Activates += sign * o.Activates
+	s.WindowAct += sign * o.WindowAct
+	s.ReadBursts += sign * o.ReadBursts
+	s.WriteBursts += sign * o.WriteBursts
+	s.Programs += sign * o.Programs
+	for i := range s.ProgramsBy {
+		s.ProgramsBy[i] += sign * o.ProgramsBy[i]
+	}
+	s.Erases += sign * o.Erases
+	s.ProgramTime += sim.Duration(sign) * o.ProgramTime
+	s.Pauses += sign * o.Pauses
 }
 
 // Module is one multi-partition PRAM package on an LPDDR2-NVM channel.
@@ -122,15 +137,6 @@ func NewModule(geo Geometry, par lpddr.Params) (*Module, error) {
 	return m, nil
 }
 
-// MustNewModule is NewModule for known-good configurations.
-func MustNewModule(geo Geometry, par lpddr.Params) *Module {
-	m, err := NewModule(geo, par)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // seg returns the entry of the segment holding rowAddr plus the row's
 // index within it, adding an empty entry on first touch. The entry is
 // valid until the next seg call.
@@ -200,21 +206,12 @@ func (m *Module) TraceHistory() []lpddr.Command { return m.track.History() }
 // (Figure 14), so their bursts serialize on it. Call before any traffic.
 func (m *Module) ShareBus(bus *sim.Resource) { m.bus = bus }
 
-// Geometry returns the module's address layout.
-func (m *Module) Geometry() Geometry { return m.geo }
-
-// Params returns the interface timing.
-func (m *Module) Params() lpddr.Params { return m.par }
-
 // Stats returns a snapshot of the activity counters.
 func (m *Module) Stats() Stats {
 	s := m.stats
 	s.Pauses = m.pauses
 	return s
 }
-
-// OWBA returns the current overlay window base address.
-func (m *Module) OWBA() uint64 { return m.ow.base }
 
 // SetOWBA remaps the overlay window. The base must be row-aligned and the
 // window must fit in the module.
@@ -257,12 +254,6 @@ func (m *Module) RDBHit(rowAddr uint64) (ba uint8, ok bool) {
 	}
 	return 0, false
 }
-
-// RDBValid reports whether buffer pair ba holds a sensed row.
-func (m *Module) RDBValid(ba uint8) bool { return int(ba) < len(m.rdbValid) && m.rdbValid[ba] }
-
-// RDBRow returns the row held by buffer pair ba (valid only if RDBValid).
-func (m *Module) RDBRow(ba uint8) uint64 { return m.rdbRow[ba] }
 
 // observe routes a command through the protocol tracker.
 func (m *Module) observe(c lpddr.Command) error {
@@ -382,7 +373,6 @@ func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done
 	}
 	busStart := m.bus.Acquire(at+m.par.ReadPreamble(), m.par.TBurst())
 	m.stats.ReadBursts++
-	m.stats.BytesRead += int64(n)
 	return busStart + m.par.TBurst(), nil
 }
 
@@ -413,7 +403,6 @@ func (m *Module) WriteBurst(at sim.Time, ba uint8, col int, data []byte) (done s
 		return 0, err
 	}
 	m.stats.WriteBursts++
-	m.stats.BytesWritten += int64(len(data))
 	if execTriggered {
 		if err := m.execute(done); err != nil {
 			return 0, err
@@ -647,17 +636,6 @@ func (m *Module) erase(at sim.Time) error {
 	return nil
 }
 
-// WordState returns the cell state of the word containing byte address
-// addr, for tests and the selective-erasing scheduler.
-func (m *Module) WordState(addr uint64) lpddr.CellState {
-	rowAddr := m.geo.RowOf(addr)
-	seg, idx := m.peek(rowAddr)
-	if seg == nil || seg.content.data == nil {
-		return lpddr.CellFresh
-	}
-	return seg.content.rowState(idx, m.geo.WordsPerRow())[m.geo.ColOf(addr)/m.geo.WordBytes]
-}
-
 // LoadRow stores data into a row bypassing protocol and timing, marking
 // its words programmed. It models factory/offline initialization ("we
 // initialize the data and place it in the persistent storages" before
@@ -693,10 +671,3 @@ func (m *Module) PeekRow(rowAddr uint64) []byte {
 
 // PartitionFreeAt returns when partition p finishes its queued array work.
 func (m *Module) PartitionFreeAt(p int) sim.Time { return m.partitions[p].FreeAt() }
-
-// BusFreeAt returns when the DQ bus next becomes free.
-func (m *Module) BusFreeAt() sim.Time { return m.bus.FreeAt() }
-
-// BusBusyTime returns cumulative DQ bus occupancy (for utilization and
-// the Figure 12 overlap measurements).
-func (m *Module) BusBusyTime() sim.Duration { return m.bus.BusyTime() }

@@ -24,7 +24,7 @@ func testModule(t *testing.T) *Module {
 // readRow performs a full three-phase row read at time at.
 func readRow(t *testing.T, m *Module, at sim.Time, rowAddr uint64) ([]byte, sim.Time) {
 	t.Helper()
-	upper, lower := m.Geometry().SplitRow(rowAddr)
+	upper, lower := m.geo.SplitRow(rowAddr)
 	done, err := m.Preactive(at, 0, upper)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func readRow(t *testing.T, m *Module, at sim.Time, rowAddr uint64) ([]byte, sim.
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, done, err := readBurst(m, done, 0, 0, m.Geometry().RowBytes)
+	data, done, err := readBurst(m, done, 0, 0, m.geo.RowBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +56,33 @@ func readBurst(m *Module, at sim.Time, ba uint8, col, n int) ([]byte, sim.Time, 
 	data := make([]byte, n)
 	done, err := m.ReadBurstInto(at, ba, col, data)
 	return data, done, err
+}
+
+// wordState returns the cell state of the word containing byte address
+// addr.
+func wordState(m *Module, addr uint64) lpddr.CellState {
+	seg, idx := m.peek(m.geo.RowOf(addr))
+	if seg == nil || seg.content.data == nil {
+		return lpddr.CellFresh
+	}
+	return seg.content.rowState(idx, m.geo.WordsPerRow())[m.geo.ColOf(addr)/m.geo.WordBytes]
+}
+
+// eraseSegment runs the overlay-window erase flow for the segment
+// containing rowAddr (the data path never erases whole segments).
+func eraseSegment(m *Module, at sim.Time, ba uint8, rowAddr uint64) (done sim.Time, err error) {
+	if err := m.geo.CheckRow(rowAddr); err != nil {
+		return 0, err
+	}
+	done, err = m.writeWindow(at, ba, RegCode, []byte{CmdErase})
+	if err != nil {
+		return 0, err
+	}
+	addrBytes := []byte{byte(rowAddr), byte(rowAddr >> 8), byte(rowAddr >> 16), byte(rowAddr >> 24)}
+	if done, err = m.writeWindow(done, ba, RegAddr, addrBytes); err != nil {
+		return 0, err
+	}
+	return m.writeWindow(done, ba, RegExec, []byte{1})
 }
 
 func TestGeometryValidate(t *testing.T) {
@@ -136,7 +163,7 @@ func TestReadLatencyMatchesPaper(t *testing.T) {
 	if done < sim.Nanoseconds(100) || done > sim.Nanoseconds(150) {
 		t.Fatalf("three-phase read latency = %v, want ~100-150ns", done)
 	}
-	if par := m.Params(); done != par.RowReadLatency() {
+	if par := m.par; done != par.RowReadLatency() {
 		t.Fatalf("latency %v != derived RowReadLatency %v", done, par.RowReadLatency())
 	}
 }
@@ -179,14 +206,14 @@ func TestSelectiveErasingMakesOverwriteSetOnly(t *testing.T) {
 	d = sim.Max(d, m.BusyUntil())
 	d = programRow(t, m, d, 3, make([]byte, 32)) // selective erase: all-zero word program
 	d = sim.Max(d, m.BusyUntil())
-	if st := m.WordState(3 * 32); st != lpddr.CellErased {
+	if st := wordState(m, 3*32); st != lpddr.CellErased {
 		t.Fatalf("after zero-program word state = %v, want erased", st)
 	}
 	// The array program starts when the execute burst completes (the
 	// ProgramRow return time), so opTime = BusyUntil - that.
 	execDone := programRow(t, m, d, 3, bytes.Repeat([]byte{0x5A}, 32))
 	setOnly := m.BusyUntil() - execDone
-	p := m.Params()
+	p := m.par
 	if setOnly != p.CellSetOnly {
 		t.Fatalf("erased overwrite took %v, want SET-only %v", setOnly, p.CellSetOnly)
 	}
@@ -204,26 +231,26 @@ func TestZeroProgramOnProgrammedCostsResetOnly(t *testing.T) {
 	d = sim.Max(d, m.BusyUntil())
 	execDone := programRow(t, m, d, 4, make([]byte, 32))
 	resetTime := m.BusyUntil() - execDone
-	if want := m.Params().CellOverwriteExtra; resetTime != want {
+	if want := m.par.CellOverwriteExtra; resetTime != want {
 		t.Fatalf("selective erase of programmed word took %v, want RESET-only %v", resetTime, want)
 	}
 }
 
 func TestEraseResetsSegmentAndBlocksPartition(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	// Rows 16 and 16+EraseRows*Partitions... pick two rows in the same
 	// partition, one inside the erased segment and one outside.
 	inRow := uint64(16)
 	d := programRow(t, m, 0, inRow, bytes.Repeat([]byte{0xEE}, 32))
 	d = sim.Max(d, m.BusyUntil())
 
-	done, err := m.EraseSegment(d, 2, inRow)
+	done, err := eraseSegment(m, d, 2, inRow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dur := m.BusyUntil() - d; dur < m.Params().CellErase {
-		t.Fatalf("erase blocked partition for %v, want >= %v", dur, m.Params().CellErase)
+	if dur := m.BusyUntil() - d; dur < m.par.CellErase {
+		t.Fatalf("erase blocked partition for %v, want >= %v", dur, m.par.CellErase)
 	}
 	got, _ := readRow(t, m, sim.Max(done, m.BusyUntil()), inRow)
 	for _, b := range got {
@@ -231,14 +258,14 @@ func TestEraseResetsSegmentAndBlocksPartition(t *testing.T) {
 			t.Fatalf("erased row still holds %x", got)
 		}
 	}
-	if st := m.WordState(inRow * uint64(g.RowBytes)); st != lpddr.CellErased {
+	if st := wordState(m, inRow*uint64(g.RowBytes)); st != lpddr.CellErased {
 		t.Fatalf("word state after erase = %v", st)
 	}
 }
 
 func TestRABAndRDBHitTracking(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	rowAddr := uint64(321)
 	upper, lower := g.SplitRow(rowAddr)
 	if _, ok := m.RABHit(upper); ok {
@@ -286,7 +313,7 @@ func TestProgramInvalidatesStaleRDB(t *testing.T) {
 
 func TestDirectArrayWriteRejected(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	upper, lower := g.SplitRow(77)
 	d, _ := m.Preactive(0, 0, upper)
 	d, err := m.Activate(d, 0, lower)
@@ -314,7 +341,7 @@ func TestProtocolViolationsRejected(t *testing.T) {
 
 func TestActivateOutOfRangeRowRejected(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	upper, lower := g.SplitRow(g.RowsPerModule) // one past the end
 	d, _ := m.Preactive(0, 0, upper)
 	if _, err := m.Activate(d, 0, lower); err == nil {
@@ -324,7 +351,7 @@ func TestActivateOutOfRangeRowRejected(t *testing.T) {
 
 func TestReadBurstBoundsChecked(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	upper, lower := g.SplitRow(1)
 	d, _ := m.Preactive(0, 0, upper)
 	d, _ = m.Activate(d, 0, lower)
@@ -338,8 +365,8 @@ func TestReadBurstBoundsChecked(t *testing.T) {
 
 func TestOverlayWindowMetaReadable(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
-	winRow := m.OWBA() / uint64(g.RowBytes)
+	g := m.geo
+	winRow := m.ow.base / uint64(g.RowBytes)
 	upper, lower := g.SplitRow(winRow)
 	d, _ := m.Preactive(0, 3, upper)
 	d, err := m.Activate(d, 3, lower)
@@ -363,8 +390,8 @@ func TestOverlayWindowMetaReadable(t *testing.T) {
 
 func TestOverlayMetaIsReadOnly(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
-	winRow := m.OWBA() / uint64(g.RowBytes)
+	g := m.geo
+	winRow := m.ow.base / uint64(g.RowBytes)
 	upper, lower := g.SplitRow(winRow)
 	d, _ := m.Preactive(0, 0, upper)
 	d, _ = m.Activate(d, 0, lower)
@@ -387,12 +414,12 @@ func TestStatusRegisterReflectsProgramProgress(t *testing.T) {
 
 func TestSetOWBARemapsWindow(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	if err := m.SetOWBA(uint64(g.RowBytes)); err != nil { // row 1
 		t.Fatal(err)
 	}
-	if m.OWBA() != uint64(g.RowBytes) {
-		t.Fatalf("OWBA = %#x", m.OWBA())
+	if m.ow.base != uint64(g.RowBytes) {
+		t.Fatalf("OWBA = %#x", m.ow.base)
 	}
 	if err := m.SetOWBA(3); err == nil {
 		t.Fatal("unaligned OWBA accepted")
@@ -404,7 +431,7 @@ func TestSetOWBARemapsWindow(t *testing.T) {
 
 func TestPartitionParallelism(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	// Two activates to different partitions at the same time must not
 	// serialize; to the same partition they must.
 	upper0, lower0 := g.SplitRow(0) // partition 0
@@ -450,8 +477,8 @@ func TestBootSequence(t *testing.T) {
 	if _, err := m.ModeRegisterWrite(d, MRBurstLen, 8); err != nil {
 		t.Fatal(err)
 	}
-	if m.Params().BurstLen != 8 {
-		t.Fatalf("burst length not applied: %d", m.Params().BurstLen)
+	if m.par.BurstLen != 8 {
+		t.Fatalf("burst length not applied: %d", m.par.BurstLen)
 	}
 	// Program the OWBA to row 2 via the four byte registers.
 	for i, b := range []uint8{2, 0, 0, 0} {
@@ -459,8 +486,8 @@ func TestBootSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.OWBA() != 2*uint64(m.Geometry().RowBytes) {
-		t.Fatalf("OWBA = %#x, want row 2", m.OWBA())
+	if m.ow.base != 2*uint64(m.geo.RowBytes) {
+		t.Fatalf("OWBA = %#x, want row 2", m.ow.base)
 	}
 	st, _, err := m.ModeRegisterRead(0, MRStatus)
 	if err != nil {
@@ -495,11 +522,8 @@ func TestStatsAccounting(t *testing.T) {
 	if s.Activates < 1 || s.ReadBursts < 1 || s.WriteBursts < 1 {
 		t.Fatalf("activity counters = %+v", s)
 	}
-	if s.BytesRead != 32 {
-		t.Fatalf("bytes read = %d, want 32", s.BytesRead)
-	}
-	if s.ProgramTime != m.Params().CellProgram {
-		t.Fatalf("program time = %v, want %v", s.ProgramTime, m.Params().CellProgram)
+	if s.ProgramTime != m.par.CellProgram {
+		t.Fatalf("program time = %v, want %v", s.ProgramTime, m.par.CellProgram)
 	}
 }
 
@@ -507,7 +531,7 @@ func TestStatsAccounting(t *testing.T) {
 // write, regardless of cell-state history.
 func TestReadAfterWriteProperty(t *testing.T) {
 	m := testModule(t)
-	g := m.Geometry()
+	g := m.geo
 	now := sim.Time(0)
 	shadow := map[uint64][]byte{}
 	f := func(rowSel uint16, fill byte, zero bool) bool {
@@ -532,7 +556,7 @@ func TestReadAfterWriteProperty(t *testing.T) {
 }
 
 func readRowQuiet(m *Module, at sim.Time, rowAddr uint64) ([]byte, sim.Time) {
-	upper, lower := m.Geometry().SplitRow(rowAddr)
+	upper, lower := m.geo.SplitRow(rowAddr)
 	d, err := m.Preactive(at, 0, upper)
 	if err != nil {
 		return nil, at
@@ -541,67 +565,11 @@ func readRowQuiet(m *Module, at sim.Time, rowAddr uint64) ([]byte, sim.Time) {
 	if err != nil {
 		return nil, at
 	}
-	data, d, err := readBurst(m, d, 0, 0, m.Geometry().RowBytes)
+	data, d, err := readBurst(m, d, 0, 0, m.geo.RowBytes)
 	if err != nil {
 		return nil, at
 	}
 	return data, d
-}
-
-func TestTileDecomposition(t *testing.T) {
-	g := DefaultGeometry()
-	// Row 0: partition 0, half 0, tile 0, wordline 0.
-	ta, err := g.Decompose(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ta != (TileAddress{}) {
-		t.Fatalf("row 0 decomposes to %+v", ta)
-	}
-	// The next row in partition 0 (row 16) advances the wordline.
-	ta, _ = g.Decompose(16)
-	if ta.Wordline != 1 || ta.Partition != 0 || ta.Tile != 0 {
-		t.Fatalf("row 16 decomposes to %+v", ta)
-	}
-	// Past a full tile of wordlines the next tile begins.
-	rowAddr := uint64(g.TileWLs * g.Partitions)
-	ta, _ = g.Decompose(rowAddr)
-	if ta.Tile != 1 || ta.Block != 0 || ta.Wordline != 0 {
-		t.Fatalf("row %d decomposes to %+v, want tile 1 block 0", rowAddr, ta)
-	}
-	// Tiles 2,3 form block 1 (the dual-WL scheme).
-	ta, _ = g.Decompose(uint64(2 * g.TileWLs * g.Partitions))
-	if ta.Block != 1 {
-		t.Fatalf("tile 2 in block %d, want 1", ta.Block)
-	}
-	if _, err := g.Decompose(g.RowsPerModule); err == nil {
-		t.Fatal("out-of-range row decomposed")
-	}
-	// 64 tiles x 2048 BLs x 4096 WLs cells per partition.
-	if got := g.CellsPerPartition(); got != 64*2048*4096 {
-		t.Fatalf("cells per partition = %d", got)
-	}
-}
-
-func TestTileDecompositionCoversHalves(t *testing.T) {
-	g := DefaultGeometry()
-	g.RowsPerModule = 1 << 22
-	seen := map[int]bool{}
-	// Walk partition 0's rows at tile stride; both halves must appear.
-	stride := uint64(g.TileWLs * g.Partitions)
-	for rowAddr := uint64(0); rowAddr < g.RowsPerModule; rowAddr += stride {
-		ta, err := g.Decompose(rowAddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ta.Partition != 0 {
-			t.Fatalf("stride left partition 0: %+v", ta)
-		}
-		seen[ta.HalfPartition] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Fatalf("halves covered: %v", seen)
-	}
 }
 
 func TestGeometryValidateTileFields(t *testing.T) {
@@ -625,7 +593,7 @@ func TestWritePausingServesReadsDuringPrograms(t *testing.T) {
 	d := programRow(t, m, 0, 0, bytes.Repeat([]byte{0x42}, 32))
 	progEnd := m.BusyUntil()
 	readAt := d + sim.Microseconds(2) // well inside the program
-	upper, lower := m.Geometry().SplitRow(16)
+	upper, lower := m.geo.SplitRow(16)
 	d2, err := m.Preactive(readAt, 0, upper)
 	if err != nil {
 		t.Fatal(err)
@@ -651,7 +619,7 @@ func TestWritePausingOffQueuesReads(t *testing.T) {
 	m := testModule(t)
 	d := programRow(t, m, 0, 0, bytes.Repeat([]byte{0x42}, 32))
 	progEnd := m.BusyUntil()
-	upper, lower := m.Geometry().SplitRow(16)
+	upper, lower := m.geo.SplitRow(16)
 	d2, _ := m.Preactive(d+sim.Microseconds(2), 0, upper)
 	d3, err := m.Activate(d2, 0, lower)
 	if err != nil {
@@ -671,7 +639,7 @@ func TestWritePausingPreservesData(t *testing.T) {
 	want := bytes.Repeat([]byte{0x99}, 32)
 	d := programRow(t, m, 0, 0, want)
 	// Interrupt with a read of the same partition.
-	upper, lower := m.Geometry().SplitRow(16)
+	upper, lower := m.geo.SplitRow(16)
 	d2, _ := m.Preactive(d+sim.Microseconds(1), 1, upper)
 	if _, err := m.Activate(d2, 1, lower); err != nil {
 		t.Fatal(err)
@@ -680,4 +648,13 @@ func TestWritePausingPreservesData(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("paused program lost its data")
 	}
+}
+
+// MustNewModule is NewModule for known-good configurations.
+func MustNewModule(geo Geometry, par lpddr.Params) *Module {
+	m, err := NewModule(geo, par)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

@@ -23,7 +23,7 @@ func windowBurst(t *testing.T, m *Module, at sim.Time, ba uint8, off uint64, dat
 
 func TestOverlayProgramBufferBursts(t *testing.T) {
 	m := testModule(t)
-	rb := uint64(m.Geometry().RowBytes)
+	rb := uint64(m.geo.RowBytes)
 	want := make([]byte, ProgBufSize)
 	for _, b := range []struct {
 		name string
@@ -39,13 +39,13 @@ func TestOverlayProgramBufferBursts(t *testing.T) {
 		for i := range data {
 			data[i] += byte(i)
 		}
-		before := m.Stats().BytesWritten
+		before := m.Stats().WriteBursts
 		if _, err := windowBurst(t, m, 0, 1, b.off, data); err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
 		copy(want[b.off-ProgBufOffset:], data)
-		if got := m.Stats().BytesWritten - before; got != int64(b.n) {
-			t.Fatalf("%s: BytesWritten grew by %d, want %d", b.name, got, b.n)
+		if got := m.Stats().WriteBursts - before; got != 1 {
+			t.Fatalf("%s: WriteBursts grew by %d, want 1", b.name, got)
 		}
 		if !bytes.Equal(m.ow.progBuf[:], want) {
 			t.Fatalf("%s: program buffer = %x, want %x", b.name, m.ow.progBuf, want)
@@ -66,11 +66,11 @@ func TestOverlayProgramHeaderBurst(t *testing.T) {
 		t.Fatalf("registers code=%#x addr=%#x multi=%d, want %#x/0x1234/24",
 			m.ow.code, m.ow.addr, m.ow.multi, CmdProgram)
 	}
-	if got := m.Stats().BytesWritten; got != int64(len(hdr)) {
-		t.Fatalf("BytesWritten = %d, want %d", got, len(hdr))
+	if got := m.Stats().WriteBursts; got != 1 {
+		t.Fatalf("WriteBursts = %d, want 1", got)
 	}
 	// The reserved gaps between the fields ignore writes and read as zero.
-	rb := m.Geometry().RowBytes
+	rb := m.geo.RowBytes
 	got, _, err := readBurst(m, 0, 0, 0, rb)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestOverlayExecBurstStartsOneProgram(t *testing.T) {
 	if s := m.Stats(); s.Programs != 0 {
 		t.Fatalf("rejected exec burst started %d programs", s.Programs)
 	}
-	before := m.Stats().BytesWritten
+	before := m.Stats().WriteBursts
 	if _, err := windowBurst(t, m, d, 2, RegExec, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +107,8 @@ func TestOverlayExecBurstStartsOneProgram(t *testing.T) {
 	if s.Programs != 1 {
 		t.Fatalf("exec burst started %d programs, want 1", s.Programs)
 	}
-	if s.BytesWritten-before != 1 {
-		t.Fatalf("exec burst counted %d bytes, want 1", s.BytesWritten-before)
+	if s.WriteBursts-before != 1 {
+		t.Fatalf("exec burst counted %d bursts, want 1", s.WriteBursts-before)
 	}
 	if got := m.PeekRow(9); !bytes.Equal(got, data) {
 		t.Fatalf("programmed row = %x, want %x", got, data)
@@ -117,15 +117,15 @@ func TestOverlayExecBurstStartsOneProgram(t *testing.T) {
 
 func TestOverlayMetaBurstRejected(t *testing.T) {
 	m := testModule(t)
-	rb := uint64(m.Geometry().RowBytes)
+	rb := uint64(m.geo.RowBytes)
 	for _, off := range []uint64{0, 128 - rb, 128 - 2} {
 		_, err := windowBurst(t, m, 0, 0, off, []byte{1, 2})
 		if err == nil || !strings.Contains(err.Error(), "read-only") {
 			t.Fatalf("burst at meta +%#x: err = %v, want read-only error", off, err)
 		}
 	}
-	if s := m.Stats(); s.WriteBursts != 0 || s.BytesWritten != 0 {
-		t.Fatalf("rejected bursts counted: %d bursts, %d bytes", s.WriteBursts, s.BytesWritten)
+	if s := m.Stats(); s.WriteBursts != 0 {
+		t.Fatalf("rejected bursts counted: %d bursts", s.WriteBursts)
 	}
 	// Meta-information is unchanged.
 	d, col, err := m.activateWindowRow(0, 0, RegWindowSize)
@@ -148,8 +148,8 @@ func TestOverlayMetaBurstRejected(t *testing.T) {
 // offset included).
 func TestOverlayBurstMatchesByteWrites(t *testing.T) {
 	m := testModule(t)
-	ref := newOverlay(m.OWBA())
-	rb := m.Geometry().RowBytes
+	ref := newOverlay(m.ow.base)
+	rb := m.geo.RowBytes
 	rows := []uint64{0x00, 0x60, 0x80, 0xA0, 0xE0, 0x100, 0x7E0}
 	for r := uint64(ProgBufOffset); r < WindowSize; r += uint64(rb) {
 		rows = append(rows, r)

@@ -7,7 +7,6 @@ package sim
 func (r *Resource) CopyFrom(src *Resource) {
 	r.nextFree = src.nextFree
 	r.busy = src.busy
-	r.uses = src.uses
 }
 
 // CopyFrom makes p's per-unit timelines identical to src's. Both pools
@@ -18,7 +17,6 @@ func (p *Pool) CopyFrom(src *Pool) {
 	}
 	copy(p.free, src.free)
 	p.busy = src.busy
-	p.uses = src.uses
 }
 
 // CopyFrom makes p's wire occupancy and transfer totals identical to

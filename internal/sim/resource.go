@@ -17,15 +17,11 @@ import (
 type Resource struct {
 	name     string
 	nextFree Time
-	busy     Duration // total occupied time, for utilization accounting
-	uses     int64
+	busy     Duration // total occupied time
 }
 
 // NewResource returns an idle resource. The name is used in diagnostics.
 func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource for dur starting at or after earliest and
 // returns the actual start time.
@@ -36,7 +32,6 @@ func (r *Resource) Acquire(earliest Time, dur Duration) (start Time) {
 	start = Max(earliest, r.nextFree)
 	r.nextFree = start + dur
 	r.busy += dur
-	r.uses++
 	return start
 }
 
@@ -52,20 +47,6 @@ func (r *Resource) FreeAt() Time { return r.nextFree }
 // BusyTime returns the cumulative reserved time.
 func (r *Resource) BusyTime() Duration { return r.busy }
 
-// Uses returns the number of reservations made.
-func (r *Resource) Uses() int64 { return r.uses }
-
-// Utilization returns busy time divided by horizon (0 when horizon <= 0).
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(horizon)
-}
-
-// Reset returns the resource to idle at time zero, clearing statistics.
-func (r *Resource) Reset() { r.nextFree, r.busy, r.uses = 0, 0, 0 }
-
 // Pool is a k-server timeline: k identical units (firmware cores, flash
 // planes, DMA channels) that serve requests in arrival order, each request
 // occupying one unit. It generalizes Resource to k > 1.
@@ -73,7 +54,6 @@ type Pool struct {
 	name string
 	free timeHeap // earliest-free time of each unit
 	busy Duration
-	uses int64
 }
 
 type timeHeap []Time
@@ -94,12 +74,6 @@ func NewPool(name string, k int) *Pool {
 	return &Pool{name: name, free: make(timeHeap, k)}
 }
 
-// Name returns the diagnostic name.
-func (p *Pool) Name() string { return p.name }
-
-// Units returns the number of servers in the pool.
-func (p *Pool) Units() int { return len(p.free) }
-
 // Acquire reserves one unit for dur starting at or after earliest, using
 // the unit that frees soonest, and returns the actual start time.
 func (p *Pool) Acquire(earliest Time, dur Duration) (start Time) {
@@ -109,7 +83,6 @@ func (p *Pool) Acquire(earliest Time, dur Duration) (start Time) {
 	start = Max(earliest, p.free.peek())
 	p.free.replaceTop(start + dur)
 	p.busy += dur
-	p.uses++
 	return start
 }
 
@@ -123,25 +96,6 @@ func (p *Pool) FreeAt() Time { return p.free.peek() }
 
 // BusyTime returns cumulative reserved time summed over units.
 func (p *Pool) BusyTime() Duration { return p.busy }
-
-// Uses returns the number of reservations made.
-func (p *Pool) Uses() int64 { return p.uses }
-
-// Utilization returns mean per-unit utilization over horizon.
-func (p *Pool) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(p.busy) / (float64(horizon) * float64(len(p.free)))
-}
-
-// Reset returns every unit to idle at time zero, clearing statistics.
-func (p *Pool) Reset() {
-	for i := range p.free {
-		p.free[i] = 0
-	}
-	p.busy, p.uses = 0, 0
-}
 
 // Pipe models a bandwidth-limited transfer channel (a PCIe link, a DDR
 // data bus, a memcpy engine). Transfers serialize and each occupies the
@@ -177,15 +131,6 @@ func (p *Pipe) Transfer(earliest Time, n int64) (done Time) {
 	return start + p.TransferTime(n) + p.latency
 }
 
-// Name returns the diagnostic name.
-func (p *Pipe) Name() string { return p.res.Name() }
-
-// Latency returns the fixed per-transfer latency.
-func (p *Pipe) Latency() Duration { return p.latency }
-
-// Bandwidth returns the configured bandwidth in bytes per second.
-func (p *Pipe) Bandwidth() float64 { return p.bytesPerSec }
-
 // BytesMoved returns the total payload moved through the pipe.
 func (p *Pipe) BytesMoved() int64 { return p.moved }
 
@@ -194,6 +139,3 @@ func (p *Pipe) BusyTime() Duration { return p.res.BusyTime() }
 
 // FreeAt returns when the wire next becomes free.
 func (p *Pipe) FreeAt() Time { return p.res.FreeAt() }
-
-// Reset returns the pipe to idle at time zero, clearing statistics.
-func (p *Pipe) Reset() { p.res.Reset(); p.moved = 0 }

@@ -16,11 +16,8 @@ func TestResourceSerializes(t *testing.T) {
 	if r.BusyTime() != 25 {
 		t.Fatalf("busy = %v, want 25", r.BusyTime())
 	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d, want 3", r.Uses())
-	}
-	if got := r.Utilization(100); got != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", got)
+	if r.FreeAt() != 55 {
+		t.Fatalf("free at = %v, want 55", r.FreeAt())
 	}
 }
 

@@ -78,14 +78,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Clock converts between cycle counts and simulated time for a component
 // running at a fixed frequency.
 type Clock struct {
@@ -102,14 +94,5 @@ func NewClock(hz float64) Clock {
 	return Clock{period: Duration(float64(Second) / hz)}
 }
 
-// Period returns the duration of one cycle.
-func (c Clock) Period() Duration { return c.period }
-
-// Hz returns the clock frequency in hertz.
-func (c Clock) Hz() float64 { return float64(Second) / float64(c.period) }
-
 // Cycles returns the duration of n cycles.
 func (c Clock) Cycles(n int64) Duration { return Duration(n) * c.period }
-
-// CyclesAt returns how many full cycles fit in d.
-func (c Clock) CyclesAt(d Duration) int64 { return int64(d / c.period) }

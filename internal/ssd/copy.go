@@ -38,7 +38,6 @@ func (s *SSD) CopyFrom(src *SSD) {
 	}
 	s.tick = src.tick
 	s.dramPipe.CopyFrom(src.dramPipe)
-	s.dramBusy = src.dramBusy
 	s.stats = src.stats
 	s.arr.CopyFrom(src.arr)
 	s.ftl.CopyFrom(src.ftl)

@@ -74,9 +74,6 @@ func (f *Firmware) Requests() int64 { return f.reqs }
 // BusyTime returns cumulative core-busy time (for the energy model).
 func (f *Firmware) BusyTime() sim.Duration { return f.cores.BusyTime() }
 
-// Config returns the firmware configuration.
-func (f *Firmware) Config() FirmwareConfig { return f.cfg }
-
 // FirmwareManaged wraps any mem.Device so that every read and write first
 // pays the firmware processing cost on the embedded cores, and requests
 // are serialized through the firmware's dispatch queue. This is the

@@ -110,8 +110,7 @@ type SSD struct {
 	buf      map[uint64]*bufEntry
 	bufCap   int
 	tick     int64
-	dramPipe *sim.Pipe
-	dramBusy sim.Duration // DRAM buffer occupancy (energy accounting)
+	dramPipe *sim.Pipe // internal DRAM buffer bandwidth
 
 	// Buffer entries are recycled on eviction, so the buffer churns
 	// between the same frames instead of allocating one page per miss.
@@ -170,15 +169,6 @@ func New(cfg Config) (*SSD, error) {
 	return s, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config) *SSD {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Size implements mem.Device.
 func (s *SSD) Size() uint64 { return s.cfg.CapacityBytes }
 
@@ -217,21 +207,11 @@ func (s *SSD) CountersInto(c *obs.Counters, prefix string) {
 // FirmwareBusy returns cumulative firmware-core time (energy model).
 func (s *SSD) FirmwareBusy() sim.Duration { return s.fw.BusyTime() }
 
-// DRAMBusy returns cumulative internal-DRAM occupancy (energy model).
-func (s *SSD) DRAMBusy() sim.Duration { return s.dramBusy }
-
 // DRAMBytes returns payload bytes moved through the internal DRAM.
 func (s *SSD) DRAMBytes() int64 { return s.dramPipe.BytesMoved() }
 
 // Config returns the build configuration.
 func (s *SSD) Config() Config { return s.cfg }
-
-// dramAccess charges one buffer access of n bytes through the internal
-// DRAM's bandwidth pipe and returns its completion.
-func (s *SSD) dramAccess(at sim.Time, n int) sim.Time {
-	s.dramBusy += s.dramPipe.TransferTime(int64(n))
-	return s.dramPipe.Transfer(at, int64(n))
-}
 
 // enter charges the per-request cost: the firmware path for an
 // NVMe-attached device, nothing for an integrated one (PEs reach the
@@ -308,7 +288,7 @@ func (s *SSD) fetch(at sim.Time, lpn uint64, accessBytes int) (*bufEntry, sim.Ti
 		s.stats.BufferHits++
 		s.tick++
 		e.tick = s.tick
-		return e, s.dramAccess(at, accessBytes), nil
+		return e, s.dramPipe.Transfer(at, int64(accessBytes)), nil
 	}
 	s.stats.BufferMisses++
 	at = s.stage(at)
@@ -334,7 +314,7 @@ func (s *SSD) fetch(at sim.Time, lpn uint64, accessBytes int) (*bufEntry, sim.Ti
 	s.tick++
 	e.tick = s.tick
 	s.buf[lpn] = e
-	return e, s.dramAccess(at, accessBytes), nil
+	return e, s.dramPipe.Transfer(at, int64(accessBytes)), nil
 }
 
 // ReadInto implements mem.Device: buffer-resident pages are served
@@ -392,7 +372,7 @@ func (s *SSD) Write(at sim.Time, addr uint64, data []byte) (sim.Time, error) {
 			// Full-page overwrite: no fill needed.
 			if cur, ok := s.buf[lpn]; ok {
 				s.stats.BufferHits++
-				e, d = cur, s.dramAccess(start, take)
+				e, d = cur, s.dramPipe.Transfer(start, int64(take))
 			} else {
 				s.stats.BufferMisses++
 				start2, err := s.evictIfFull(s.stage(start))
@@ -403,7 +383,7 @@ func (s *SSD) Write(at sim.Time, addr uint64, data []byte) (sim.Time, error) {
 				e = s.newEntry() // fully overwritten below (po == 0, take == pb)
 				e.tick = s.tick
 				s.buf[lpn] = e
-				d = s.dramAccess(start2, take)
+				d = s.dramPipe.Transfer(start2, int64(take))
 			}
 		} else {
 			e, d, err = s.fetch(start, lpn, take)

@@ -352,3 +352,12 @@ func TestSSDFunctionalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MustNew is New for known-good configurations.
+func MustNew(cfg Config) *SSD {
+	s, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}

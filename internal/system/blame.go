@@ -56,14 +56,14 @@ func deviceWeights(s0, s1 *snapshot) []blameWeight {
 	add("ssd.int/write", s1.intStats.WritePS-s0.intStats.WritePS)
 	add("ssd.int/ftl_program", s1.intStats.ProgramPS-s0.intStats.ProgramPS)
 	for i := range s1.chPS {
-		now := &s1.chPS[i]
-		was := &s0.chPS[i] // same build, same channel count
+		d := s1.chPS[i]
+		d.Add(s0.chPS[i], -1) // same build, same channel count
 		p := fmt.Sprintf("memctrl.ch%d/", i)
 		for out, name := range memOutcomeNames {
-			add(p+name, now.ReadPS[out]-was.ReadPS[out])
+			add(p+name, d.ReadPS[out])
 		}
-		add(p+"write_full", now.WriteFullPS-was.WriteFullPS)
-		add(p+"write_rmw", now.WriteRMWPS-was.WriteRMWPS)
+		add(p+"write_full", d.WriteFullPS)
+		add(p+"write_rmw", d.WriteRMWPS)
 	}
 	add("memctrl.wear/gap_move", s1.wearMovePS-s0.wearMovePS)
 	return ws

@@ -134,23 +134,22 @@ type TableIRow struct {
 	Heterogeneous bool
 	InternalDRAM  bool
 	NVMReadUS     float64 // representative media read latency (us)
-	NVMWriteUS    string  // media write latency (us; "10/18" for PRAM)
 	NVMEraseUS    float64 // 0 = no erase on the data path
 }
 
 // Catalog returns Table I.
 func Catalog() []TableIRow {
 	return []TableIRow{
-		{Hetero, true, true, 50, "800", 3500},
-		{Heterodirect, true, true, 50, "800", 3500},
-		{HeteroPRAM, true, true, 0.1, "10/18", 0},
-		{HeterodirectPRAM, true, true, 0.1, "10/18", 0},
-		{NORIntf, false, false, 290, "120", 0},
-		{IntegratedSLC, false, true, 25, "300", 2000},
-		{IntegratedMLC, false, true, 50, "800", 3500},
-		{IntegratedTLC, false, true, 80, "1250", 2274},
-		{PageBuffer, false, true, 0.1, "10/18", 0},
-		{DRAMLess, false, false, 0.1, "10/18", 0},
+		{Hetero, true, true, 50, 3500},
+		{Heterodirect, true, true, 50, 3500},
+		{HeteroPRAM, true, true, 0.1, 0},
+		{HeterodirectPRAM, true, true, 0.1, 0},
+		{NORIntf, false, false, 290, 0},
+		{IntegratedSLC, false, true, 25, 2000},
+		{IntegratedMLC, false, true, 50, 3500},
+		{IntegratedTLC, false, true, 80, 2274},
+		{PageBuffer, false, true, 0.1, 0},
+		{DRAMLess, false, false, 0.1, 0},
 	}
 }
 

@@ -64,9 +64,9 @@ func (b *build) snapshot() snapshot {
 		s.wrapFW = b.fwWrap.Firmware().BusyTime()
 	}
 	s.hostBusy = b.host.CPUBusy()
-	_, _, s.hostCopied = b.host.Stats()
-	_, s.accLinkB = statsOf(b.accLink.Stats())
-	_, s.ssdLinkB = statsOf(b.ssdLink.Stats())
+	s.hostCopied = b.host.BytesCopied()
+	_, s.accLinkB = b.accLink.Stats()
+	_, s.ssdLinkB = b.ssdLink.Stats()
 	if b.nor != nil {
 		_, _, s.norRdB, s.norWrB = b.nor.Traffic()
 	}
@@ -75,8 +75,6 @@ func (b *build) snapshot() snapshot {
 	}
 	return s
 }
-
-func statsOf(dmas, bytes int64) (int64, int64) { return dmas, bytes }
 
 // flashEnergy prices an array-stat delta with the medium-appropriate
 // per-op energies: flash ops for NAND, PRAM unit ops for chunked PRAM
@@ -111,27 +109,11 @@ func pramEnergy(par energy.Params, d pram.Stats) float64 {
 		float64(d.Erases)*par.PRAMEraseJ
 }
 
-func pramDelta(now, was pram.Stats) pram.Stats {
-	d := pram.Stats{
-		Preactives:  now.Preactives - was.Preactives,
-		Activates:   now.Activates - was.Activates,
-		WindowAct:   now.WindowAct - was.WindowAct,
-		ReadBursts:  now.ReadBursts - was.ReadBursts,
-		WriteBursts: now.WriteBursts - was.WriteBursts,
-		Programs:    now.Programs - was.Programs,
-		Erases:      now.Erases - was.Erases,
-	}
-	for i := range d.ProgramsBy {
-		d.ProgramsBy[i] = now.ProgramsBy[i] - was.ProgramsBy[i]
-	}
-	return d
-}
-
 // accountEnergy builds the Figure 17 energy decomposition (and, when
 // sampling is enabled, the Figure 20/21 power series) for one run.
 func (b *build) accountEnergy(snap snapshot, rep *accel.Report, runStart, loadEnd, kernelEnd, storeEnd sim.Time) *energy.Account {
 	par := b.cfg.Energy
-	acct := energy.NewAccount(par)
+	acct := new(energy.Account)
 	shift := runStart // series buckets are relative to the run start
 	if b.cfg.SampleInterval > 0 {
 		acct.EnableSeries(b.cfg.SampleInterval)
@@ -150,12 +132,12 @@ func (b *build) accountEnergy(snap snapshot, rep *accel.Report, runStart, loadEn
 
 	// Host CPU and host DRAM copies.
 	span(energy.CompHost, snapDurJ(b.host.CPUBusy()-snap.hostBusy, par.HostActiveWatts), runStart, storeEnd)
-	_, _, copied := b.host.Stats()
+	copied := b.host.BytesCopied()
 	span(energy.CompHostDRAM, float64(copied-snap.hostCopied)*par.DRAMPerByteJ, runStart, loadEnd)
 
 	// PCIe links.
-	_, accB := statsOf(b.accLink.Stats())
-	_, ssdB := statsOf(b.ssdLink.Stats())
+	_, accB := b.accLink.Stats()
+	_, ssdB := b.ssdLink.Stats()
 	span(energy.CompPCIe,
 		float64(accB-snap.accLinkB+ssdB-snap.ssdLinkB)*par.PCIePerByteJ, runStart, storeEnd)
 
@@ -182,7 +164,8 @@ func (b *build) accountEnergy(snap snapshot, rep *accel.Report, runStart, loadEn
 
 	// PRAM subsystem.
 	if b.sub != nil {
-		d := pramDelta(b.sub.ModuleStats(), snap.subStats)
+		d := b.sub.ModuleStats()
+		d.Add(snap.subStats, -1)
 		span(energy.CompPRAM, pramEnergy(par, d), loadEnd, kernelEnd)
 	}
 	if b.fwWrap != nil {

@@ -71,7 +71,6 @@ func PrefixOf(cfg Config, k workload.Kernel) Prefix {
 // WriteJSON-style exports never touch it), so any number of forks may
 // proceed concurrently from one Checkpoint.
 type Checkpoint struct {
-	pr       Prefix
 	tmpl     *build // frozen at loadEnd; never mutated again
 	runStart sim.Time
 	loadEnd  sim.Time
@@ -103,7 +102,6 @@ func CapturePrefix(pr Prefix) (*Checkpoint, error) {
 	}
 	b.releaseBufs()
 	return &Checkpoint{
-		pr:       pr,
 		tmpl:     b,
 		runStart: runStart,
 		loadEnd:  loadEnd,
@@ -112,9 +110,6 @@ func CapturePrefix(pr Prefix) (*Checkpoint, error) {
 		series:   cfg.Obs.Series(),
 	}, nil
 }
-
-// Prefix returns the key cp was captured for.
-func (cp *Checkpoint) Prefix() Prefix { return cp.pr }
 
 // Release returns the checkpoint's frozen template storage (row segments,
 // flash page frames, SSD buffer entries, sparse pages) to the package
@@ -132,7 +127,7 @@ func (cp *Checkpoint) Release() {
 // prefix from cp instead of simulating it. The result is byte- and
 // picosecond-identical to Run(cfg, k) — phase walls, energy, counters,
 // histograms and series all match — provided PrefixOf(cfg, k) equals
-// cp.Prefix(). Runs that trace spans fall back to a cold Run (the prefix
+// the prefix cp was captured for. Runs that trace spans fall back to a cold Run (the prefix
 // spans cannot be replayed into a foreign tracer), and so do runs whose
 // Observer's series window is not the capture's default (the prefix
 // samples were bucketed over the default window).

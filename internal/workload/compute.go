@@ -35,9 +35,6 @@ func NewVec(dev mem.Device, base uint64, n int) (*Vec, error) {
 	return &Vec{dev: dev, base: base, n: n}, nil
 }
 
-// Len returns the element count.
-func (v *Vec) Len() int { return v.n }
-
 // Get loads element i at time `at`.
 func (v *Vec) Get(at sim.Time, i int) (float64, sim.Time, error) {
 	if i < 0 || i >= v.n {

@@ -116,12 +116,6 @@ type Params struct {
 	BaseAddr uint64
 }
 
-// DefaultParams returns a 2 MiB footprint split across 7 agents (8 PEs
-// minus the server).
-func DefaultParams() Params {
-	return Params{Scale: 2 << 20, Agents: 7}
-}
-
 // Validate reports parameter errors.
 func (p Params) Validate() error {
 	if p.Scale < 16*ChunkBytes {
@@ -242,13 +236,11 @@ func MustByName(name string) Kernel {
 // chunk space per sweep, with interleaved output stores.
 type stream struct {
 	k Kernel
-	p Params
 
 	inBase, outBase   uint64
 	inChunks          int64 // this agent's input chunks per sweep
 	outChunks         int64 // this agent's output chunks
 	inStart, outStart int64 // chunk offsets of this agent's slabs
-	totalIn           int64 // whole input region in chunks (strided sweeps span it)
 
 	sweep     int
 	pos       int64 // chunk position within the sweep
@@ -272,10 +264,9 @@ func NewStream(k Kernel, p Params, pe int) (Stream, error) {
 	inPer, inRem := totalIn/a, totalIn%a
 	outPer, outRem := totalOut/a, totalOut%a
 	s := &stream{
-		k: k, p: p,
+		k:       k,
 		inBase:  p.BaseAddr,
 		outBase: k.OutputAddr(p),
-		totalIn: totalIn,
 	}
 	s.inStart = int64(pe)*inPer + min64(int64(pe), inRem)
 	s.inChunks = inPer
@@ -291,15 +282,6 @@ func NewStream(k Kernel, p Params, pe int) (Stream, error) {
 		s.exhausted = true
 	}
 	return s, nil
-}
-
-// MustStream is NewStream for known-good arguments.
-func MustStream(k Kernel, p Params, pe int) Stream {
-	s, err := NewStream(k, p, pe)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 func min64(a, b int64) int64 {

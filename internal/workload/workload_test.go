@@ -357,3 +357,18 @@ func TestVecBounds(t *testing.T) {
 		t.Error("oversize fill accepted")
 	}
 }
+
+// MustStream is NewStream for known-good arguments.
+func MustStream(k Kernel, p Params, pe int) Stream {
+	s, err := NewStream(k, p, pe)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// DefaultParams returns a 2 MiB footprint split across 7 agents (8 PEs
+// minus the server).
+func DefaultParams() Params {
+	return Params{Scale: 2 << 20, Agents: 7}
+}
