@@ -162,8 +162,10 @@ examples-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Fuzz smoke: a few seconds of the time-series primitives (Add, AddSpan
-# and Spread on both element types, up to the window cap), of each
+# Fuzz smoke: a few seconds of the PRAM module's three-phase protocol
+# checks (arbitrary PREACTIVE/ACTIVATE/READ/WRITE/MRW sequences), of the
+# time-series primitives (Add, AddSpan and Spread on both element types,
+# up to the window cap), of each
 # export-file reader fuzzer and of the CLI file modes built on them
 # (`dramless report`/`blame` on one file, `dramless diff` on two),
 # starting from the committed seed corpora (testdata/fuzz) and the
@@ -172,6 +174,7 @@ perfbench-check:
 # minimization is off; a failing input is still written to
 # testdata/fuzz for replay.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzModuleProtocol$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/pram/
 	$(GO) test -run '^$$' -fuzz '^FuzzSeries$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadHistogramsJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBlameJSON$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/obs/

@@ -9,25 +9,32 @@ import (
 	"testing"
 )
 
-// cliArgsEnv carries the argument list of a re-executed test binary that
-// should run main instead of the tests (the commands exit the process).
+// cliArgsEnv carries the newline-separated argument list of a re-executed
+// test binary that should run main instead of the tests (the commands
+// exit the process).
 const cliArgsEnv = "DRAMLESS_CLI_ARGS"
 
 func TestMain(m *testing.M) {
 	if args, ok := os.LookupEnv(cliArgsEnv); ok {
-		os.Args = append([]string{"dramless"}, strings.Fields(args)...)
+		os.Args = append([]string{"dramless"}, strings.Split(args, "\n")...)
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-// runCLI runs the command line in a child process and returns its exit
-// code and stderr.
+// runCLI runs the command line, split at spaces, in a child process and
+// returns its exit code and stderr.
 func runCLI(t *testing.T, args string) (int, string) {
 	t.Helper()
+	return runArgs(t, strings.Fields(args)...)
+}
+
+// runArgs is runCLI for arguments that contain spaces themselves.
+func runArgs(t *testing.T, args ...string) (int, string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), cliArgsEnv+"="+args)
+	cmd.Env = append(os.Environ(), cliArgsEnv+"="+strings.Join(args, "\n"))
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
@@ -38,8 +45,23 @@ func runCLI(t *testing.T, args string) (int, string) {
 	case errors.As(err, &exit):
 		return exit.ExitCode(), stderr.String()
 	}
-	t.Fatalf("%s: %v", args, err)
+	t.Fatalf("%q: %v", args, err)
 	return 0, ""
+}
+
+// TestCLIUnknownSystem pins the error path of a bad system name: the
+// name is matched and quoted with surrounding spaces trimmed, and the
+// command exits 2.
+func TestCLIUnknownSystem(t *testing.T) {
+	for _, args := range [][]string{
+		{"arena", "-systems", "DRAM-less, nope"},
+		{"run", "-system", " nope "},
+	} {
+		code, stderr := runArgs(t, args...)
+		if code != 2 || !strings.Contains(stderr, `unknown system "nope"`) {
+			t.Errorf("%q: exit %d, stderr:\n%s", args, code, stderr)
+		}
+	}
 }
 
 // TestCLIUnknownKernel pins the error path of a bad -kernels list: the

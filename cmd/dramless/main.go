@@ -381,10 +381,11 @@ func cmdArena(args []string) {
 }
 
 // systemKind resolves a system organization name, case-insensitively and
-// ignoring surrounding spaces; an unknown name exits 2, quoted as given.
+// ignoring surrounding spaces; an unknown name exits 2, quoted trimmed.
 func systemKind(name string) dramless.SystemKind {
+	name = strings.TrimSpace(name)
 	for _, k := range dramless.SystemKinds() {
-		if strings.EqualFold(k.String(), strings.TrimSpace(name)) {
+		if strings.EqualFold(k.String(), name) {
 			return k
 		}
 	}

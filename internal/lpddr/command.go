@@ -64,9 +64,14 @@ type Command struct {
 	BA uint8
 	// Addr is the op-dependent address payload: upper row address for
 	// PREACTIVE, lower row address for ACTIVATE, column address for
-	// READ/WRITE, register number for MRW/MRR. At most 14 bits.
+	// READ/WRITE, register number for MRW/MRR. At most AddrBits bits.
 	Addr uint32
 }
+
+// AddrBits is the width of a command's address field, and so of the
+// upper row address a RAB holds, the lower row address ACTIVATE carries
+// and the column a READ or WRITE names.
+const AddrBits = 14
 
 // Packet is the 20-bit DDR signal packet the PRAM PHY ships per command:
 // operation type in the top 4 bits, row-buffer address in 2 bits, and a
@@ -80,12 +85,12 @@ const (
 	opMask     = 0xF
 	baShift    = 14
 	baMask     = 0x3
-	addrMask   = 0x3FFF // 14 bits
+	addrMask   = 1<<AddrBits - 1
 )
 
 // Encode packs a command into its signal packet. It returns an error when
 // a field does not fit, which would silently corrupt the command on a real
-// bus - exactly the bug class the checker exists to catch.
+// bus.
 func Encode(c Command) (Packet, error) {
 	if c.Op >= numOps {
 		return 0, fmt.Errorf("lpddr: unknown opcode %d", c.Op)

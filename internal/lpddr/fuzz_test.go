@@ -25,30 +25,6 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzTracker feeds arbitrary command streams: the protocol checker must
-// never panic and never report an activated pair it did not see activate.
-func FuzzTracker(f *testing.F) {
-	f.Add([]byte{1, 0, 2, 0, 3, 0})
-	f.Add([]byte{3, 1})
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		tr := NewTracker(4)
-		for i := 0; i+1 < len(stream); i += 2 {
-			c := Command{Op: Op(stream[i] % uint8(numOps)), BA: stream[i+1] % 4}
-			err := tr.Observe(c)
-			switch c.Op {
-			case OpActivate:
-				if err == nil && !tr.Loaded(c.BA) {
-					t.Fatal("activate accepted without a loaded RAB")
-				}
-			case OpRead, OpWrite:
-				if err == nil && !tr.Activated(c.BA) {
-					t.Fatal("data phase accepted without activation")
-				}
-			}
-		}
-	})
-}
-
 // MustEncode is Encode for commands known to be in range; it panics on
 // error and is intended for tests.
 func MustEncode(c Command) Packet {

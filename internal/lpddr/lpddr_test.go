@@ -160,71 +160,6 @@ func TestPacketRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestTrackerEnforcesThreePhaseOrder(t *testing.T) {
-	tr := NewTracker(4)
-	// READ before any activation must fail.
-	if err := tr.Observe(Command{Op: OpRead, BA: 0}); err == nil {
-		t.Fatal("READ without activation accepted")
-	}
-	// ACTIVATE before PREACTIVE must fail.
-	if err := tr.Observe(Command{Op: OpActivate, BA: 1}); err == nil {
-		t.Fatal("ACTIVATE without PREACTIVE accepted")
-	}
-	// Correct sequence passes.
-	for _, c := range []Command{
-		{Op: OpPreactive, BA: 1, Addr: 0x12},
-		{Op: OpActivate, BA: 1, Addr: 0x3},
-		{Op: OpRead, BA: 1, Addr: 0},
-		{Op: OpRead, BA: 1, Addr: 8}, // phase skipping: reuse activation
-	} {
-		if err := tr.Observe(c); err != nil {
-			t.Fatalf("legal command %v rejected: %v", c, err)
-		}
-	}
-	if !tr.Activated(1) || !tr.Loaded(1) {
-		t.Fatal("tracker state not updated")
-	}
-}
-
-func TestTrackerPreactiveInvalidatesActivation(t *testing.T) {
-	tr := NewTracker(2)
-	seq := []Command{
-		{Op: OpPreactive, BA: 0},
-		{Op: OpActivate, BA: 0},
-		{Op: OpPreactive, BA: 0}, // new upper row address: old RDB pairing stale
-	}
-	for _, c := range seq {
-		if err := tr.Observe(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Observe(Command{Op: OpRead, BA: 0}); err == nil {
-		t.Fatal("READ after re-PREACTIVE accepted without new ACTIVATE")
-	}
-}
-
-func TestTrackerRejectsOutOfRangeBA(t *testing.T) {
-	tr := NewTracker(2)
-	err := tr.Observe(Command{Op: OpPreactive, BA: 3})
-	if err == nil || !strings.Contains(err.Error(), "BA 3") {
-		t.Fatalf("out-of-range BA not rejected: %v", err)
-	}
-}
-
-func TestTrackerHistoryAndReset(t *testing.T) {
-	tr := NewTracker(4)
-	tr.KeepHistory(true)
-	_ = tr.Observe(Command{Op: OpPreactive, BA: 0})
-	_ = tr.Observe(Command{Op: OpActivate, BA: 0})
-	if len(tr.History()) != 2 {
-		t.Fatalf("history = %d entries, want 2", len(tr.History()))
-	}
-	tr.Reset()
-	if len(tr.History()) != 0 || tr.Loaded(0) || tr.Activated(0) {
-		t.Fatal("reset did not clear state")
-	}
-}
-
 func TestStringFormats(t *testing.T) {
 	c := Command{Op: OpPreactive, BA: 2, Addr: 0x55}
 	if s := c.String(); !strings.Contains(s, "PREACTIVE") || !strings.Contains(s, "ba=2") {
@@ -236,23 +171,4 @@ func TestStringFormats(t *testing.T) {
 	if CellErased.String() != "erased" || CellFresh.String() != "fresh" || CellProgrammed.String() != "programmed" {
 		t.Error("cell state strings wrong")
 	}
-}
-
-// Activated reports whether buffer pair ba holds a sensed row.
-func (t *Tracker) Activated(ba uint8) bool {
-	return int(ba) < t.numRAB && t.activated[ba]
-}
-
-// Loaded reports whether RAB ba holds an upper row address.
-func (t *Tracker) Loaded(ba uint8) bool {
-	return int(ba) < t.numRAB && t.rabLoaded[ba]
-}
-
-// Reset clears all protocol state (device power cycle).
-func (t *Tracker) Reset() {
-	for i := range t.rabLoaded {
-		t.rabLoaded[i] = false
-		t.activated[i] = false
-	}
-	t.history = t.history[:0]
 }

@@ -44,14 +44,14 @@ func (m *Module) Release() {
 	m.memoSeg, m.memoID = nil, noSeg
 }
 
-// CopyFrom clones src's complete device state into m: protocol-tracker
-// and buffer-pair state, overlay-window registers, array contents,
-// partition timelines, program-buffer and boot state, and activity
-// counters. The array contents are shared, not copied: m borrows every
-// slab of src and copies one only when it first writes to it (rowSeg).
-// src must therefore stay unmodified, and unreleased, until m is
-// released; a checkpoint template frozen at capture is such a source,
-// and any number of modules may fork it concurrently.
+// CopyFrom clones src's complete device state into m: buffer-pair state,
+// overlay-window registers, array contents, partition timelines,
+// program-buffer and boot state, and activity counters. The array
+// contents are shared, not copied: m borrows every slab of src and
+// copies one only when it first writes to it (rowSeg). src must
+// therefore stay unmodified, and unreleased, until m is released; a
+// checkpoint template frozen at capture is such a source, and any number
+// of modules may fork it concurrently.
 //
 // The DQ bus is NOT copied — packages on one channel share the channel's
 // bus resource, which the channel copies exactly once. Construction-time
@@ -59,7 +59,6 @@ func (m *Module) Release() {
 // fresh construction both sides went through.
 func (m *Module) CopyFrom(src *Module) {
 	m.par = src.par // MRW mutates BurstLen during boot
-	m.track.CopyFrom(src.track)
 	m.rabValid = src.rabValid
 	m.rabUpper = src.rabUpper
 	m.rdbValid = src.rdbValid
@@ -85,6 +84,5 @@ func (m *Module) CopyFrom(src *Module) {
 	m.bufFreeAt = src.bufFreeAt
 	m.boot = src.boot
 	copy(m.progEndPart, src.progEndPart)
-	m.pauses = src.pauses
 	m.stats = src.stats
 }

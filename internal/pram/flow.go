@@ -11,7 +11,7 @@ import (
 // three-phase-addressed burst against the window, so the flows exercise
 // exactly the protocol a hardware controller would.
 
-// windowRowFor returns the window-relative row/column of offset off and
+// activateWindowRow returns the window-relative row/column of offset off and
 // activates the window row on buffer pair ba if it is not already bound.
 func (m *Module) activateWindowRow(at sim.Time, ba uint8, off uint64) (done sim.Time, col int, err error) {
 	addr := m.ow.base + off
@@ -33,9 +33,12 @@ func (m *Module) activateWindowRow(at sim.Time, ba uint8, off uint64) (done sim.
 	return done, col, nil
 }
 
-// writeWindow writes data at window offset off via write-phase bursts,
-// splitting at row boundaries.
-func (m *Module) writeWindow(at sim.Time, ba uint8, off uint64, data []byte) (done sim.Time, err error) {
+// WindowWrite writes data at overlay-window offset off through the
+// regular three-phase protocol, splitting at row boundaries: window rows
+// are activated on buffer pair ba as needed, phase-skipping when the row
+// is already bound. Controllers use it to drive custom flows; bursts
+// covering RegExec start the staged operation.
+func (m *Module) WindowWrite(at sim.Time, ba uint8, off uint64, data []byte) (done sim.Time, err error) {
 	done = at
 	for len(data) > 0 {
 		var col int
@@ -54,15 +57,6 @@ func (m *Module) writeWindow(at sim.Time, ba uint8, off uint64, data []byte) (do
 		off += uint64(n)
 	}
 	return done, nil
-}
-
-// WindowWrite writes data at overlay-window offset off through the
-// regular three-phase protocol (activating window rows on buffer pair ba
-// as needed, phase-skipping when the row is already bound). Controllers
-// use it to drive custom flows; bursts covering RegExec start the staged
-// operation.
-func (m *Module) WindowWrite(at sim.Time, ba uint8, off uint64, data []byte) (done sim.Time, err error) {
-	return m.writeWindow(at, ba, off, data)
 }
 
 // ProgramHeader returns the register-row image a controller bursts to
@@ -101,16 +95,16 @@ func (m *Module) ProgramRow(at sim.Time, ba uint8, rowAddr uint64, data []byte) 
 	// 1. command code, target row address and burst size in one
 	//    register-row burst (RegCode..RegMulti share a 32 B row; the
 	//    reserved gaps ignore writes).
-	done, err = m.writeWindow(at, ba, RegCode, ProgramHeader(rowAddr, len(data)))
+	done, err = m.WindowWrite(at, ba, RegCode, ProgramHeader(rowAddr, len(data)))
 	if err != nil {
 		return 0, err
 	}
 	// 2. data -> program buffer (0x800+)
-	if done, err = m.writeWindow(done, ba, ProgBufOffset, data); err != nil {
+	if done, err = m.WindowWrite(done, ba, ProgBufOffset, data); err != nil {
 		return 0, err
 	}
 	// 3. execute -> RegExec (0xC0)
-	if done, err = m.writeWindow(done, ba, RegExec, []byte{1}); err != nil {
+	if done, err = m.WindowWrite(done, ba, RegExec, []byte{1}); err != nil {
 		return 0, err
 	}
 	return done, nil

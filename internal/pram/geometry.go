@@ -78,19 +78,21 @@ func (g Geometry) Validate() error {
 	switch {
 	case g.RowBytes <= 0 || g.RowBytes&(g.RowBytes-1) != 0:
 		return fmt.Errorf("pram: RowBytes must be a positive power of two, got %d", g.RowBytes)
+	case g.RowBytes > 1<<lpddr.AddrBits:
+		return fmt.Errorf("pram: RowBytes %d has columns past the %d-bit READ/WRITE address field", g.RowBytes, lpddr.AddrBits)
 	case g.RowsPerModule == 0 || g.RowsPerModule&(g.RowsPerModule-1) != 0:
 		return fmt.Errorf("pram: RowsPerModule must be a positive power of two, got %d", g.RowsPerModule)
 	case g.Partitions <= 0 || g.Partitions&(g.Partitions-1) != 0:
 		return fmt.Errorf("pram: Partitions must be a positive power of two, got %d", g.Partitions)
-	case g.LowerBits <= 0 || g.LowerBits > 14:
-		return fmt.Errorf("pram: LowerBits must be 1..14 (ACTIVATE address field), got %d", g.LowerBits)
+	case g.LowerBits <= 0 || g.LowerBits > lpddr.AddrBits:
+		return fmt.Errorf("pram: LowerBits must be 1..%d (ACTIVATE address field), got %d", lpddr.AddrBits, g.LowerBits)
 	case g.WordBytes <= 0 || g.RowBytes%g.WordBytes != 0:
 		return fmt.Errorf("pram: WordBytes %d must divide RowBytes %d", g.WordBytes, g.RowBytes)
 	case g.EraseRows <= 0:
 		return fmt.Errorf("pram: EraseRows must be positive, got %d", g.EraseRows)
 	}
-	if upper := g.rowBits() - g.LowerBits; upper > 14 {
-		return fmt.Errorf("pram: %d upper row bits exceed the 14-bit RAB field (reduce RowsPerModule)", upper)
+	if upper := g.rowBits() - g.LowerBits; upper > lpddr.AddrBits {
+		return fmt.Errorf("pram: %d upper row bits exceed the %d-bit RAB field (reduce RowsPerModule)", upper, lpddr.AddrBits)
 	}
 	switch {
 	case g.TilesPerPartition <= 0 || g.TilesPerPartition%2 != 0:

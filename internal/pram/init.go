@@ -40,7 +40,7 @@ type initState struct {
 // ModeRegisterWrite applies an MRW command at time at and returns when the
 // register update (or triggered calibration) completes.
 func (m *Module) ModeRegisterWrite(at sim.Time, reg uint32, val uint8) (done sim.Time, err error) {
-	if err := m.observe(lpddr.Command{Op: lpddr.OpMRW, Addr: reg}); err != nil {
+	if err := m.receive(lpddr.OpMRW, 0, reg); err != nil {
 		return 0, err
 	}
 	switch reg {
@@ -75,7 +75,7 @@ func (m *Module) ModeRegisterWrite(at sim.Time, reg uint32, val uint8) (done sim
 
 // ModeRegisterRead returns the value of a mode register at time at.
 func (m *Module) ModeRegisterRead(at sim.Time, reg uint32) (val uint8, done sim.Time, err error) {
-	if err := m.observe(lpddr.Command{Op: lpddr.OpMRR, Addr: reg}); err != nil {
+	if err := m.receive(lpddr.OpMRR, 0, reg); err != nil {
 		return 0, 0, err
 	}
 	switch reg {

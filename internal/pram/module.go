@@ -44,14 +44,18 @@ func (s *Stats) Add(o Stats, sign int64) {
 // The model is functional and timed at once: every method takes the
 // simulated time the command reaches the device and returns when its
 // effect completes, reserving the array partition and the 16-bit DQ bus
-// for the spans they would be occupied on real hardware. An embedded
-// lpddr.Tracker rejects command sequences that violate three-phase
-// addressing, so controller bugs fail loudly.
+// for the spans they would be occupied on real hardware. The module
+// checks three-phase addressing against its own buffer-pair state: a BA
+// outside its pairs, an address wider than its field, an ACTIVATE whose
+// RAB was never loaded and a data phase on a pair holding no sensed row
+// are errors, so controller bugs fail loudly.
 type Module struct {
 	geo Geometry
 	par lpddr.Params
 
-	track *lpddr.Tracker
+	// trace logs every command while tracing is on (EnableTrace).
+	tracing bool
+	trace   []lpddr.Command
 
 	rabValid [4]bool
 	rabUpper [4]uint32
@@ -90,7 +94,6 @@ type Module struct {
 	// 10-18 us programs at the cost of stretched writes.
 	pausing     bool
 	progEndPart []sim.Time // per-partition in-flight program end
-	pauses      int64
 	onPause     func(at sim.Time, stretch sim.Duration)
 
 	stats Stats
@@ -121,7 +124,6 @@ func NewModule(geo Geometry, par lpddr.Params) (*Module, error) {
 	m := &Module{
 		geo:    geo,
 		par:    par,
-		track:  lpddr.NewTracker(par.NumRAB),
 		segs:   make(map[uint64]int32),
 		memoID: noSeg,
 		bus:    sim.NewResource("pram.dq"),
@@ -185,7 +187,7 @@ func (m *Module) peek(rowAddr uint64) (*rowSeg, int) {
 func (m *Module) EnableWritePausing(on bool) { m.pausing = on }
 
 // Pauses returns how many programs were interrupted by reads.
-func (m *Module) Pauses() int64 { return m.pauses }
+func (m *Module) Pauses() int64 { return m.stats.Pauses }
 
 // SetPauseHook registers fn to observe every write-pause event: at is
 // the pausing read's arrival, stretch the extra time the interrupted
@@ -193,13 +195,13 @@ func (m *Module) Pauses() int64 { return m.pauses }
 // to the observability layer's stall series; nil disables it.
 func (m *Module) SetPauseHook(fn func(at sim.Time, stretch sim.Duration)) { m.onPause = fn }
 
-// EnableTrace records every LPDDR2-NVM command the module observes, for
+// EnableTrace records every LPDDR2-NVM command the module receives, for
 // protocol inspection and debugging. Retrieve with TraceHistory.
-func (m *Module) EnableTrace(on bool) { m.track.KeepHistory(on) }
+func (m *Module) EnableTrace(on bool) { m.tracing = on }
 
 // TraceHistory returns the recorded command stream (empty unless
 // EnableTrace was set before the traffic).
-func (m *Module) TraceHistory() []lpddr.Command { return m.track.History() }
+func (m *Module) TraceHistory() []lpddr.Command { return m.trace }
 
 // ShareBus wires the module's DQ pins to a shared channel bus: all PRAM
 // packages on one LPDDR2-NVM channel drive the same dq[15:0] lines
@@ -207,11 +209,7 @@ func (m *Module) TraceHistory() []lpddr.Command { return m.track.History() }
 func (m *Module) ShareBus(bus *sim.Resource) { m.bus = bus }
 
 // Stats returns a snapshot of the activity counters.
-func (m *Module) Stats() Stats {
-	s := m.stats
-	s.Pauses = m.pauses
-	return s
-}
+func (m *Module) Stats() Stats { return m.stats }
 
 // SetOWBA remaps the overlay window. The base must be row-aligned and the
 // window must fit in the module.
@@ -255,19 +253,26 @@ func (m *Module) RDBHit(rowAddr uint64) (ba uint8, ok bool) {
 	return 0, false
 }
 
-// observe routes a command through the protocol tracker.
-func (m *Module) observe(c lpddr.Command) error {
-	if _, err := lpddr.Encode(c); err != nil {
-		return err
+// receive logs a command when tracing and rejects a BA outside the
+// module's buffer pairs.
+func (m *Module) receive(op lpddr.Op, ba uint8, addr uint32) error {
+	if m.tracing {
+		m.trace = append(m.trace, lpddr.Command{Op: op, BA: ba, Addr: addr})
 	}
-	return m.track.Observe(c)
+	if int(ba) >= m.par.NumRAB {
+		return fmt.Errorf("pram: %v targets BA %d but the module has %d RAB pairs", op, ba, m.par.NumRAB)
+	}
+	return nil
 }
 
 // Preactive latches the upper row address into RAB ba (first addressing
 // phase). It returns when the RAB update completes (tRP).
 func (m *Module) Preactive(at sim.Time, ba uint8, upper uint32) (done sim.Time, err error) {
-	if err := m.observe(lpddr.Command{Op: lpddr.OpPreactive, BA: ba, Addr: upper}); err != nil {
+	if err := m.receive(lpddr.OpPreactive, ba, upper); err != nil {
 		return 0, err
+	}
+	if upper >= 1<<lpddr.AddrBits {
+		return 0, fmt.Errorf("pram: upper row address %#x exceeds the %d-bit RAB field", upper, lpddr.AddrBits)
 	}
 	m.rabValid[ba] = true
 	m.rabUpper[ba] = upper
@@ -284,8 +289,14 @@ func (m *Module) Preactive(at sim.Time, ba uint8, upper uint32) (done sim.Time, 
 // overlay window are served by the register sets and do not touch the
 // array. It returns when the RDB holds the row.
 func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, err error) {
-	if err := m.observe(lpddr.Command{Op: lpddr.OpActivate, BA: ba, Addr: lower}); err != nil {
+	if err := m.receive(lpddr.OpActivate, ba, lower); err != nil {
 		return 0, err
+	}
+	if !m.rabValid[ba] {
+		return 0, fmt.Errorf("pram: ACTIVATE on BA %d without a prior PREACTIVE", ba)
+	}
+	if lower >= 1<<m.geo.LowerBits {
+		return 0, fmt.Errorf("pram: lower row address %#x exceeds %d bits", lower, m.geo.LowerBits)
 	}
 	rowAddr := m.geo.JoinRow(m.rabUpper[ba], lower)
 	if err := m.geo.CheckRow(rowAddr); err != nil {
@@ -315,7 +326,7 @@ func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, e
 			m.busyUntil = m.progEndPart[partIdx]
 		}
 		m.stats.ProgramTime += stretch // the interrupted program re-pays this
-		m.pauses++
+		m.stats.Pauses++
 		if m.onPause != nil {
 			m.onPause(at, stretch)
 		}
@@ -345,11 +356,11 @@ func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, e
 func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done sim.Time, err error) {
 	n := len(dst)
 	data := dst
-	if err := m.observe(lpddr.Command{Op: lpddr.OpRead, BA: ba, Addr: uint32(col)}); err != nil {
+	if err := m.receive(lpddr.OpRead, ba, uint32(col)); err != nil {
 		return 0, err
 	}
 	if !m.rdbValid[ba] {
-		return 0, fmt.Errorf("pram: read from invalid RDB %d", ba)
+		return 0, fmt.Errorf("pram: READ on BA %d, whose RDB holds no sensed row", ba)
 	}
 	if col < 0 || n <= 0 || col+n > m.geo.RowBytes {
 		return 0, fmt.Errorf("pram: read burst [%d,%d) outside %d-byte row", col, col+n, m.geo.RowBytes)
@@ -382,11 +393,11 @@ func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done
 // inside the overlay window; writes covering RegExec start the queued
 // program or erase operation. It returns when write recovery completes.
 func (m *Module) WriteBurst(at sim.Time, ba uint8, col int, data []byte) (done sim.Time, err error) {
-	if err := m.observe(lpddr.Command{Op: lpddr.OpWrite, BA: ba, Addr: uint32(col)}); err != nil {
+	if err := m.receive(lpddr.OpWrite, ba, uint32(col)); err != nil {
 		return 0, err
 	}
 	if !m.rdbValid[ba] {
-		return 0, fmt.Errorf("pram: write through invalid RDB %d", ba)
+		return 0, fmt.Errorf("pram: WRITE on BA %d, whose RDB holds no sensed row", ba)
 	}
 	if !m.rdbWindow[ba] {
 		return 0, fmt.Errorf("pram: write-phase to array row %#x (only overlay window rows are writable)", m.rdbRow[ba])
@@ -485,11 +496,7 @@ func (m *Module) PreEraseBackground(from sim.Time, rowAddr uint64, contractDead 
 		state[i] = lpddr.CellErased
 	}
 	seg.writableStamps().lastProg[idx] = end
-	for i := range m.rdbValid {
-		if m.rdbValid[i] && !m.rdbWindow[i] && m.rdbRow[i] == rowAddr {
-			m.rdbValid[i] = false
-		}
-	}
+	m.dropRow(rowAddr)
 	return nil
 }
 
@@ -592,14 +599,18 @@ func (m *Module) program(at sim.Time) error {
 	m.stats.Programs++
 	m.stats.ProgramsBy[slowest]++
 	m.stats.ProgramTime += opTime
+	m.dropRow(rowAddr)
+	return nil
+}
 
-	// The freshly programmed row invalidates any stale RDB snapshot.
+// dropRow invalidates any RDB still holding array row rowAddr: a program,
+// erase or pre-erase of the row makes its sensed snapshot stale.
+func (m *Module) dropRow(rowAddr uint64) {
 	for i := range m.rdbValid {
 		if m.rdbValid[i] && !m.rdbWindow[i] && m.rdbRow[i] == rowAddr {
 			m.rdbValid[i] = false
 		}
 	}
-	return nil
 }
 
 // erase clears the erase segment containing the row in ow.addr, leaving
@@ -626,11 +637,7 @@ func (m *Module) erase(at sim.Time) error {
 				state[i] = lpddr.CellErased
 			}
 		}
-		for i := range m.rdbValid {
-			if m.rdbValid[i] && !m.rdbWindow[i] && m.rdbRow[i] == rowA {
-				m.rdbValid[i] = false
-			}
-		}
+		m.dropRow(rowA)
 	}
 	m.stats.Erases++
 	return nil

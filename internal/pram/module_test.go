@@ -3,6 +3,9 @@ package pram
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -74,15 +77,15 @@ func eraseSegment(m *Module, at sim.Time, ba uint8, rowAddr uint64) (done sim.Ti
 	if err := m.geo.CheckRow(rowAddr); err != nil {
 		return 0, err
 	}
-	done, err = m.writeWindow(at, ba, RegCode, []byte{CmdErase})
+	done, err = m.WindowWrite(at, ba, RegCode, []byte{CmdErase})
 	if err != nil {
 		return 0, err
 	}
 	addrBytes := []byte{byte(rowAddr), byte(rowAddr >> 8), byte(rowAddr >> 16), byte(rowAddr >> 24)}
-	if done, err = m.writeWindow(done, ba, RegAddr, addrBytes); err != nil {
+	if done, err = m.WindowWrite(done, ba, RegAddr, addrBytes); err != nil {
 		return 0, err
 	}
-	return m.writeWindow(done, ba, RegExec, []byte{1})
+	return m.WindowWrite(done, ba, RegExec, []byte{1})
 }
 
 func TestGeometryValidate(t *testing.T) {
@@ -97,6 +100,7 @@ func TestGeometryValidate(t *testing.T) {
 		func(g *Geometry) { g.WordBytes = 5 },
 		func(g *Geometry) { g.EraseRows = 0 },
 		func(g *Geometry) { g.RowsPerModule = 1 << 40 }, // upper bits overflow RAB field
+		func(g *Geometry) { g.RowBytes = 1 << 15 },      // columns overflow the address field
 	}
 	for i, mutate := range bad {
 		g := DefaultGeometry()
@@ -325,17 +329,120 @@ func TestDirectArrayWriteRejected(t *testing.T) {
 	}
 }
 
+// TestProtocolViolationsRejected pins the address-field widths: an
+// address the command's field cannot carry is an error, not a silently
+// truncated row. TestModuleEnforcesThreePhaseOrder pins the ordering.
 func TestProtocolViolationsRejected(t *testing.T) {
 	m := testModule(t)
-	if _, err := m.Activate(0, 0, 1); err == nil {
-		t.Fatal("activate without preactive accepted")
-	}
-	if _, _, err := readBurst(m, 0, 1, 0, 8); err == nil {
-		t.Fatal("read without activation accepted")
-	}
 	d, _ := m.Preactive(0, 0, 0)
 	if _, err := m.Activate(d, 0, 1<<14); err == nil {
 		t.Fatal("activate with 15-bit lower address accepted")
+	}
+	if _, err := m.Preactive(0, 0, 1<<lpddr.AddrBits); err == nil {
+		t.Fatal("preactive with an upper address wider than the RAB field accepted")
+	}
+	// The lower address must fit LowerBits, not just the 14-bit field:
+	// a wider one would spill into the upper part of the row address.
+	geo := m.geo
+	geo.LowerBits = 10
+	narrow := MustNewModule(geo, lpddr.Default())
+	d, _ = narrow.Preactive(0, 0, 0)
+	if _, err := narrow.Activate(d, 0, 1<<10); err == nil {
+		t.Fatal("activate with a lower address wider than LowerBits accepted")
+	}
+}
+
+// TestModuleEnforcesThreePhaseOrder pins the three-phase ordering on
+// one buffer pair: READ and ACTIVATE are illegal first commands, and a
+// READ that skips both addressing phases is legal while the pair still
+// holds its activated row.
+func TestModuleEnforcesThreePhaseOrder(t *testing.T) {
+	m := testModule(t)
+	if _, _, err := readBurst(m, 0, 0, 0, 8); err == nil {
+		t.Fatal("READ without activation accepted")
+	}
+	if _, err := m.Activate(0, 1, 3); err == nil {
+		t.Fatal("ACTIVATE without PREACTIVE accepted")
+	}
+	d, err := m.Preactive(0, 1, 0x2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = m.Activate(d, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, d, err = readBurst(m, d, 1, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err = readBurst(m, d, 1, 8, 8); err != nil {
+		t.Fatalf("phase-skipping READ on an activated pair rejected: %v", err)
+	}
+}
+
+// TestModulePreactiveInvalidatesActivation pins that a new upper row
+// address unbinds the pair's sensed row: READ needs a new ACTIVATE.
+func TestModulePreactiveInvalidatesActivation(t *testing.T) {
+	m := testModule(t)
+	d, _ := m.Preactive(0, 0, 0)
+	d, err := m.Activate(d, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err = m.Preactive(d, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readBurst(m, d, 0, 0, 8); err == nil {
+		t.Fatal("READ after re-PREACTIVE accepted without new ACTIVATE")
+	}
+}
+
+// TestModuleRejectsOutOfRangeBA pins that every addressed command names
+// a BA outside the module's buffer pairs in its error, even one past
+// the 2-bit field.
+func TestModuleRejectsOutOfRangeBA(t *testing.T) {
+	par := lpddr.Default()
+	par.NumRAB = 2
+	m := MustNewModule(testModule(t).geo, par)
+	for _, ba := range []uint8{3, 255} {
+		want := fmt.Sprintf("BA %d", ba)
+		_, errP := m.Preactive(0, ba, 0)
+		_, errA := m.Activate(0, ba, 0)
+		_, errR := m.ReadBurstInto(0, ba, 0, make([]byte, 8))
+		_, errW := m.WriteBurst(0, ba, 0, make([]byte, 8))
+		for _, err := range []error{errP, errA, errR, errW} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("BA %d on a 2-RAB module not rejected by name: %v", ba, err)
+			}
+		}
+	}
+}
+
+// TestModuleTraceHistory pins the command log: commands in issue order
+// while tracing, and a fork starts with an empty log.
+func TestModuleTraceHistory(t *testing.T) {
+	m := testModule(t)
+	if _, err := m.Preactive(0, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.EnableTrace(true)
+	d, _ := m.Preactive(0, 2, 1)
+	d, _ = m.Activate(d, 2, 7)
+	readBurst(m, d, 2, 4, 8)
+	m.ModeRegisterWrite(d, MRZQCalibrate, 1)
+	want := []lpddr.Command{
+		{Op: lpddr.OpPreactive, BA: 2, Addr: 1},
+		{Op: lpddr.OpActivate, BA: 2, Addr: 7},
+		{Op: lpddr.OpRead, BA: 2, Addr: 4},
+		{Op: lpddr.OpMRW, Addr: MRZQCalibrate},
+	}
+	if got := m.TraceHistory(); !slices.Equal(got, want) {
+		t.Fatalf("trace = %v, want %v", got, want)
+	}
+	fork := MustNewModule(m.geo, lpddr.Default())
+	fork.EnableTrace(true)
+	fork.CopyFrom(m)
+	if n := len(fork.TraceHistory()); n != 0 {
+		t.Fatalf("fork starts with %d logged commands, want 0", n)
 	}
 }
 

@@ -126,9 +126,10 @@ func (p *Pipe) TransferTime(n int64) Duration {
 // time the last byte arrives. The pipe is occupied only for the wire time;
 // the fixed latency is pure delay and does not block later transfers.
 func (p *Pipe) Transfer(earliest Time, n int64) (done Time) {
-	start := p.res.Acquire(earliest, p.TransferTime(n))
+	wire := p.TransferTime(n)
+	start := p.res.Acquire(earliest, wire)
 	p.moved += n
-	return start + p.TransferTime(n) + p.latency
+	return start + wire + p.latency
 }
 
 // BytesMoved returns the total payload moved through the pipe.
