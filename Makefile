@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare digest-check arena-smoke blame-smoke examples-smoke perfbench-check fuzz-smoke profile trace vet fmt-check ci ci-full verify
+.PHONY: build test race race-experiments race-sim bench bench-json bench-compare hist-json hist-compare digest-check digest-full arena-smoke blame-smoke examples-smoke perfbench-check fuzz-smoke profile trace vet fmt-check ci ci-full verify
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,10 @@ test: build
 race:
 	$(GO) test -race ./...
 
-# Focused race pass on the experiments layer: the prefix checkpoint
-# cache is shared mutable state handed between worker goroutines mid-run
-# (capture once, fork concurrently), so this package keeps an explicit
-# race gate of its own even if the full-module sweep is ever trimmed.
+# Focused race pass on the experiments layer: the engine's result cache
+# is shared between worker goroutines (singleflight coalescing, cell
+# timings), so this package keeps an explicit race gate of its own even
+# if the full-module sweep is ever trimmed.
 race-experiments:
 	$(GO) test -race -count 1 ./internal/experiments/...
 
@@ -97,6 +97,17 @@ digest-check:
 	if [ "$$got" != "$(DIGEST_ARENA)" ]; then \
 		echo "digest-check: arena -json hashes to $$got, want $(DIGEST_ARENA)"; exit 1; fi
 	@echo "digest-check: both output digests match"
+
+# Paper-scale output digest: the sha256 of the whole suite at the 2 MiB
+# -full scale, where Fig 15's ordering differs from the default scale
+# (EXPERIMENTS.md, fig15). Every cell runs cold; ~28 s and ~200 MB peak
+# RSS with two workers on a 2-vCPU host, so it gates ci-full, not ci.
+DIGEST_FULL := 3a9e08c704735fb7f1d012cfc0f8b42c821cdc51f402d14dc18b1419a011fb67
+digest-full:
+	@got=$$($(GO) run ./cmd/dramless experiments -full -parallel 2 -json | sha256sum | cut -d' ' -f1); \
+	if [ "$$got" != "$(DIGEST_FULL)" ]; then \
+		echo "digest-full: experiments -full -json hashes to $$got, want $(DIGEST_FULL)"; exit 1; fi
+	@echo "digest-full: output digest matches"
 
 # Scheduler policy smoke. The tournament runs every registered policy
 # on one kernel: the policy registry, the per-cell private observers and
@@ -198,7 +209,7 @@ fmt-check:
 ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check hist-compare blame-smoke digest-check arena-smoke
 
 # ci plus the host-timing benchmark gate against the committed
-# baseline and the fuzzers.
-ci-full: ci bench-compare fuzz-smoke
+# baseline and the fuzzers, after the paper-scale output digest.
+ci-full: ci digest-full bench-compare fuzz-smoke
 
 verify: ci

@@ -111,8 +111,7 @@ commands:
         -parallel bounds the simulation worker pool (0 = GOMAXPROCS,
         1 = serial) - output is byte-identical at any setting;
         -slowest lists the N slowest cells by host wall-clock, each
-        tagged with whether it forked a cached populate/load prefix
-        checkpoint or simulated it cold
+        with its largest kernel-phase blame account
   arena [-full] [-scale bytes] [-kernels a,b,c] [-policies a,b]
         [-systems x,y] [-parallel N] [-json]
         scheduler tournament: run every registered scheduling policy
@@ -180,7 +179,7 @@ func cmdExperiments(args []string) {
 	kernels := fs.String("kernels", "", "comma-separated kernel subset")
 	parallel := fs.Int("parallel", 0, "simulation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	schedName := fs.String("scheduler", "", "override the DRAM-less PRAM scheduling policy for every cell by registry `name`; not applied to the scheduler-sweep tables fig12, fig13 and sec5-interleave, nor to the arena command")
-	slowest := fs.Int("slowest", 0, "report the N slowest simulation cells with prefix cache hit/miss")
+	slowest := fs.Int("slowest", 0, "report the N slowest simulation cells")
 	startProf := profileFlags(fs)
 	fs.Parse(args)
 	if *scale < 0 {
@@ -236,23 +235,18 @@ func cmdExperiments(args []string) {
 		}
 	}
 	if !*asJSON {
-		fmt.Printf("engine: %s; prefixes: %s; wall %v\n",
-			eng.Stats(), eng.PrefixStats(), time.Since(wall).Round(time.Millisecond))
+		fmt.Printf("engine: %s; wall %v\n", eng.Stats(), time.Since(wall).Round(time.Millisecond))
 	}
 	if *slowest > 0 {
 		fmt.Printf("slowest %d cells (host wall-clock):\n", *slowest)
 		for _, ct := range eng.SlowestCells(*slowest) {
-			tag := "prefix-cold"
-			if ct.PrefixHit {
-				tag = "prefix-fork"
-			}
 			// The blame column names where the cell's kernel wall went:
 			// its largest kernel-phase account and that account's share.
 			blame := ""
 			if ct.BlameTop != "" {
 				blame = fmt.Sprintf("  kernel: %s %.1f%%", ct.BlameTop, float64(ct.BlameTopMille)/10)
 			}
-			fmt.Printf("  %-10v %-22s %-8s %s%s\n", ct.Wall.Round(time.Microsecond), ct.Kind, ct.Kernel, tag, blame)
+			fmt.Printf("  %-10v %-22s %-8s%s\n", ct.Wall.Round(time.Microsecond), ct.Kind, ct.Kernel, blame)
 		}
 	}
 }
@@ -376,8 +370,7 @@ func cmdArena(args []string) {
 		return
 	}
 	tab.Print(os.Stdout)
-	fmt.Printf("engine: %s; prefixes: %s; wall %v\n",
-		eng.Stats(), eng.PrefixStats(), time.Since(wall).Round(time.Millisecond))
+	fmt.Printf("engine: %s; wall %v\n", eng.Stats(), time.Since(wall).Round(time.Millisecond))
 }
 
 // systemKind resolves a system organization name, case-insensitively and

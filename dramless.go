@@ -416,7 +416,11 @@ type ExperimentOptions = experiments.Options
 // distinct (system configuration, kernel) simulation executes exactly
 // once per engine no matter how many experiments need it; distinct
 // simulations run on up to ExperimentOptions.Parallelism goroutines,
-// while each simulation stays single-goroutine and deterministic.
+// while each simulation stays single-goroutine and deterministic. Every
+// cell runs cold (populate and load phases included); the result cache
+// is the engine's only cache. Its Release and PrefixStats methods and
+// ExperimentCellTiming.PrefixHit are deprecated no-ops kept for the
+// benchmark harness.
 type ExperimentEngine = experiments.Engine
 
 // ExperimentRunStats is the engine's cache and pool accounting

@@ -87,9 +87,7 @@ func (e *Engine) Arena(policies []string, kinds []system.Kind) (*Table, error) {
 	// Build every cell up front and enqueue it on the worker pool; the
 	// serial assembly below then finds its cells finished or in flight.
 	// Each cell gets a private Observer: distinct Obs pointers make
-	// distinct cache keys (arena cells are unique to this sweep), while
-	// PrefixOf normalizes Obs away, so cells still share populate/load
-	// checkpoints per (kind, policy, footprint).
+	// distinct cache keys, so arena cells are unique to this sweep.
 	cells := make([]*arenaCell, 0, len(kinds)*len(canon)*len(kernels))
 	for _, kind := range kinds {
 		for _, pol := range canon {

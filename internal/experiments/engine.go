@@ -26,7 +26,9 @@ type runKey struct {
 // owns a single cross-experiment result cache over a bounded worker
 // pool: every distinct (config, kernel) simulation executes exactly once
 // per engine, concurrent requests for the same cell coalesce, and
-// distinct cells run on up to Options.Parallelism goroutines.
+// distinct cells run on up to Options.Parallelism goroutines. Every
+// cell runs cold: system.Run simulates its populate and load phases
+// itself, so the result cache is the engine's only cache.
 //
 // Parallelism is across simulations only. Each simulation runs on its
 // own single goroutine, so results - and therefore every rendered
@@ -36,19 +38,8 @@ type Engine struct {
 	err error // o.Validate(), reported by every table request
 	r   *runner.Runner[runKey, *system.Result]
 
-	// pr is the second-level cache: one captured populate/load
-	// checkpoint per distinct system.Prefix. Many cells share a prefix
-	// (every kernel with the same footprint class under one config), so
-	// each prefix simulates once and every cell forks from it. The
-	// runner's singleflight makes concurrent captures of one prefix
-	// coalesce; forks only read the frozen template, so any number may
-	// proceed at once.
-	pr *runner.Runner[system.Prefix, *system.Checkpoint]
-
 	mu      sync.Mutex
-	seen    map[system.Prefix]bool
 	timings []CellTiming
-	cps     []*system.Checkpoint
 
 	// events totals the kernel-phase simulation events dispatched by
 	// the cells this engine actually ran (cache hits re-dispatch
@@ -60,10 +51,16 @@ type Engine struct {
 // CellTiming is the host-side wall-clock accounting of one simulation
 // cell, for the engine's -slowest report.
 type CellTiming struct {
-	Kind      system.Kind
-	Kernel    string
-	Wall      time.Duration
-	PrefixHit bool // the cell forked an already-captured checkpoint
+	Kind   system.Kind
+	Kernel string
+	Wall   time.Duration
+	// PrefixHit is always false: every cell runs cold. The field stays
+	// only because the benchmark harness (perfbench/suite.go) still
+	// reads it.
+	//
+	// Deprecated: the engine's checkpoint cache was removed. The field
+	// goes once perfbench/ stops reading it.
+	PrefixHit bool
 	// Blame summary from the run's always-on time account: the largest
 	// kernel-phase account (phase prefix stripped) and its share of the
 	// kernel wall in parts per thousand.
@@ -76,46 +73,17 @@ type CellTiming struct {
 // options (Options.Validate) make every Table, Tables and Arena call
 // return the validation error.
 func NewEngine(o Options) *Engine {
-	e := &Engine{
-		o:    o,
-		err:  o.Validate(),
-		seen: map[system.Prefix]bool{},
-	}
-	e.pr = runner.New(o.Parallelism, func(pr system.Prefix) (*system.Checkpoint, error) {
-		cp, err := system.CapturePrefix(pr)
-		if err != nil {
-			return nil, fmt.Errorf("%s prefix: %w", pr.Cfg.Kind, err)
-		}
-		e.mu.Lock()
-		e.cps = append(e.cps, cp)
-		e.mu.Unlock()
-		return cp, nil
-	})
+	e := &Engine{o: o, err: o.Validate()}
 	e.r = runner.New(o.Parallelism, func(k runKey) (*system.Result, error) {
-		kern := workload.MustByName(k.kernel)
-		prefix := system.PrefixOf(k.cfg, kern)
-		e.mu.Lock()
-		hit := e.seen[prefix]
-		e.seen[prefix] = true
-		e.mu.Unlock()
 		start := time.Now()
-		cp, err := e.pr.Get(prefix)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", k.cfg.Kind, k.kernel, err)
-		}
-		res, err := system.RunForked(k.cfg, kern, cp)
+		res, err := system.Run(k.cfg, workload.MustByName(k.kernel))
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", k.cfg.Kind, k.kernel, err)
 		}
 		if res.Report != nil {
 			e.events.Add(res.Report.Events)
 		}
-		ct := CellTiming{
-			Kind:      k.cfg.Kind,
-			Kernel:    k.kernel,
-			Wall:      time.Since(start),
-			PrefixHit: hit,
-		}
+		ct := CellTiming{Kind: k.cfg.Kind, Kernel: k.kernel, Wall: time.Since(start)}
 		if top := res.Blame.TopShares("kernel/", 1); len(top) == 1 {
 			ct.BlameTop = strings.TrimPrefix(top[0].Name, "kernel/")
 			ct.BlameTopMille = top[0].Permille
@@ -131,30 +99,24 @@ func NewEngine(o Options) *Engine {
 // Options returns the engine's scaling options.
 func (e *Engine) Options() Options { return e.o }
 
-// Release returns the engine's captured checkpoint templates - the
-// dominant retained allocation of a full regeneration - to the component
-// storage pools, where the next engine's captures reuse them. Call once
-// every table the engine will produce has been assembled; tables and
-// results stay valid (they own their data), but further cell runs
-// through a released engine fall back to cold simulations.
-func (e *Engine) Release() {
-	e.mu.Lock()
-	cps := e.cps
-	e.cps = nil
-	e.mu.Unlock()
-	for _, cp := range cps {
-		cp.Release()
-	}
-}
+// Release does nothing: every cell runs cold, so the engine holds no
+// checkpoint storage to return. It stays only because the benchmark
+// harness (perfbench/suite.go) still calls it.
+//
+// Deprecated: the engine's checkpoint cache was removed. The method
+// goes once perfbench/ stops calling it.
+func (e *Engine) Release() {}
 
-// Stats reports the engine's cache and pool accounting (simulation
-// cells; checkpoint captures are accounted under PrefixStats).
+// Stats reports the engine's cache and pool accounting.
 func (e *Engine) Stats() runner.Stats { return e.r.Stats() }
 
-// PrefixStats reports the checkpoint cache's accounting: Runs is the
-// number of distinct prefixes captured, Coalesced the cells that waited
-// on an in-flight capture.
-func (e *Engine) PrefixStats() runner.Stats { return e.pr.Stats() }
+// PrefixStats returns a zero runner.Stats: the engine captures no
+// checkpoints. It stays only because the benchmark harness
+// (perfbench/suite.go) still reads it.
+//
+// Deprecated: the engine's checkpoint cache was removed. The method
+// goes once perfbench/ stops calling it.
+func (e *Engine) PrefixStats() runner.Stats { return runner.Stats{} }
 
 // Events returns the total kernel-phase simulation events dispatched by
 // the cells this engine ran. Dividing by host wall-clock gives the
@@ -163,8 +125,7 @@ func (e *Engine) PrefixStats() runner.Stats { return e.pr.Stats() }
 func (e *Engine) Events() int64 { return e.events.Load() }
 
 // SlowestCells returns the n largest simulation cells by host
-// wall-clock, slowest first, each tagged with whether its prefix
-// checkpoint already existed when the cell started.
+// wall-clock, slowest first.
 func (e *Engine) SlowestCells(n int) []CellTiming {
 	e.mu.Lock()
 	out := make([]CellTiming, len(e.timings))

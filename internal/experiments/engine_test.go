@@ -80,6 +80,37 @@ func TestSharedCacheAcrossExperiments(t *testing.T) {
 	}
 }
 
+// TestEngineRunsCellsCold pins that the engine simulates every cell
+// from scratch: each cell result of a regenerated table carries the
+// cold-run provenance counter once and no fork counter, and reading the
+// cells back through getCfg runs nothing new.
+func TestEngineRunsCellsCold(t *testing.T) {
+	o := quickOpts()
+	o.Parallelism = 2
+	e := NewEngine(o)
+	if _, err := e.Table("fig15"); err != nil {
+		t.Fatal(err)
+	}
+	runs := e.Stats().Runs
+	for _, kind := range system.Fig15Kinds() {
+		for _, k := range o.kernels() {
+			res, err := e.getCfg(o.config(kind), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Counters.Get("system.prefix_cold_runs"); got != 1 {
+				t.Errorf("%s/%s: system.prefix_cold_runs = %d, want 1", kind, k.Name, got)
+			}
+			if res.Counters.Has("system.prefix_forks") {
+				t.Errorf("%s/%s: result carries system.prefix_forks", kind, k.Name)
+			}
+		}
+	}
+	if got := e.Stats().Runs; got != runs {
+		t.Errorf("reading fig15's cells back ran %d new simulations", got-runs)
+	}
+}
+
 // TestFig13FinalSharesFig15Cells pins the default policy's cache
 // sharing: the engine keys cells by their raw system.Config, so Fig 13's
 // "final" column and Fig 15's DRAM-less column are one cell only while

@@ -3,8 +3,8 @@ package memctrl
 import "dramless/internal/freelist"
 
 // scratchPool recycles the per-channel batch and wave scratch slices
-// across subsystem lifetimes. Every forked experiment cell builds a
-// fresh Subsystem whose scratch would otherwise re-grow from zero
+// across subsystem lifetimes. Every experiment cell builds a fresh
+// Subsystem whose scratch would otherwise re-grow from zero
 // capacity over the run's thousands of batched requests; recycling keeps
 // the grown capacity. Contents are garbage between uses (every consumer
 // resets to [:0] before appending).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Policy is a pluggable request scheduling policy for the PRAM
@@ -15,10 +14,10 @@ import (
 //
 // The paper's four Figure 13 configurations are registered as
 // BareMetal ("bare-metal"), Interleaving ("interleaving"),
-// SelectiveErasing ("selective-erasing") and Final ("final"). New
-// policies register through RegisterPolicy and become visible to the
-// CLI, the experiment harness and the `dramless arena` tournament by
-// name.
+// SelectiveErasing ("selective-erasing") and Final ("final"). The
+// registry is the fixed builtins list: a new policy is one more entry
+// there, and becomes visible to the CLI, the experiment harness and the
+// `dramless arena` tournament by name.
 type Policy interface {
 	// Name identifies the policy in the registry, in system.Config and
 	// in rendered tables. Lookup is case-insensitive.
@@ -129,42 +128,11 @@ var (
 	}
 )
 
-// registry holds the registered policies in registration order. The
-// mutex only matters for late RegisterPolicy calls racing readers;
-// built-ins register before main.
-var (
-	registryMu sync.RWMutex
-	registry   []Policy
-)
-
-func init() {
-	for _, p := range []Policy{
-		BareMetal, Interleaving, SelectiveErasing, Final,
-		policyPALP, policyPauseAware, policyWearAware,
-	} {
-		RegisterPolicy(p)
-	}
-}
-
-// RegisterPolicy adds a policy to the registry. It panics on a nil
-// policy, an empty name, a name that collides (case-insensitively)
-// with a registered one, or a capability vector that fails Validate —
-// registration is a programming act, like http.Handle.
-func RegisterPolicy(p Policy) {
-	if p == nil || p.Name() == "" {
-		panic("memctrl: RegisterPolicy needs a named policy")
-	}
-	if err := p.Capabilities().Validate(); err != nil {
-		panic(fmt.Sprintf("memctrl: policy %q: %v", p.Name(), err))
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	for _, q := range registry {
-		if strings.EqualFold(q.Name(), p.Name()) {
-			panic(fmt.Sprintf("memctrl: policy %q already registered", p.Name()))
-		}
-	}
-	registry = append(registry, p)
+// builtins is the policy registry, in the order PolicyNames reports
+// and the arena lays out its columns.
+var builtins = []Policy{
+	BareMetal, Interleaving, SelectiveErasing, Final,
+	policyPALP, policyPauseAware, policyWearAware,
 }
 
 // Validate reports capability combinations the scheduling machinery
@@ -176,22 +144,17 @@ func (c Capabilities) Validate() error {
 	return nil
 }
 
-// Policies returns the registered policies in registration order.
+// Policies returns the registered policies in builtins order.
 func Policies() []Policy {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Policy, len(registry))
-	copy(out, registry)
+	out := make([]Policy, len(builtins))
+	copy(out, builtins)
 	return out
 }
 
-// PolicyNames returns the registered policy names in registration
-// order.
+// PolicyNames returns the registered policy names in builtins order.
 func PolicyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, len(registry))
-	for i, p := range registry {
+	out := make([]string, len(builtins))
+	for i, p := range builtins {
 		out[i] = p.Name()
 	}
 	return out
@@ -200,17 +163,12 @@ func PolicyNames() []string {
 // PolicyByName resolves a policy by registry name, case-insensitively.
 // Unknown names return an error listing what is registered.
 func PolicyByName(name string) (Policy, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	for _, p := range registry {
+	for _, p := range builtins {
 		if strings.EqualFold(p.Name(), name) {
 			return p, nil
 		}
 	}
-	known := make([]string, len(registry))
-	for i, p := range registry {
-		known[i] = p.Name()
-	}
+	known := PolicyNames()
 	sort.Strings(known)
 	return nil, fmt.Errorf("memctrl: unknown scheduling policy %q (known: %s)",
 		name, strings.Join(known, ", "))

@@ -93,13 +93,26 @@ func TestCapabilitiesValidate(t *testing.T) {
 	}
 }
 
-func TestRegisterPolicyRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	RegisterPolicy(&builtinPolicy{name: "FINAL"}) // case-insensitive collision
+// TestBuiltinPoliciesWellFormed checks the fixed registry: every
+// built-in has a name no other built-in shares case-insensitively (so
+// PolicyByName is unambiguous) and a capability vector that validates.
+func TestBuiltinPoliciesWellFormed(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range builtins {
+		t.Run(p.Name(), func(t *testing.T) {
+			key := strings.ToLower(p.Name())
+			if key == "" {
+				t.Fatal("built-in policy has no name")
+			}
+			if seen[key] {
+				t.Errorf("name %q collides case-insensitively with another built-in", p.Name())
+			}
+			seen[key] = true
+			if err := p.Capabilities().Validate(); err != nil {
+				t.Errorf("capabilities %+v: %v", p.Capabilities(), err)
+			}
+		})
+	}
 }
 
 // Property: the new policies preserve data correctness — any sequence of

@@ -14,7 +14,7 @@ import (
 // TestCopyFromReusesSegments pins the checkpoint-fork allocation
 // contract: once the segment pool is warm, cloning a module's array
 // contents draws every row segment from the pool instead of allocating.
-// The experiment engine forks hundreds of cells per suite run; a
+// The benchmark harness's arena workload forks cells every pass; a
 // regression here silently turns every fork back into a full slab
 // re-allocation.
 func TestCopyFromReusesSegments(t *testing.T) {
@@ -228,8 +228,8 @@ func TestForksShareTemplateContent(t *testing.T) {
 }
 
 // TestForksShareTemplateContentConcurrently runs the same traffic in 8
-// forks of one template at once, as the experiment engine's workers do;
-// under the race detector this pins that forks never write a slab they
+// forks of one template at once, as concurrent workers forking one
+// checkpoint would; under the race detector this pins that forks never write a slab they
 // share.
 func TestForksShareTemplateContentConcurrently(t *testing.T) {
 	tmpl := forkTemplate(t)

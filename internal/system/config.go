@@ -158,8 +158,10 @@ type Config struct {
 	Kind  Kind
 	Accel accel.Config
 	// Scale is the workload base footprint in bytes (the paper runs >10x
-	// stock Polybench; benchmarks shrink this for simulation speed - the
-	// ratios between systems are scale-stable).
+	// stock Polybench; benchmarks shrink this for simulation speed). The
+	// ratios between systems move with it: DRAM-less is Fig 15's fastest
+	// system on 16/16 kernels up to 512 KiB, 12/16 at 1 MiB and 1/16 at
+	// 2 MiB (EXPERIMENTS.md, fig15).
 	Scale int64
 	// PRAMRowsPerModule sizes the PRAM subsystem (simulation knob).
 	PRAMRowsPerModule uint64

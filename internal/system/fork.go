@@ -22,8 +22,9 @@ const (
 // attachments (Obs, SampleInterval) record the timeline without
 // perturbing it, so they are normalized away.
 //
-// Prefix is a comparable value; it is the key of the experiment engine's
-// checkpoint cache.
+// Prefix is a comparable value; it keys the benchmark harness's arena
+// checkpoints (perfbench/arena.go). The experiment engine runs every
+// cell cold and takes no checkpoints.
 type Prefix struct {
 	Cfg    Config
 	In     int64
