@@ -27,11 +27,12 @@ race-experiments:
 # Focused race pass on the simulation core: the timing primitives, the
 # accelerator (PE interleave, RunJobs waves), the caches, the PRAM row
 # store and the PRAM controller. Each simulation runs on one goroutine;
-# the shared state this pass guards is the process-wide cache
-# line-storage pool that concurrent experiment workers draw from, and
-# the PRAM segment slabs and wear count slabs that concurrent forks of
-# one checkpoint template borrow, kept under the race detector even if
-# the full-module sweep is ever trimmed.
+# the shared state this pass guards is the process-wide storage pools
+# that concurrent experiment workers draw from and release to: cache
+# line storage, the PRAM segment slabs and entry tables, the wear count
+# slabs and the controller's batch/wave scratch (pram and memctrl
+# TestPoolsConcurrentUse), kept under the race detector even if the
+# full-module sweep is ever trimmed.
 race-sim:
 	$(GO) test -race -count 1 ./internal/sim/... ./internal/accel/... ./internal/cache/... ./internal/pram/... ./internal/memctrl/...
 
@@ -40,28 +41,61 @@ race-sim:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Benchmark trajectory: every figure/table benchmark, recorded as
-# BENCH_suite.json (ns/op + B/op + allocs/op per benchmark). Commit the
-# file so perf changes stay visible PR over PR. -benchtime 5x averages
-# out GC ticks that dominate the sub-millisecond table benchmarks;
-# -count 5 lets benchjson keep the fastest repetition (host load spikes
-# only ever slow a deterministic benchmark, so min-of-means is the
-# noise-robust estimator where the old single shot flapped ±20%). It
-# refuses a dirty tree, so every recorded baseline names a real commit.
-bench-json:
-	@if [ -n "$$(git status --porcelain)" ]; then \
-		echo "bench-json: the working tree is dirty; commit first so BENCH_suite.json names a real commit"; exit 1; fi
-	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5|BenchmarkPRAM|BenchmarkCache)' \
-		-benchmem -benchtime 5x -count 5 . | $(GO) run ./tools/benchjson -out BENCH_suite.json
-
-# Perf regression gate: rerun the suite benchmarks (same min-of-means
-# treatment as bench-json) and diff ns/op against the committed
-# BENCH_suite.json; fails when any benchmark slowed down by more than
-# 10%. Host timings are still noisy, so this is an optional CI target
-# (ci-full), not part of the default `make ci` gate.
+# Perf regression gate, on one host. Builds the parent commit
+# (BENCH_BASE, default HEAD~1; use BENCH_BASE=HEAD for uncommitted work)
+# in a git worktree under .bench_build/compare/, no network needed, then
+# runs it and the working tree interleaved over BENCH_PAIRS pairs of
+# the suite benchmarks: in each pair every benchmark runs on both sides
+# back to back (alternating which side goes first from pair to pair), at
+# the host's default GOMAXPROCS. Both sides run a benchmark for the same
+# iteration count, the fewest a BENCH_TIME calibration run of the head
+# took, because some benchmarks' per-op cost depends on how many
+# iterations ran before (PRAMWriteRow's rows fill up). Each pair gives
+# one head/base ns/op ratio per benchmark, and the gate fails when a
+# benchmark's median ratio is above 1.10. Both sides of a pair meet the
+# same host state seconds apart, so host drift cancels out of the ratio
+# instead of failing the gate. BENCH_PAIRS and BENCH_TIME come from A/A
+# runs (the same commit on both sides; CHANGES.md): at 5 pairs one or
+# four benchmarks crossed 10% on a noisy 2-vCPU host, at 11 pairs of
+# 300 ms every median stayed within 0.94-1.07. About 5 min on 2 vCPUs,
+# so it gates ci-full, not ci.
+BENCH_RE := ^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5|BenchmarkPRAM|BenchmarkCache)
+BENCH_BASE ?= HEAD~1
+BENCH_PAIRS ?= 11
+BENCH_TIME ?= 300ms
+BENCH_DIR := .bench_build/compare
+BENCH_OUT ?= $(BENCH_DIR)/compare.json
 bench-compare:
-	$(GO) test -run '^$$' -bench '^(BenchmarkAllExperiments|BenchmarkFig|BenchmarkTable|BenchmarkSec5|BenchmarkPRAM|BenchmarkCache)' \
-		-benchmem -benchtime 5x -count 5 . | $(GO) run ./tools/benchjson -compare BENCH_suite.json
+	@base=$$(git rev-parse --verify '$(BENCH_BASE)^{commit}') || exit 1; \
+	rm -rf $(BENCH_DIR); git worktree prune; mkdir -p $(BENCH_DIR); \
+	git worktree add --detach $(BENCH_DIR)/base $$base > /dev/null 2>&1 || exit 1; \
+	(cd $(BENCH_DIR)/base && $(GO) test -c -o ../base.test .) && $(GO) test -c -o $(BENCH_DIR)/head.test .; st=$$?; \
+	git worktree remove --force $(BENCH_DIR)/base; [ $$st -eq 0 ] || exit 1; \
+	plan=; for b in $$($(BENCH_DIR)/head.test -test.list '$(BENCH_RE)' | grep '^Benchmark'); do \
+		n=$$($(BENCH_DIR)/head.test -test.run '^$$' -test.bench "^$$b\$$" -test.benchtime $(BENCH_TIME) -test.timeout 10m | \
+			awk '/^Benchmark/ && $$2 > 0 { if (!m || $$2 < m) m = $$2 } END { print m + 0 }'); \
+		[ "$$n" -gt 0 ] || { echo "bench-compare: $$b did not run"; exit 1; }; \
+		plan="$$plan $$b=$$n"; \
+	done; \
+	echo "bench-compare: iterations per run:$$plan"; \
+	for i in $$(seq $(BENCH_PAIRS)); do \
+		order="base head"; [ $$((i % 2)) -eq 0 ] && order="head base"; \
+		echo "bench-compare: pair $$i of $(BENCH_PAIRS) ($$order), base $$base"; \
+		for bn in $$plan; do \
+			for s in $$order; do \
+				$(BENCH_DIR)/$$s.test -test.run '^$$' -test.bench "^$${bn%=*}\$$" -test.benchmem \
+					-test.benchtime "$${bn#*=}x" -test.timeout 10m >> $(BENCH_DIR)/$$s.txt || exit 1; \
+			done; \
+		done; \
+	done; \
+	$(GO) run ./tools/benchjson -base $(BENCH_DIR)/base.txt -head $(BENCH_DIR)/head.txt \
+		-base-commit $$base -out $(BENCH_OUT)
+
+# Benchmark trajectory: bench-compare, recording both commits, both
+# sides' ns/op per pair and the paired ratios in BENCH_suite.json.
+# Commit the file so perf changes stay visible PR over PR.
+bench-json:
+	$(MAKE) bench-compare BENCH_OUT=BENCH_suite.json
 
 # Latency distribution baseline: the reference run's full histogram
 # export (every instrument, sparse buckets). Commit the file so latency
@@ -114,8 +148,8 @@ digest-full:
 # the ranked-table assembly end to end. Fig 13 then runs under a
 # -scheduler override, which its per-column policies must ignore. Output
 # is discarded: the focused tests pin Fig 13's override immunity and
-# every policy's cold-vs-forked determinism (the arena tests pin the
-# tournament table's structure).
+# every policy's run-to-run determinism on recycled storage pools (the
+# arena tests pin the tournament table's structure).
 arena-smoke:
 	$(GO) run ./cmd/dramless arena -kernels gemver > /dev/null
 	$(GO) run ./cmd/dramless experiments -scheduler palp -kernels gemver fig13 > /dev/null
@@ -208,8 +242,8 @@ fmt-check:
 # smoke (~5 s). `make verify` is its alias.
 ci: test race race-experiments race-sim vet fmt-check examples-smoke perfbench-check hist-compare blame-smoke digest-check arena-smoke
 
-# ci plus the host-timing benchmark gate against the committed
-# baseline and the fuzzers, after the paper-scale output digest.
+# ci plus the paper-scale output digest, the same-host paired benchmark
+# gate against the parent commit and the fuzzers.
 ci-full: ci digest-full bench-compare fuzz-smoke
 
 verify: ci

@@ -258,9 +258,9 @@ func BenchmarkSec5_SelectiveErase(b *testing.B) {
 // ---- Microbenchmarks of the subsystem itself ----
 //
 // Layer microbenchmarks time host work per layer. One op is a sweep of
-// many accesses over warm state, so `make bench-json`'s -benchtime 5x
-// still times milliseconds rather than a handful of sub-microsecond
-// calls; ns/access (or ns/row) gives the per-access cost.
+// many accesses over warm state, so an op times hundreds of
+// microseconds or more rather than a handful of sub-microsecond calls;
+// ns/access (or ns/row) gives the per-access cost.
 
 // pramSweepRows is the row count of one PRAM microbenchmark op.
 const pramSweepRows = 1024

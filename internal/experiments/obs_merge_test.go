@@ -17,9 +17,9 @@ type obsCell struct {
 
 // collectObserved runs every cell on a pool of the given width with a
 // fresh per-cell Observer (an Observer is single-run state and must not
-// be shared across pooled simulations), then merges the per-cell
-// registries in fixed cell order.
-func collectObserved(t *testing.T, workers int, cells []obsCell) (*obs.HistogramSet, *obs.SeriesSet) {
+// be shared across pooled simulations), then concatenates the per-cell
+// histogram JSON and series CSV exports in fixed cell order.
+func collectObserved(t *testing.T, workers int, cells []obsCell) (hists, series []byte) {
 	t.Helper()
 	r := runner.New(workers, func(c obsCell) (*obs.Observer, error) {
 		cfg := system.DefaultConfig(c.kind)
@@ -35,24 +35,27 @@ func collectObserved(t *testing.T, workers int, cells []obsCell) (*obs.Histogram
 	copy(keys, cells)
 	r.Prefetch(keys...)
 
-	hists := &obs.HistogramSet{}
-	series := obs.NewSeriesSet(obs.DefaultSeriesWindow)
+	var hb, sb bytes.Buffer
 	for _, c := range cells {
 		o, err := r.Get(c)
 		if err != nil {
 			t.Fatalf("%v/%s: %v", c.kind, c.kernel, err)
 		}
-		hists.Merge(o.Histograms())
-		series.Merge(o.Series())
+		if err := o.Histograms().WriteJSON(&hb); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Series().WriteCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return hists, series
+	return hb.Bytes(), sb.Bytes()
 }
 
 // TestObservedMergeSerialMatchesParallel pins the acceptance property
 // for observed fleets: a serial pool and an 8-worker pool over the same
-// cells produce byte-identical merged histogram and series exports.
-// Each simulation is single-goroutine deterministic and the merge order
-// is the fixed cell order, so worker count must be invisible.
+// cells produce byte-identical histogram and series exports, cell by
+// cell in fixed cell order. Each simulation is single-goroutine
+// deterministic, so worker count must be invisible.
 func TestObservedMergeSerialMatchesParallel(t *testing.T) {
 	var cells []obsCell
 	for _, kind := range system.Kinds() {
@@ -64,33 +67,10 @@ func TestObservedMergeSerialMatchesParallel(t *testing.T) {
 
 	sh, ss := collectObserved(t, 1, cells)
 	ph, ps := collectObserved(t, 8, cells)
-
-	if !sh.Equal(ph) {
-		t.Errorf("merged histograms differ:\n%s", sh.Diff(ph))
+	if !bytes.Equal(sh, ph) {
+		t.Error("histogram JSON exports are not byte-identical")
 	}
-	if !ss.Equal(ps) {
-		t.Errorf("merged series differ:\n%s", ss.Diff(ps))
-	}
-
-	var sb, pb bytes.Buffer
-	if err := sh.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := ph.WriteJSON(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-		t.Error("merged histogram JSON exports are not byte-identical")
-	}
-	sb.Reset()
-	pb.Reset()
-	if err := ss.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.WriteCSV(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-		t.Error("merged series CSV exports are not byte-identical")
+	if !bytes.Equal(ss, ps) {
+		t.Error("series CSV exports are not byte-identical")
 	}
 }

@@ -178,26 +178,14 @@ func (a *Array) die(page uint64) *sim.Resource { return a.dies[page%uint64(a.pro
 // are allocated one page at a time, not carved from a shared slab: a
 // pooled frame would pin its whole slab.
 func (a *Array) newFrame() []byte {
-	if f := a.rawFrame(); f != nil {
-		for i := range f {
-			f[i] = 0
-		}
-		return f
-	}
-	return make([]byte, a.prof.PageBytes)
-}
-
-// rawFrame returns a recycled frame with stale contents, or nil when
-// both the local recycle list and the package pool are empty. Callers
-// that overwrite the whole frame (CopyFrom) use it directly; newFrame
-// zeroes it.
-func (a *Array) rawFrame() []byte {
+	var f []byte
 	if n := len(a.freePages); n > 0 {
-		f := a.freePages[n-1]
+		f = a.freePages[n-1]
 		a.freePages = a.freePages[:n-1]
-		return f
+	} else if f, _ = framePool.Get(a.prof.PageBytes); f == nil {
+		return make([]byte, a.prof.PageBytes)
 	}
-	f, _ := framePool.Get(a.prof.PageBytes)
+	clear(f)
 	return f
 }
 

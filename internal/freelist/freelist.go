@@ -1,9 +1,9 @@
 // Package freelist recycles simulator storage across simulation runs:
 // cache line arrays, sparse memory pages, PRAM row segments, SSD buffer
 // entries, flash page frames and memory-controller scratch. The
-// experiment engine rebuilds every device for each system x kernel cell
-// (or forks it from a checkpoint), so without recycling each cell would
-// re-allocate the storage the previous cell just dropped.
+// experiment engine rebuilds every device for each system x kernel cell,
+// so without recycling each cell would re-allocate the storage the
+// previous cell just dropped.
 //
 // A List is a mutex-guarded LIFO stack per key rather than a sync.Pool:
 // which item a construction reuses then does not depend on the P its

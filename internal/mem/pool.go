@@ -2,17 +2,6 @@ package mem
 
 import "dramless/internal/freelist"
 
-// CopyFrom clones src's bus timeline, traffic totals and page store into
-// f. Both memories must share size/latency/bandwidth configuration.
-func (f *Flat) CopyFrom(src *Flat) {
-	f.bus.CopyFrom(src.bus)
-	f.store.CopyFrom(src.store)
-	f.reads = src.reads
-	f.writes = src.writes
-	f.bytesIn = src.bytesIn
-	f.bytesOut = src.bytesOut
-}
-
 // Release returns the page store to the package pool. Call only once the
 // memory's contents are no longer needed.
 func (f *Flat) Release() { f.store.Release() }
@@ -21,7 +10,7 @@ func (f *Flat) Release() { f.store.Release() }
 // experiment cell's staging traffic does not re-allocate the page
 // population the previous cell just dropped. Pooled pages hold stale
 // bytes; newPage zeroes on acquisition (untouched space must read as
-// zero), CopyFrom overwrites whole pages and skips the clear.
+// zero).
 var pagePool freelist.List[struct{}, []byte]
 
 // newPage returns a zeroed page frame.
@@ -40,21 +29,4 @@ func (s *Sparse) Release() {
 		return
 	}
 	freelist.PutMap(&pagePool, struct{}{}, s.pages)
-}
-
-// CopyFrom replaces s's contents with a deep copy of src's pages, so
-// later writes to either store never alias the other.
-func (s *Sparse) CopyFrom(src *Sparse) {
-	s.Release()
-	if s.pages == nil {
-		s.pages = make(map[uint64][]byte, len(src.pages))
-	}
-	for pg, data := range src.pages {
-		p, ok := pagePool.Get(struct{}{})
-		if !ok {
-			p = make([]byte, sparsePage)
-		}
-		copy(p, data)
-		s.pages[pg] = p
-	}
 }

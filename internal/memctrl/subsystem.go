@@ -27,8 +27,6 @@ type Subsystem struct {
 	pkgs     uint64
 	chans    uint64
 	size     uint64
-	bootedAt sim.Time
-	booted   bool
 
 	// intents are the declared write-intent address ranges (selective
 	// erasing targets): [addr, addr+n), in logical addresses.
@@ -205,7 +203,6 @@ func (s *Subsystem) Boot(at sim.Time) (done sim.Time, err error) {
 			done = sim.Max(done, t)
 		}
 	}
-	s.booted, s.bootedAt = true, done
 	return done, nil
 }
 

@@ -24,9 +24,7 @@ import (
 // as it would on hardware.
 //
 // Per-row program counts live in fixed slabs of wearSlabRows rows, keyed
-// by slab number and shared copy-on-write like the PRAM content slabs: a
-// fork (CopyFrom) borrows its source's slabs and copies one on the first
-// program it counts there.
+// by slab number and taken on the first program counted there.
 
 // wearState tracks the leveler of one subsystem. The physical row space
 // splits into regions of R rows serving R-1 logical rows each (one spare
@@ -42,7 +40,7 @@ type wearState struct {
 
 	// slabs counts physical-row programs for endurance reporting, keyed
 	// by slab number (row >> wearSlabBits).
-	slabs map[uint64]wearEnt
+	slabs map[uint64]*wearSlab
 }
 
 const (
@@ -55,34 +53,21 @@ const (
 // rows.
 type wearSlab [wearSlabRows]int64
 
-// wearEnt is one leveler's entry for a slab, owned or borrowed read-only
-// from the leveler it was forked from (CopyFrom). Ownership lives in the
-// entry, never on the slab, because forks of one checkpoint template run
-// concurrently and a slab's sharers must not write to it.
-type wearEnt struct {
-	counts *wearSlab
-	owned  bool
-}
-
-// count adds one program to physical row row, first copying a borrowed
-// slab (or starting one at zero).
+// count adds one program to physical row row, taking a zeroed slab on
+// the first program counted in it.
 func (w *wearState) count(row uint64) {
 	id := row >> wearSlabBits
-	e := w.slabs[id]
-	if !e.owned {
-		c, ok := wearSlabPool.Get(struct{}{})
-		if !ok {
+	c := w.slabs[id]
+	if c == nil {
+		var ok bool
+		if c, ok = wearSlabPool.Get(struct{}{}); ok {
+			*c = wearSlab{}
+		} else {
 			c = new(wearSlab)
 		}
-		if e.counts != nil {
-			*c = *e.counts
-		} else {
-			*c = wearSlab{}
-		}
-		e = wearEnt{counts: c, owned: true}
-		w.slabs[id] = e
+		w.slabs[id] = c
 	}
-	e.counts[row&wearSlabMask]++
+	c[row&wearSlabMask]++
 }
 
 // WearConfig enables start-gap leveling in a Config.
@@ -132,7 +117,7 @@ func (s *Subsystem) initWear() {
 		start:      make([]uint64, regions),
 		gap:        make([]uint64, regions),
 		writes:     make([]int64, regions),
-		slabs:      map[uint64]wearEnt{},
+		slabs:      map[uint64]*wearSlab{},
 	}
 	for i := range w.gap {
 		w.gap[i] = r - 1 // spare starts at the top of each region
@@ -282,8 +267,8 @@ func (s *Subsystem) WearStats() WearStats {
 	out.GapMoves = s.wear.moves
 	out.GapMovePS = s.wear.movePS
 	var total int64
-	for _, e := range s.wear.slabs {
-		for _, c := range e.counts {
+	for _, slab := range s.wear.slabs {
+		for _, c := range slab {
 			if c == 0 {
 				continue
 			}

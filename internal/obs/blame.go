@@ -60,7 +60,7 @@ func NewBlame() *Blame { return &Blame{} }
 // Add accumulates ps into the named account, registering it on first
 // use. Nil-safe.
 func (b *Blame) Add(name string, ps int64) {
-	b.reg().put(BlameEntry{Name: name, PS: ps}, BlameEntry.fresh)
+	put(b.reg(), BlameEntry{Name: name, PS: ps}, BlameEntry.fresh)
 }
 
 // Get returns the named account's total (0 when absent). Nil-safe.
@@ -94,7 +94,7 @@ func (b *Blame) Sum(prefix string) int64 {
 // Merge accumulates other's accounts into b, registering new names at
 // the tail in other's order. Nil-safe on both sides.
 func (b *Blame) Merge(other *Blame) {
-	b.reg().merge(other.reg(), BlameEntry.fresh)
+	merge(b.reg(), other.reg(), BlameEntry.fresh)
 }
 
 // Equal reports whether both sets hold the same accounts in the same

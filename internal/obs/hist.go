@@ -14,7 +14,7 @@ import (
 // stays fixed. The counts are stored one block of histSubs counters per
 // octave, allocated on the first sample that lands in it: a run's
 // instruments see a handful of the histOctaves octaves each, and every
-// forked run builds its own set. Record in an octave already touched is
+// run builds its own set. Record in an octave already touched is
 // a shift, an add and two compares (zero allocations, pinned); it
 // allocates at most once per octave over a histogram's life.
 const (
@@ -356,11 +356,6 @@ func (h *Histogram) toJSON() histJSON {
 
 func (h *Histogram) key() string { return h.name }
 
-func (h *Histogram) merge(o *Histogram) *Histogram {
-	h.Merge(o)
-	return h
-}
-
 func (h *Histogram) diff(o *Histogram) string {
 	if d := h.Diff(o); d != "" {
 		return "  " + h.name + ":\n" + d
@@ -401,12 +396,6 @@ func (s *HistogramSet) Names() []string { return s.reg().names() }
 // All returns the histograms in registration order. The slice is shared;
 // callers must not mutate it.
 func (s *HistogramSet) All() []*Histogram { return s.reg().all() }
-
-// Merge accumulates other's histograms into s, registering new names at
-// the tail in other's order.
-func (s *HistogramSet) Merge(other *HistogramSet) {
-	s.reg().merge(other.reg(), func(h *Histogram) *Histogram { return newHistogram(h.name) })
-}
 
 // Equal reports whether both sets hold the same histograms in the same
 // order with identical distributions.

@@ -480,7 +480,7 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramFresh is what a forked run's instruments cost: a new
+// BenchmarkHistogramFresh is what a run's fresh instruments cost: a new
 // set of 15 histograms, each recorded once.
 func BenchmarkHistogramFresh(b *testing.B) {
 	names := make([]string, 15)

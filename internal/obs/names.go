@@ -121,6 +121,11 @@ func init() {
 		"pcie.accel.dmas", "pcie.accel.bytes", "pcie.accel.busy_ps",
 		"pcie.ssd.dmas", "pcie.ssd.bytes", "pcie.ssd.busy_ps",
 		"dram.reads", "dram.writes", "dram.bytes_read", "dram.bytes_written",
+		// Which entry point a run came through: system.Run records
+		// prefix_cold_runs, the deprecated system.RunForked shim
+		// prefix_forks. Both simulate every prefix; nothing is forked.
+		// Both names go with the shim in the benchmark harness's next
+		// revision.
 		"system.prefix_forks", "system.prefix_cold_runs",
 	)
 	for _, p := range []string{"ssd.ext.", "ssd.int."} {

@@ -99,12 +99,12 @@ func (e Entry) fresh() Entry { return Entry{Name: e.Name, Kind: e.Kind} }
 // Add accumulates delta into the named counter, registering it on first
 // use. Nil-safe.
 func (c *Counters) Add(name string, delta int64) {
-	c.reg().put(Entry{Name: name, Kind: KindCounter, Int: delta}, Entry.fresh)
+	put(c.reg(), Entry{Name: name, Kind: KindCounter, Int: delta}, Entry.fresh)
 }
 
 // SetGauge sets the named gauge, registering it on first use. Nil-safe.
 func (c *Counters) SetGauge(name string, v float64) {
-	c.reg().put(Entry{Name: name, Kind: KindGauge, Float: v}, Entry.fresh)
+	put(c.reg(), Entry{Name: name, Kind: KindGauge, Float: v}, Entry.fresh)
 }
 
 // Get returns the named counter's value (0 when absent).
@@ -138,7 +138,7 @@ func (c *Counters) Names() []string { return c.reg().names() }
 // Merge accumulates other into c: counters add, gauges overwrite. New
 // names register at the tail in other's order.
 func (c *Counters) Merge(other *Counters) {
-	c.reg().merge(other.reg(), Entry.fresh)
+	merge(c.reg(), other.reg(), Entry.fresh)
 }
 
 // Equal reports whether both registries hold the same entries in the

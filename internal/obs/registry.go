@@ -25,13 +25,18 @@ type registry[E element[E]] struct {
 type element[E any] interface {
 	// key is the element's registered name.
 	key() string
-	// merge returns the element with o accumulated into it; pointer
-	// elements accumulate in place and return themselves.
-	merge(o E) E
 	// diff describes how the element differs from o, as indented lines
 	// naming it; empty exactly when the two are equal (the registry's
 	// equal decides by it).
 	diff(o E) string
+}
+
+// accumulating is an element that registries merge: a Counters or Blame
+// entry.
+type accumulating[E any] interface {
+	element[E]
+	// merge returns the element with o accumulated into it.
+	merge(o E) E
 }
 
 // lookup returns the named element, the zero E when absent.
@@ -54,9 +59,9 @@ func (r *registry[E]) get(name string, mk func(string) E) E {
 	return r.list[r.add(mk(name))]
 }
 
-// put merges e into the element registered under e's name, registering
-// adopt(e) at the tail first when the name is new. Nil-safe.
-func (r *registry[E]) put(e E, adopt func(E) E) {
+// put merges e into the element registered under e's name in r,
+// registering adopt(e) at the tail first when the name is new. Nil-safe.
+func put[E accumulating[E]](r *registry[E], e E, adopt func(E) E) {
 	if r == nil {
 		return
 	}
@@ -100,9 +105,9 @@ func (r *registry[E]) names() []string {
 
 // merge puts every element of o into r, in o's order. Nil-safe on both
 // sides.
-func (r *registry[E]) merge(o *registry[E], adopt func(E) E) {
+func merge[E accumulating[E]](r, o *registry[E], adopt func(E) E) {
 	for _, e := range o.all() {
-		r.put(e, adopt)
+		put(r, e, adopt)
 	}
 }
 

@@ -208,14 +208,6 @@ func (s *Series[T]) Equal(other *Series[T]) bool { return s.diff(other) == "" }
 
 func (s *Series[T]) key() string { return s.name }
 
-// merge is Merge for the registry. SeriesSet.Merge checks the two sets'
-// windows first and every series shares its set's window, so Merge's
-// window error cannot occur here.
-func (s *Series[T]) merge(o *Series[T]) *Series[T] {
-	_ = s.Merge(o)
-	return s
-}
-
 // diff names the first differing window, or both window durations when
 // the series hold data over different ones.
 func (s *Series[T]) diff(o *Series[T]) string {
@@ -300,20 +292,6 @@ func (s *SeriesSet) Names() []string { return s.reg().names() }
 // All returns the series in registration order. The slice is shared;
 // callers must not mutate it.
 func (s *SeriesSet) All() []*Series[int64] { return s.reg().all() }
-
-// Merge accumulates other's series into s, registering new names at the
-// tail in other's order. Merging a set over a different window is an
-// error and leaves s unchanged. Nil-safe on both sides.
-func (s *SeriesSet) Merge(other *SeriesSet) error {
-	if s == nil || other == nil {
-		return nil
-	}
-	if s.window != other.window {
-		return fmt.Errorf("obs: cannot merge series over a %v window into a set over a %v window", other.window, s.window)
-	}
-	s.reg().merge(other.reg(), func(sr *Series[int64]) *Series[int64] { return NewSeries[int64](sr.name, s.window) })
-	return nil
-}
 
 // Err returns the first overflowed series' error in registration order,
 // nil when none overflowed.

@@ -171,28 +171,22 @@ type segContent struct {
 }
 
 // segStamps is the per-row timing history of segRows consecutive rows.
-// Most rows of a checkpoint template are only ever loaded, never
-// programmed or activated on a timed path, so the stamps live apart from
-// the content and are allocated only when a row is first stamped.
+// Most rows of a run are only ever loaded, never programmed or activated
+// on a timed path, so the stamps live apart from the content and are
+// allocated only when a row is first stamped.
 type segStamps struct {
 	lastProg [segRows]sim.Time // last program completion
 	lastRead [segRows]sim.Time // last array activation
 }
 
 // rowSeg is one module's entry for a segment: content slabs and a
-// stamps slab, each missing (pristine), owned by this module, or
-// borrowed read-only from the module this one was forked from
-// (CopyFrom). A module writes only through slabs it owns; the first
-// write to a borrowed or missing slab gives the entry a private copy.
-// Ownership lives in the entry, never on the slab, because forks of one
-// template run concurrently and a slab's sharers must not write to it.
-// The content's slice headers sit in the entry itself, so a row access
-// reaches the data through one pointer, as before the split.
+// stamps slab, each nil (pristine) until the first write takes one. A
+// non-nil slab is always the module's own. The content's slice headers
+// sit in the entry itself, so a row access reaches the data through one
+// pointer.
 type rowSeg struct {
-	content   segContent
-	stamps    *segStamps
-	ownsCont  bool
-	ownsStamp bool
+	content segContent
+	stamps  *segStamps
 }
 
 // written reports whether row idx was ever programmed or loaded.
@@ -216,56 +210,40 @@ func (s *rowSeg) lastRead(idx int) sim.Time {
 	return s.stamps.lastRead[idx]
 }
 
-// writableContent returns a content slab the entry owns, copying the
-// borrowed one (or starting pristine) on first use.
+// writableContent returns the entry's content slab, taking a pristine
+// one on first use.
 func (s *rowSeg) writableContent(g Geometry) *segContent {
-	if !s.ownsCont {
-		s.ownContent(g)
+	if s.content.data == nil {
+		c, ok := contentPool.Get(g)
+		if ok {
+			clear(c.data)
+			clear(c.state)
+			clear(c.written)
+		} else {
+			c = segContent{
+				data:    make([]byte, segRows*g.RowBytes),
+				state:   make([]lpddr.CellState, segRows*g.WordsPerRow()),
+				written: make([]bool, segRows),
+			}
+		}
+		s.content = c
 	}
 	return &s.content
 }
 
-func (s *rowSeg) ownContent(g Geometry) {
-	c, ok := contentPool.Get(g)
-	if !ok {
-		c = segContent{
-			data:    make([]byte, segRows*g.RowBytes),
-			state:   make([]lpddr.CellState, segRows*g.WordsPerRow()),
-			written: make([]bool, segRows),
-		}
-	}
-	if s.content.data != nil {
-		copy(c.data, s.content.data)
-		copy(c.state, s.content.state)
-		copy(c.written, s.content.written)
-	} else {
-		clear(c.data)
-		clear(c.state)
-		clear(c.written)
-	}
-	s.content, s.ownsCont = c, true
-}
-
-// writableStamps returns a stamps slab the entry owns, copying the
-// borrowed one (or starting at zero) on first use.
+// writableStamps returns the entry's stamps slab, taking a zeroed one on
+// first use.
 func (s *rowSeg) writableStamps() *segStamps {
-	if !s.ownsStamp {
-		s.ownStamps()
+	if s.stamps == nil {
+		ts, ok := stampPool.Get(struct{}{})
+		if ok {
+			*ts = segStamps{}
+		} else {
+			ts = new(segStamps)
+		}
+		s.stamps = ts
 	}
 	return s.stamps
-}
-
-func (s *rowSeg) ownStamps() {
-	ts, ok := stampPool.Get(struct{}{})
-	if !ok {
-		ts = new(segStamps)
-	}
-	if s.stamps != nil {
-		*ts = *s.stamps
-	} else {
-		*ts = segStamps{}
-	}
-	s.stamps, s.ownsStamp = ts, true
 }
 
 // rowState returns the per-word cell states of row idx within c.

@@ -418,7 +418,7 @@ func TestModuleRejectsOutOfRangeBA(t *testing.T) {
 }
 
 // TestModuleTraceHistory pins the command log: commands in issue order
-// while tracing, and a fork starts with an empty log.
+// while tracing.
 func TestModuleTraceHistory(t *testing.T) {
 	m := testModule(t)
 	if _, err := m.Preactive(0, 0, 1); err != nil {
@@ -437,12 +437,6 @@ func TestModuleTraceHistory(t *testing.T) {
 	}
 	if got := m.TraceHistory(); !slices.Equal(got, want) {
 		t.Fatalf("trace = %v, want %v", got, want)
-	}
-	fork := MustNewModule(m.geo, lpddr.Default())
-	fork.EnableTrace(true)
-	fork.CopyFrom(m)
-	if n := len(fork.TraceHistory()); n != 0 {
-		t.Fatalf("fork starts with %d logged commands, want 0", n)
 	}
 }
 

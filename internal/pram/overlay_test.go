@@ -190,7 +190,7 @@ func TestOverlayBurstMatchesByteWrites(t *testing.T) {
 // fails here instead of quietly growing the simulator's resident set:
 // content (data, cell state, written flag) within 41 B per row, and the
 // two timestamps 16 B per row of a stamped segment. A segment touched
-// only by LoadRow - the bulk of every checkpoint template - holds no
+// only by LoadRow - the bulk of every populated input - holds no
 // timestamp storage at all.
 func TestSegmentFootprint(t *testing.T) {
 	m := testModule(t)

@@ -85,7 +85,7 @@ func requireSameRun(t *testing.T, names [2]string, got, want *Result, gotObs, wa
 	// The latency histograms and windowed series must agree byte for
 	// byte: the batched fast paths are required to record every
 	// per-access sample the scalar reference loop would (mem.Run.OnOp,
-	// cache run fast arms), and a fork replays its prefix's samples.
+	// cache run fast arms).
 	gh, wh := gotObs.Histograms(), wantObs.Histograms()
 	if !gh.Equal(wh) {
 		t.Errorf("histograms differ:\n%s", gh.Diff(wh))
@@ -211,14 +211,14 @@ func TestSampledBatchedMatchesUnbatched(t *testing.T) {
 }
 
 // TestSampledForkedMatchesCold runs the sampled configurations through
-// a captured checkpoint: a fork must reproduce the cold run's series.
+// the deprecated RunForked entry point: it must reproduce Run's series.
 func TestSampledForkedMatchesCold(t *testing.T) {
 	for _, sc := range sampledConfigs {
 		for _, kind := range []Kind{DRAMLess, IntegratedSLC} {
 			t.Run(sc.name+"/"+kind.String(), func(t *testing.T) {
 				cfg := sampledConfig(kind, sc.interval, sc.scale)
 				cold, forked, cObs, fObs := runColdAndForked(t, cfg, workload.MustByName("gemver"))
-				requireSameRun(t, [2]string{"forked", "cold"}, forked, cold, fObs, cObs, forkFilteredEntries)
+				requireShimMatchesRun(t, cold, forked, cObs, fObs)
 			})
 		}
 	}

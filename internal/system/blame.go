@@ -37,8 +37,7 @@ var memOutcomeNames = [4]string{"full_read", "rdb_hit", "rab_hit", "paused_read"
 
 // deviceWeights collects the device-time deltas between two snapshots in
 // fixed code order, skipping zero causes — the simulation is
-// deterministic, so every worker count and the checkpoint-forked path
-// build the identical list.
+// deterministic, so every worker count builds the identical list.
 func deviceWeights(s0, s1 *snapshot) []blameWeight {
 	var ws []blameWeight
 	add := func(name string, ps int64) {

@@ -51,9 +51,9 @@ func TestBlameSumsEqualPhaseWalls(t *testing.T) {
 	}
 }
 
-// TestBlameByteDeterministic pins the export contract: cold and
-// checkpoint-forked executions of the same cell produce byte-identical
-// blame JSON.
+// TestBlameByteDeterministic pins the export contract: two runs of the
+// same cell, the second on the storage pools the first released, produce
+// byte-identical blame JSON.
 func TestBlameByteDeterministic(t *testing.T) {
 	for _, kind := range []Kind{DRAMLess, IntegratedMLC, Hetero} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -74,17 +74,12 @@ func TestBlameByteDeterministic(t *testing.T) {
 			}
 			ref := export(serial)
 
-			cp, err := CapturePrefix(PrefixOf(cfg, k))
+			again, err := Run(cfg, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer cp.Release()
-			forked, err := RunForked(cfg, k, cp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := export(forked); !bytes.Equal(got, ref) {
-				t.Errorf("forked blame differs from cold:\n%s", forked.Blame.Diff(serial.Blame))
+			if got := export(again); !bytes.Equal(got, ref) {
+				t.Errorf("blame differs between runs:\n%s", again.Blame.Diff(serial.Blame))
 			}
 		})
 	}
@@ -120,10 +115,9 @@ func TestBlameRecordedOnObserver(t *testing.T) {
 	}
 }
 
-// TestTracedRunMatchesUntraced pins the traced-run fallback contract
-// (DESIGN.md §9): attaching a tracer disables checkpoint-fork reuse but
-// must not perturb the simulation — walls, energy and blame stay
-// byte-equal to the untraced run.
+// TestTracedRunMatchesUntraced pins the tracing contract (DESIGN.md §9):
+// attaching a tracer must not perturb the simulation — walls, energy
+// and blame stay byte-equal to the untraced run.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, kind := range []Kind{DRAMLess, IntegratedMLC} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -192,9 +186,9 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	}
 }
 
-// TestForkedBlameMatchesCold widens the fork oracle to blame accounts
-// for the full kind matrix: the forked run's account must equal the
-// cold run's exactly (Equal covers names, order and totals).
+// TestForkedBlameMatchesCold: for every organization, the deprecated
+// RunForked entry point's blame account equals Run's exactly (Equal
+// covers names, order and totals).
 func TestForkedBlameMatchesCold(t *testing.T) {
 	for _, kind := range Kinds() {
 		t.Run(kind.String(), func(t *testing.T) {

@@ -1,7 +1,8 @@
 package system
 
 import (
-	"strings"
+	"bytes"
+	"slices"
 	"testing"
 
 	"dramless/internal/obs"
@@ -9,25 +10,22 @@ import (
 	"dramless/internal/workload"
 )
 
-// prefixCounter reports the registry name recording how a run's prefix
-// came to be. Forked and cold runs differ in this one name by design
-// (prefix_forks vs prefix_cold_runs); everything else must match.
-func prefixCounter(name string) bool {
-	return strings.HasPrefix(name, "system.prefix_")
-}
-
-func forkFilteredEntries(c *obs.Counters) []obs.Entry {
-	out := make([]obs.Entry, 0, c.Len())
-	for _, e := range c.Entries() {
-		if !eventCounter(e.Name) && !prefixCounter(e.Name) {
-			out = append(out, e)
+// shimEntries is the counter registry with RunForked's prefix counter
+// spelled as Run's: the one name by which the deprecated entry point's
+// results may differ from Run's.
+func shimEntries(c *obs.Counters) []obs.Entry {
+	out := slices.Clone(c.Entries())
+	for i := range out {
+		if out[i].Name == CounterPrefixForks {
+			out[i].Name = CounterPrefixColdRuns
 		}
 	}
 	return out
 }
 
-// runColdAndForked runs cfg cold, then forked from a freshly captured
-// checkpoint of its prefix, each under a fresh observer built with opts.
+// runColdAndForked runs cfg through Run, then through the deprecated
+// CapturePrefix/RunForked entry points, each under a fresh observer
+// built with opts.
 func runColdAndForked(t *testing.T, cfg Config, k workload.Kernel, opts ...obs.Option) (cold, forked *Result, cObs, fObs *obs.Observer) {
 	t.Helper()
 	cfg.Obs = obs.New(opts...)
@@ -41,10 +39,7 @@ func runColdAndForked(t *testing.T, cfg Config, k workload.Kernel, opts ...obs.O
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A template keeps no staging buffers: forks stage through their own.
-	if cp.tmpl.scratch != nil || cp.tmpl.zeros != nil {
-		t.Errorf("captured %s template holds staging buffers (scratch %d B, zeros %d B)", cfg.Kind, len(cp.tmpl.scratch), len(cp.tmpl.zeros))
-	}
+	defer cp.Release()
 	forked, err = RunForked(fcfg, k, cp)
 	if err != nil {
 		t.Fatal(err)
@@ -52,13 +47,39 @@ func runColdAndForked(t *testing.T, cfg Config, k workload.Kernel, opts ...obs.O
 	return cold, forked, cfg.Obs, fcfg.Obs
 }
 
-// TestForkedMatchesCold is the checkpoint/fork layer's equivalence
-// oracle: for every Table I organization x one kernel per workload
-// class, a run forked from a captured populate/load checkpoint must
-// reproduce the cold run exactly - phase walls, time/energy breakdowns,
-// per-agent reports, the full counter registry (save the prefix-origin
-// counter and engine event totals), and byte-identical histogram and
-// series exports.
+// requireShimMatchesRun fails t unless the RunForked result reproduces
+// the Run result byte for byte: phase walls, energy, time breakdown,
+// kernel report, blame JSON, histogram JSON, series CSV and every
+// counter, event totals included. The prefix counter's name is the one
+// difference, and each side must carry its own.
+func requireShimMatchesRun(t *testing.T, cold, forked *Result, cObs, fObs *obs.Observer) {
+	t.Helper()
+	if v := forked.Counters.Get(CounterPrefixForks); v != 1 {
+		t.Errorf("RunForked: %s = %d, want 1", CounterPrefixForks, v)
+	}
+	if v := cold.Counters.Get(CounterPrefixColdRuns); v != 1 {
+		t.Errorf("Run: %s = %d, want 1", CounterPrefixColdRuns, v)
+	}
+	if forked.Report.Events != cold.Report.Events {
+		t.Errorf("RunForked dispatched %d events, Run %d", forked.Report.Events, cold.Report.Events)
+	}
+	requireSameRun(t, [2]string{"RunForked", "Run"}, forked, cold, fObs, cObs, shimEntries)
+	var fb, cb bytes.Buffer
+	if err := forked.Blame.WriteJSON(&fb); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Blame.WriteJSON(&cb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fb.Bytes(), cb.Bytes()) {
+		t.Errorf("blame JSON differs:\n%s", forked.Blame.Diff(cold.Blame))
+	}
+}
+
+// TestForkedMatchesCold pins the deprecated fork API to what it now is,
+// a second spelling of Run: for every Table I organization x one kernel
+// per workload class, and once under a non-default series window,
+// RunForked reproduces Run byte for byte.
 func TestForkedMatchesCold(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, kname := range equivKernels {
@@ -66,24 +87,37 @@ func TestForkedMatchesCold(t *testing.T) {
 				cfg := testConfig(kind)
 				cfg.Scale = 128 << 10
 				cold, forked, cObs, fObs := runColdAndForked(t, cfg, workload.MustByName(kname))
-				if v := forked.Counters.Get(CounterPrefixForks); v != 1 {
-					t.Errorf("forked run: %s = %d, want 1", CounterPrefixForks, v)
-				}
-				if v := cold.Counters.Get(CounterPrefixColdRuns); v != 1 {
-					t.Errorf("cold run: %s = %d, want 1", CounterPrefixColdRuns, v)
-				}
-
-				requireSameRun(t, [2]string{"forked", "cold"}, forked, cold, fObs, cObs, forkFilteredEntries)
+				requireShimMatchesRun(t, cold, forked, cObs, fObs)
 			})
 		}
-		// The checkpoint's series samples are bucketed over the default
-		// window; under any other window the fork must still match.
 		t.Run(kind.String()+"/gemver/window-1us", func(t *testing.T) {
 			cfg := testConfig(kind)
 			cfg.Scale = 128 << 10
 			cold, forked, cObs, fObs := runColdAndForked(t, cfg, workload.MustByName("gemver"), obs.WithSeriesWindow(sim.Microsecond))
-			requireSameRun(t, [2]string{"forked", "cold"}, forked, cold, fObs, cObs, forkFilteredEntries)
+			requireShimMatchesRun(t, cold, forked, cObs, fObs)
 		})
+	}
+}
+
+// TestCapturePrefixValidates: CapturePrefix simulates nothing, but it
+// still rejects an invalid config with Validate's error.
+func TestCapturePrefixValidates(t *testing.T) {
+	k := workload.MustByName("gemver")
+	bad := testConfig(DRAMLess)
+	bad.Policy = "round-robin"
+	want := bad.Validate()
+	if want == nil {
+		t.Fatal("the invalid config validates")
+	}
+	cp, err := CapturePrefix(PrefixOf(bad, k))
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("CapturePrefix error = %v, want Validate's %v", err, want)
+	}
+	if cp != nil {
+		t.Error("CapturePrefix returned a checkpoint with its error")
+	}
+	if _, err := CapturePrefix(PrefixOf(testConfig(DRAMLess), k)); err != nil {
+		t.Errorf("valid config: %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // what replaced them on every Table I organization x kernel class: a
 // configuration asking for lanes fails loudly instead of running
 // something else, and the serial engine reproduces itself exactly, run
-// to run and fork to fork.
+// to run, through Run and through the deprecated RunForked alike.
 
 // laneRequest is cfg with the deprecated accel lane count set, the way a
 // configuration written for the lane executors would arrive.
@@ -130,10 +130,10 @@ func TestLanedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLanedForkedMatchesCold: the checkpoint path rejects a lane request
-// both when capturing a prefix and when forking from one, and a captured
-// checkpoint is not consumed by a fork: two forks from it are identical.
-// (TestForkedMatchesCold pins a fork against the cold run.)
+// TestLanedForkedMatchesCold: the deprecated fork entry points reject a
+// lane request both in CapturePrefix and in RunForked, and two RunForked
+// calls with one checkpoint are identical. (TestForkedMatchesCold pins
+// RunForked against Run.)
 func TestLanedForkedMatchesCold(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, kname := range equivKernels {

@@ -38,50 +38,27 @@ func policyExports(t *testing.T, name, kname string) (*Result, []byte, []byte) {
 }
 
 // TestPolicyConformance is the policy registry's system-level oracle:
-// every registered policy must run deterministically — byte-identical
-// histogram/series exports, identical phase walls and an identical
-// counter registry (save the prefix-origin and engine event counters;
-// the wear leveler's memctrl.wear.* among them) for a cold run and a run
-// forked from its populate/load checkpoint.
+// every registered policy must run deterministically. Two runs of one
+// cell, the second building its system from the storage pools the first
+// released, give identical phase walls, an identical counter registry
+// (the wear leveler's memctrl.wear.* among them) and byte-identical
+// histogram/series exports.
 func TestPolicyConformance(t *testing.T) {
 	for _, name := range memctrl.PolicyNames() {
 		for _, kname := range policyEquivKernels {
 			name, kname := name, kname
 			t.Run(name+"/"+kname, func(t *testing.T) {
-				serial, sh, ss := policyExports(t, name, kname)
-
-				// Forked from the shared checkpoint: identical again.
-				k := workload.MustByName(kname)
-				cfg := testConfig(DRAMLess)
-				cfg.Scale = 128 << 10
-				cfg.Policy = name
-				cfg.Obs = obs.New()
-				cp, err := CapturePrefix(PrefixOf(cfg, k))
-				if err != nil {
-					t.Fatal(err)
+				first, fh, fs := policyExports(t, name, kname)
+				again, ah, as := policyExports(t, name, kname)
+				if again.Total != first.Total || again.Kernel != first.Kernel {
+					t.Errorf("walls differ between runs: total %v != %v", again.Total, first.Total)
 				}
-				forked, err := RunForked(cfg, k, cp)
-				if err != nil {
-					t.Fatal(err)
+				requireSameCounters(t, [2]string{"again", "first"}, again, first, (*obs.Counters).Entries)
+				if !bytes.Equal(ah, fh) {
+					t.Error("histogram export not byte-identical between runs")
 				}
-				cp.Release()
-				if forked.Total != serial.Total || forked.Kernel != serial.Kernel {
-					t.Errorf("forked walls differ: total %v != %v", forked.Total, serial.Total)
-				}
-				requireSameCounters(t, [2]string{"forked", "cold"}, forked, serial, forkFilteredEntries)
-				var fb bytes.Buffer
-				if err := cfg.Obs.Histograms().WriteJSON(&fb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fb.Bytes(), sh) {
-					t.Error("forked histogram export not byte-identical to cold")
-				}
-				fb.Reset()
-				if err := cfg.Obs.Series().WriteCSV(&fb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fb.Bytes(), ss) {
-					t.Error("forked series export not byte-identical to cold")
+				if !bytes.Equal(as, fs) {
+					t.Error("series export not byte-identical between runs")
 				}
 			})
 		}
@@ -90,7 +67,7 @@ func TestPolicyConformance(t *testing.T) {
 
 // TestEmptyPolicyRunsFinal pins the contract the benchmark harness
 // relies on when it assigns an empty policy name: Policy "" and Policy
-// "final" build the same simulation and share one checkpoint key.
+// "final" build the same simulation and share one prefix key.
 func TestEmptyPolicyRunsFinal(t *testing.T) {
 	k := workload.MustByName("gemver")
 	empty := testConfig(DRAMLess)
@@ -120,7 +97,7 @@ func TestEmptyPolicyRunsFinal(t *testing.T) {
 	}
 }
 
-// TestPrefixOfNormalizesPolicy pins the checkpoint-key rules for the
+// TestPrefixOfNormalizesPolicy pins the prefix-key rules for the
 // scheduling policy: spelling (letter case) never splits a prefix, a
 // genuinely different policy does, and organizations without a PRAM
 // controller ignore the policy entirely.
@@ -142,7 +119,7 @@ func TestPrefixOfNormalizesPolicy(t *testing.T) {
 	}
 
 	// Non-PRAM organizations have no controller to schedule: the policy
-	// must normalize away so they share checkpoints regardless.
+	// must normalize away so they share a key regardless.
 	plain := testConfig(Hetero)
 	polled := testConfig(Hetero)
 	polled.Policy = "palp"

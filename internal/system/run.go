@@ -376,16 +376,15 @@ var (
 	populatePattern []byte
 )
 
-// populate places input data in the persistent store before measurement
-// (offline, untimed where the device allows it) and returns the earliest
-// measurable start time. It takes the footprint as scalars rather than a
-// kernel so a checkpoint prefix (which has no kernel, only a Prefix key)
-// can run it too.
-func (b *build) populate(total int64, base uint64) (sim.Time, error) {
+// populate places kernel k's input data in the persistent store before
+// measurement (offline, untimed where the device allows it) and returns
+// the earliest measurable start time.
+func (b *build) populate(k workload.Kernel, p workload.Params) (sim.Time, error) {
 	// The input region gets its initial data; the output region gets
 	// stale bytes from an earlier job - a long-running accelerator never
 	// writes onto pristine cells, which is exactly the overwrite penalty
 	// selective erasing attacks.
+	total, base := k.InputBytes(p)+k.OutputBytes(p), p.BaseAddr
 	buf := populateBuf()
 	writeAll := func(dev mem.Device) (sim.Time, error) {
 		return stageWrite(dev, 0, base, total, int64(len(buf)), buf)
@@ -438,10 +437,16 @@ func (b *build) populate(total int64, base uint64) (sim.Time, error) {
 }
 
 // Run executes kernel k on the system described by cfg and returns the
-// full result, simulating the populate/load prefix from scratch. See
-// RunForked (fork.go) for the checkpointed path that shares one captured
-// prefix across runs.
+// full result. Every run builds its system fresh and simulates all four
+// phases: populate, load, kernel and store.
 func Run(cfg Config, k workload.Kernel) (*Result, error) {
+	return run(cfg, k, CounterPrefixColdRuns)
+}
+
+// run is Run's body. prefixCounter names the entry point the run came
+// through (Run or the deprecated RunForked); it lands at the tail of the
+// registry, the only place the two entry points' results differ.
+func run(cfg Config, k workload.Kernel, prefixCounter string) (*Result, error) {
 	b, err := newBuild(cfg)
 	if err != nil {
 		return nil, err
@@ -450,36 +455,20 @@ func Run(cfg Config, k workload.Kernel) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	in, out := k.InputBytes(p), k.OutputBytes(p)
-	setupEnd, err := b.populate(in+out, p.BaseAddr)
+	setupEnd, err := b.populate(k, p)
 	if err != nil {
 		return nil, err
 	}
 	runStart := setupEnd + sim.Microsecond
+	// Blame snapshots bracket each phase.
 	snap := b.snapshot()
 
 	// ---- Load phase: deliver the kernel image, and for heterogeneous
 	// systems stage the input into the accelerator DRAM. ----
-	loadEnd, err := b.loadPhase(runStart, in, out, p.BaseAddr, p.Agents)
+	loadEnd, err := b.loadPhase(runStart, k, p)
 	if err != nil {
 		return nil, err
 	}
-	return b.finish(k, p, runStart, loadEnd, snap, CounterPrefixColdRuns)
-}
-
-// finish runs the kernel and store phases on a build whose prefix
-// (populate + load) is already complete, then assembles the result and
-// collects observability. prefixCounter names how the prefix came to be
-// (cold simulation vs checkpoint fork); it lands at the tail of the
-// registry so cold and forked runs stay comparable after filtering it.
-func (b *build) finish(k workload.Kernel, p workload.Params, runStart, loadEnd sim.Time, snap snapshot, prefixCounter string) (*Result, error) {
-	cfg := b.cfg
-
-	// Blame snapshots bracket each remaining phase. On a cold run the
-	// build is sitting exactly at the end of its load phase here; on a
-	// forked run copyFrom reproduced the template's loadEnd state — the
-	// same accumulator values either way, so cold and forked runs build
-	// byte-identical blame accounts.
 	loadSnap := b.snapshot()
 
 	// ---- Kernel phase. ----
@@ -537,12 +526,11 @@ func (b *build) finish(k workload.Kernel, p workload.Params, runStart, loadEnd s
 	return res, nil
 }
 
-// releaseBufs returns the staging buffers to bufPool. A checkpoint
-// template calls it at capture: forks stage through buffers of their
-// own, so the template has no further use for them.
-func (b *build) releaseBufs() {
+// release returns pooled storage (PRAM row segments, SSD buffer entries,
+// flash page frames, sparse memory pages, staging buffers) once the
+// run's results are collected.
+func (b *build) release() {
 	bufPool.mu.Lock()
-	defer bufPool.mu.Unlock()
 	if b.scratch != nil {
 		bufPool.scratch = append(bufPool.scratch, b.scratch)
 		b.scratch = nil
@@ -551,15 +539,7 @@ func (b *build) releaseBufs() {
 		bufPool.zeros = append(bufPool.zeros, b.zeros)
 		b.zeros = nil
 	}
-}
-
-// release returns pooled storage (PRAM row segments, SSD buffer entries,
-// flash page frames, sparse memory pages, staging buffers) once the
-// run's results are collected. Checkpoint template builds are released
-// only through Checkpoint.Release, after the last fork: forks keep
-// reading their state for the checkpoint's lifetime.
-func (b *build) release() {
-	b.releaseBufs()
+	bufPool.mu.Unlock()
 	if b.sub != nil {
 		b.sub.Release()
 	}
@@ -577,12 +557,10 @@ func (b *build) release() {
 	}
 }
 
-// loadPhase stages inputs and delivers the kernel image. Like populate
-// it consumes kernel-derived scalars (input/output bytes, base address,
-// agent count) instead of the kernel itself, so a checkpoint prefix can
-// replay it from a Prefix key alone.
-func (b *build) loadPhase(at sim.Time, in, out int64, base uint64, agents int) (sim.Time, error) {
+// loadPhase stages kernel k's input and delivers the kernel image.
+func (b *build) loadPhase(at sim.Time, k workload.Kernel, p workload.Params) (sim.Time, error) {
 	cfg := b.cfg
+	in, out, base := k.InputBytes(p), k.OutputBytes(p), p.BaseAddr
 	// Kernel image delivery is common to every organization: the host
 	// packs and pushes ~64 KiB over PCIe.
 	t := b.host.Submit(at)
@@ -638,9 +616,9 @@ func (b *build) loadPhase(at sim.Time, in, out int64, base uint64, agents int) (
 		img := &kernel.Image{
 			SharedAddr: b.backend.Size() - 4*imageBytes,
 			Shared:     make([]byte, 4<<10),
-			Apps:       make([]kernel.App, 0, agents),
+			Apps:       make([]kernel.App, 0, p.Agents),
 		}
-		for i := 0; i < agents; i++ {
+		for i := 0; i < p.Agents; i++ {
 			img.Apps = append(img.Apps, kernel.App{
 				BootAddr: b.backend.Size() - 3*imageBytes + uint64(i*4<<10),
 				Code:     make([]byte, 2<<10),

@@ -1,27 +1,17 @@
-// Command benchjson converts `go test -bench` output on stdin into a
-// JSON benchmark-trajectory document. Every metric pair of each result
-// line is kept (ns/op, B/op, allocs/op and any custom b.ReportMetric
-// unit — e.g. BenchmarkAllExperiments' events/sec dispatch throughput,
-// which attributes suite speedups to the event kernel rather than to
-// caching), so the emitted file pins the per-figure wall-clock and
-// allocation counts the repo tracks across PRs:
+// Command benchjson compares two sets of `go test -bench` results
+// paired by repetition: base (the parent commit) and head (the working
+// tree), run interleaved on one host so both sides meet the same host
+// state. The i-th result of a benchmark in the base file pairs with the
+// i-th result of that benchmark in the head file; each pair gives one
+// head/base ns/op ratio, and a benchmark regresses when the median of its
+// ratios exceeds 1 + -threshold. `make bench-compare` produces the two
+// files:
 //
-//	go test -run '^$' -bench . -benchmem . | benchjson -out BENCH_suite.json
+//	benchjson -base base.txt -head head.txt -base-commit C -out FILE
 //
-// Repeated results for one benchmark (`go test -count N`) collapse to
-// the repetition with the lowest ns/op. Host load spikes only ever slow
-// a deterministic benchmark down, so min-of-N is the noise-robust
-// estimator; record and compare with the same -count so both sides get
-// the same treatment.
-//
-// With -compare, the parsed results are instead diffed against a
-// committed baseline document and nothing is written: per-benchmark
-// ns/op deltas go to stderr and the exit status is 1 when any benchmark
-// regressed by more than -threshold (fractional, default 0.10):
-//
-//	go test -run '^$' -bench . . | benchjson -compare BENCH_suite.json
-//
-// Input lines are echoed to stdout, so the tool tees transparently.
+// Per-benchmark medians go to stderr, the document (both commits, both
+// sides' ns/op per pair and median metrics, the ratios) to -out, and the
+// exit status is 1 when any benchmark regressed.
 package main
 
 import (
@@ -29,41 +19,64 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // result is one benchmark line.
 type result struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+	Name    string
+	Metrics map[string]float64
+}
+
+// run is one parsed `go test -bench` output: the host header and every
+// result line, repetitions of a benchmark in the order they ran.
+type run struct {
+	goos, goarch, pkg, cpu string
+	results                map[string][]result
+	order                  []string // first-seen benchmark order
+}
+
+// side names the code one set of results measured.
+type side struct {
+	Commit string `json:"commit"`
+	Dirty  bool   `json:"dirty,omitempty"`
+}
+
+// pair is one benchmark's paired comparison.
+type pair struct {
+	Name        string             `json:"name"`
+	BaseNs      []float64          `json:"base_ns_per_op"`
+	HeadNs      []float64          `json:"head_ns_per_op"`
+	Ratios      []float64          `json:"ratios"`
+	MedianRatio float64            `json:"median_ratio"`
+	BaseMetrics map[string]float64 `json:"base_metrics"`
+	HeadMetrics map[string]float64 `json:"head_metrics"`
 }
 
 // document is the emitted file. GOMAXPROCS and NumCPU pin the host
-// shape the numbers were recorded on: min-of-N ns/op is only comparable
-// between runs with the same available parallelism (the experiment
-// engine's worker pool scales with it), so -compare warns when they
-// differ instead of silently flapping.
+// shape the pairs ran on.
 type document struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
-	GoMaxProcs int      `json:"gomaxprocs,omitempty"`
-	NumCPU     int      `json:"numcpu,omitempty"`
-	Commit     string   `json:"commit,omitempty"`
-	Dirty      bool     `json:"dirty,omitempty"`
-	Benchmarks []result `json:"benchmarks"`
+	Goos       string  `json:"goos,omitempty"`
+	Goarch     string  `json:"goarch,omitempty"`
+	Pkg        string  `json:"pkg,omitempty"`
+	CPU        string  `json:"cpu,omitempty"`
+	GoMaxProcs int     `json:"gomaxprocs"`
+	NumCPU     int     `json:"numcpu"`
+	Threshold  float64 `json:"threshold"`
+	Base       side    `json:"base"`
+	Head       side    `json:"head"`
+	Benchmarks []pair  `json:"benchmarks"`
 }
 
-// gitCommit stamps the recorded numbers with the code they measured:
-// the current HEAD hash plus a dirty marker when the working tree has
-// uncommitted changes. Best-effort — outside a git checkout (or without
-// a git binary) both stay zero and the fields are omitted.
+// gitCommit returns the current HEAD hash plus a dirty marker when the
+// working tree has uncommitted changes. Best-effort: outside a git
+// checkout both stay zero.
 func gitCommit() (commit string, dirty bool) {
 	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
@@ -77,151 +90,161 @@ func gitCommit() (commit string, dirty bool) {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_suite.json", "output JSON file")
-	compare := flag.String("compare", "", "baseline JSON file: diff ns/op against it instead of writing")
-	threshold := flag.Float64("threshold", 0.10, "with -compare, fail on ns/op regressions above this fraction")
+	basePath := flag.String("base", "", "go test -bench output of the base side")
+	headPath := flag.String("head", "", "go test -bench output of the head side")
+	baseCommit := flag.String("base-commit", "", "commit the base side was built from")
+	out := flag.String("out", "", "write the comparison document here")
+	threshold := flag.Float64("threshold", 0.10, "fail when a median head/base ns/op ratio exceeds 1 + this")
 	flag.Parse()
-
-	doc := document{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Benchmarks: []result{},
+	if *basePath == "" || *headPath == "" {
+		fmt.Fprintln(os.Stderr, "benchjson: -base and -head are required")
+		os.Exit(2)
 	}
-	doc.Commit, doc.Dirty = gitCommit()
-	byName := map[string]int{} // first-seen order, min ns/op wins
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		fmt.Println(line)
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			doc.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			r, ok := parseLine(line)
-			if !ok {
-				continue
-			}
-			i, seen := byName[r.Name]
-			switch {
-			case !seen:
-				byName[r.Name] = len(doc.Benchmarks)
-				doc.Benchmarks = append(doc.Benchmarks, r)
-			case r.Metrics["ns/op"] < doc.Benchmarks[i].Metrics["ns/op"]:
-				// Keep the whole fastest repetition, not a per-metric
-				// mix, so B/op and allocs/op stay from one coherent run.
-				doc.Benchmarks[i] = r
-			}
+	base, err := parseFile(*basePath)
+	if err == nil {
+		var head run
+		head, err = parseFile(*headPath)
+		if err == nil {
+			err = compare(base, head, *baseCommit, *threshold, *out)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	if *compare != "" {
-		ok, err := compareBaseline(doc, *compare, *threshold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-
-	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	enc = append(enc, '\n')
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(doc.Benchmarks), *out)
 }
 
-// compareBaseline diffs ns/op of the parsed results against the
-// baseline document at path, printing one line per benchmark to stderr.
-// It reports false when any benchmark shared with the baseline slowed
-// down by more than threshold (fractional).
-func compareBaseline(doc document, path string, threshold float64) (bool, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return false, fmt.Errorf("benchjson: read baseline: %w", err)
+// compare pairs head against base, prints one line per benchmark,
+// writes the document to out (when set) and returns an error when any
+// benchmark regressed.
+func compare(base, head run, baseCommit string, threshold float64, out string) error {
+	doc := document{
+		Goos: head.goos, Goarch: head.goarch, Pkg: head.pkg, CPU: head.cpu,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Threshold:  threshold,
+		Base:       side{Commit: baseCommit},
+		Benchmarks: []pair{},
 	}
-	var base document
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return false, fmt.Errorf("benchjson: parse baseline %s: %w", path, err)
-	}
-	// Host-shape mismatch is a warning, not a failure: the deltas still
-	// print, but they are not apples to apples. Baselines recorded before
-	// the fields existed (both zero) skip the check.
-	if base.GoMaxProcs != 0 || base.NumCPU != 0 {
-		if base.GoMaxProcs != doc.GoMaxProcs || base.NumCPU != doc.NumCPU {
-			fmt.Fprintf(os.Stderr,
-				"benchjson: WARNING: host shape differs from baseline %s: GOMAXPROCS %d vs %d, NumCPU %d vs %d — ns/op deltas are not comparable\n",
-				path, doc.GoMaxProcs, base.GoMaxProcs, doc.NumCPU, base.NumCPU)
-		}
-	}
-	if base.Commit != "" && base.Commit != doc.Commit {
-		dirty := ""
-		if base.Dirty {
-			dirty = " (dirty tree)"
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: baseline %s was recorded at commit %.12s%s\n",
-			path, base.Commit, dirty)
-	}
-	baseNs := make(map[string]float64, len(base.Benchmarks))
-	for _, b := range base.Benchmarks {
-		if ns, ok := b.Metrics["ns/op"]; ok && ns > 0 {
-			baseNs[b.Name] = ns
-		}
-	}
-	if len(doc.Benchmarks) == 0 {
-		return false, fmt.Errorf("benchjson: no benchmark results on stdin to compare")
-	}
-	regressions, compared := 0, 0
-	for _, b := range doc.Benchmarks {
-		ns, ok := b.Metrics["ns/op"]
-		if !ok {
+	doc.Head.Commit, doc.Head.Dirty = gitCommit()
+	regressions := 0
+	for _, name := range head.order {
+		hs, bs := head.results[name], base.results[name]
+		n := min(len(hs), len(bs))
+		if n == 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %-45s (head only, not compared)\n", name)
 			continue
 		}
-		old, ok := baseNs[b.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: %-45s %14.0f ns/op  (new, no baseline)\n", b.Name, ns)
-			continue
+		if len(hs) != len(bs) {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %d base and %d head repetitions; pairing the first %d\n", name, len(bs), len(hs), n)
 		}
-		compared++
-		delta := ns/old - 1
+		p := pair{Name: name, BaseMetrics: medianMetrics(bs[:n]), HeadMetrics: medianMetrics(hs[:n])}
+		for i := 0; i < n; i++ {
+			b, h := bs[i].Metrics["ns/op"], hs[i].Metrics["ns/op"]
+			p.BaseNs = append(p.BaseNs, b)
+			p.HeadNs = append(p.HeadNs, h)
+			p.Ratios = append(p.Ratios, round4(h/b))
+		}
+		p.MedianRatio = round4(median(p.Ratios))
 		mark := ""
-		if delta > threshold {
+		if p.MedianRatio > 1+threshold {
 			mark = "  REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %-45s %14.0f ns/op  vs %14.0f  %+7.1f%%%s\n",
-			b.Name, ns, old, delta*100, mark)
+		fmt.Fprintf(os.Stderr, "benchjson: %-45s %14.0f ns/op  vs %14.0f  median ratio %.3f over %d pairs (%.3f-%.3f)%s\n",
+			name, p.HeadMetrics["ns/op"], p.BaseMetrics["ns/op"], p.MedianRatio, n,
+			slices.Min(p.Ratios), slices.Max(p.Ratios), mark)
+		doc.Benchmarks = append(doc.Benchmarks, p)
 	}
-	if compared == 0 {
-		return false, fmt.Errorf("benchjson: no benchmarks in common with baseline %s", path)
+	for _, name := range base.order {
+		if _, ok := head.results[name]; !ok {
+			fmt.Fprintf(os.Stderr, "benchjson: %-45s (base only, not compared)\n", name)
+		}
+	}
+	if len(doc.Benchmarks) == 0 {
+		return fmt.Errorf("benchjson: no benchmark ran on both sides")
+	}
+	if out != "" {
+		enc, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(out, append(enc, '\n'), 0o644); err != nil {
+			return err
+		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% vs %s\n",
-			regressions, threshold*100, path)
-		return false, nil
+		return fmt.Errorf("benchjson: %d benchmark(s) slower than base by more than %.0f%% in the median pair", regressions, threshold*100)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within %.0f%% of %s\n",
-		compared, threshold*100, path)
-	return true, nil
+	fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within %.0f%% of base (%.12s) in the median pair\n",
+		len(doc.Benchmarks), threshold*100, baseCommit)
+	return nil
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count). xs is not modified.
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// medianMetrics returns each metric's median over the repetitions.
+func medianMetrics(rs []result) map[string]float64 {
+	vals := map[string][]float64{}
+	for _, r := range rs {
+		for k, v := range r.Metrics {
+			vals[k] = append(vals[k], v)
+		}
+	}
+	out := make(map[string]float64, len(vals))
+	for k, vs := range vals {
+		out[k] = median(vs)
+	}
+	return out
+}
+
+func round4(x float64) float64 { return math.Round(x*1e4) / 1e4 }
+
+// parseFile reads one `go test -bench` output.
+func parseFile(path string) (run, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return run{}, fmt.Errorf("benchjson: %w", err)
+	}
+	defer f.Close()
+	r := run{results: map[string][]result{}}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			r.goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			r.goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			r.pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case strings.HasPrefix(line, "cpu:"):
+			r.cpu = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			res, ok := parseLine(line)
+			if !ok || res.Metrics["ns/op"] <= 0 {
+				continue
+			}
+			if _, seen := r.results[res.Name]; !seen {
+				r.order = append(r.order, res.Name)
+			}
+			r.results[res.Name] = append(r.results[res.Name], res)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return run{}, fmt.Errorf("benchjson: %s: %w", path, err)
+	}
+	return r, nil
 }
 
 // parseLine decodes one result line:
@@ -241,11 +264,10 @@ func parseLine(line string) (result, bool) {
 			name = name[:i]
 		}
 	}
-	iters, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
+	if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 		return result{}, false
 	}
-	r := result{Name: name, Iterations: iters, Metrics: map[string]float64{}}
+	r := result{Name: name, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
