@@ -18,6 +18,7 @@ package dramless_test
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"testing"
@@ -314,6 +315,86 @@ func BenchmarkPRAMWriteRow(b *testing.B) {
 	rows := float64(b.N) * pramSweepRows
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 	b.ReportMetric(float64(now-start)/rows, "sim-ps/row")
+}
+
+// The request benchmarks time whole subsystem requests under the final
+// policy over a populated span of pramSpan bytes (four times the L2, on
+// every module), at seeded row-aligned addresses, so phase skips,
+// prefetches, posted programs and the partition timelines all take
+// part. ns/request is the host cost of one request and sim-ps/request
+// the simulated time the sweep advanced per request.
+const (
+	pramSpan     = 2 << 20
+	pramRequests = 1024 // requests per op
+	pramReqBytes = 128  // one L2 line
+)
+
+// requestPRAM returns a booted final-policy PRAM whose first pramSpan
+// bytes hold seeded data, with pramRequests seeded row-aligned
+// addresses at which a request of n bytes stays inside the span.
+func requestPRAM(b *testing.B, n int) (*dramless.PRAM, dramless.Time, []uint64) {
+	b.Helper()
+	pram, now, err := dramless.NewPRAM(dramless.WithCapacityRows(1 << 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 29))
+	data := make([]byte, pramSpan)
+	for i := range data {
+		data[i] = byte(rng.Uint32())
+	}
+	if err := pram.Populate(0, data); err != nil {
+		b.Fatal(err)
+	}
+	addrs := make([]uint64, pramRequests)
+	for i := range addrs {
+		addrs[i] = uint64(rng.IntN((pramSpan-n)/32+1)) * 32
+	}
+	return pram, now, addrs
+}
+
+// requestSweep runs one op of req over the addresses b.N times after
+// one warm op, and reports the per-request metrics.
+func requestSweep(b *testing.B, addrs []uint64, now dramless.Time, req func(at dramless.Time, addr uint64) (dramless.Time, error)) {
+	b.Helper()
+	sweep := func() {
+		for _, a := range addrs {
+			done, err := req(now, a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			now = done
+		}
+	}
+	sweep()
+	start := now
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	reqs := float64(b.N) * pramRequests
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/reqs, "ns/request")
+	b.ReportMetric(float64(now-start)/reqs, "sim-ps/request")
+}
+
+// BenchmarkPRAMReadRequest times 128 B ReadInto requests: four rows on
+// four modules each, the L2 line fill the accelerator issues.
+func BenchmarkPRAMReadRequest(b *testing.B) {
+	pram, now, addrs := requestPRAM(b, pramReqBytes)
+	dst := make([]byte, pramReqBytes)
+	requestSweep(b, addrs, now, func(at dramless.Time, addr uint64) (dramless.Time, error) {
+		return pram.ReadInto(at, addr, dst)
+	})
+}
+
+// BenchmarkPRAMWriteRequest times full-row overwrites: each request
+// programs one populated 32 B row through the overlay-window flow.
+func BenchmarkPRAMWriteRequest(b *testing.B) {
+	pram, now, addrs := requestPRAM(b, 32)
+	row := bytes.Repeat([]byte{0xA5}, 32)
+	requestSweep(b, addrs, now, func(at dramless.Time, addr uint64) (dramless.Time, error) {
+		return pram.Write(at, addr, row)
+	})
 }
 
 // benchCaches builds the paper's per-PE L1 -> L2 stack over a flat

@@ -131,6 +131,10 @@ type Cache struct {
 	cfg     Config
 	errName string // "cache <name>", precomputed so range checks don't allocate
 	lower   mem.Device
+	// size is lower.Size(), read once: a device's capacity is fixed at
+	// construction, and asking again would walk the whole stack below
+	// on every access.
+	size uint64
 	storage
 	tick  int64
 	stats Stats
@@ -194,6 +198,7 @@ func New(cfg Config, lower mem.Device) (*Cache, error) {
 		cfg:       cfg,
 		errName:   "cache " + cfg.Name,
 		lower:     lower,
+		size:      lower.Size(),
 		storage:   st,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		lineMask:  uint64(cfg.LineBytes) - 1,
@@ -222,7 +227,7 @@ func (c *Cache) Release() {
 
 // Size implements mem.Device: the cache is transparent, exposing the
 // lower device's space.
-func (c *Cache) Size() uint64 { return c.lower.Size() }
+func (c *Cache) Size() uint64 { return c.size }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }

@@ -88,6 +88,10 @@ func TestParamsValidateRejectsBadConfigs(t *testing.T) {
 		func(p *Params) { p.RDBBytes = 0 },
 		func(p *Params) { p.Partitions = 0 },
 		func(p *Params) { p.Channels = 0 },
+		func(p *Params) { p.Channels = 3 },
+		func(p *Params) { p.Packages = 0 },
+		func(p *Params) { p.Packages = 12 },
+		func(p *Params) { p.Packages = -16 },
 		func(p *Params) { p.CellProgram = 0 },
 	}
 	for i, mutate := range cases {

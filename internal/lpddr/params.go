@@ -131,8 +131,10 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("lpddr: RDBBytes must be positive, got %d", p.RDBBytes)
 	case p.Partitions <= 0:
 		return fmt.Errorf("lpddr: Partitions must be positive, got %d", p.Partitions)
-	case p.Channels <= 0 || p.Packages <= 0:
-		return fmt.Errorf("lpddr: topology must be positive (channels=%d packages=%d)",
+	case p.Channels <= 0 || p.Channels&(p.Channels-1) != 0 || p.Packages <= 0 || p.Packages&(p.Packages-1) != 0:
+		// Powers of two let the controller split an address into
+		// channel, package and row with shifts and masks.
+		return fmt.Errorf("lpddr: channels and packages must be positive powers of two (channels=%d packages=%d)",
 			p.Channels, p.Packages)
 	case p.CellProgram <= 0 || p.CellErase <= 0:
 		return fmt.Errorf("lpddr: cell program/erase times must be positive")

@@ -40,18 +40,18 @@ type channel struct {
 	// rmwRow is the scratch row the read-modify-write path merges into.
 	// It is safe to reuse: ProgramRow copies bytes into the overlay
 	// window store and never retains its argument.
-	rmwRow  []byte
-	execBuf [1]byte // the 1-byte RegExec touch, hoisted off writeWave
+	rmwRow []byte
 
 	// Batch scratch, reused across calls (the channel is single-threaded
-	// per simulation): per-module wave counters, the wave tables of the
-	// read and write batch paths, and readWave's per-module buffer-pair
-	// claim masks. Reuse keeps the kernel phase's per-request cost free
-	// of map and slice churn.
-	seenScratch []int
-	rWaves      [][]*rowReq
-	wWaves      [][]*writeReq
-	claimed     []uint8
+	// per simulation): per-module wave counters (the wave a module's
+	// next request joins, and how many of its requests that wave holds),
+	// the wave tables of the read and write batch paths, and readWave's
+	// per-module buffer-pair claim masks. Reuse keeps the kernel phase's
+	// per-request cost free of map and slice churn.
+	waveOf, inWave []int
+	rWaves         [][]*rowReq
+	wWaves         [][]*writeReq
+	claimed        []uint8
 	// oneRead is readRowInto's single request. It lives on the channel
 	// because readBatch keeps pointers to its requests in rWaves, which
 	// would move a stack copy to the heap on every call.
@@ -108,10 +108,10 @@ func newChannel(idx int, cfg Config) (*channel, error) {
 		nextBA:      make([]uint8, cfg.Params.Packages),
 		modLastDone: make([]sim.Time, cfg.Params.Packages),
 		rmwRow:      make([]byte, cfg.Geometry.RowBytes),
-		seenScratch: make([]int, cfg.Params.Packages),
+		waveOf:      make([]int, cfg.Params.Packages),
+		inWave:      make([]int, cfg.Params.Packages),
 		claimed:     make([]uint8, cfg.Params.Packages),
 	}
-	ch.execBuf[0] = 1
 	ch.tr = cfg.Obs.Tracer()
 	ch.proc = fmt.Sprintf("pram.ch%d", idx)
 	ch.tracks = make([]string, cfg.Params.Packages)
@@ -209,14 +209,15 @@ func (ch *channel) complete(done sim.Time, mod int) {
 func (ch *channel) windowBA() uint8 { return uint8(ch.cfg.Params.NumRAB - 1) }
 
 // victimBA picks the next RAB/RDB pair for array reads, rotating over the
-// pairs not reserved for the overlay window.
+// pairs not reserved for the overlay window. nextBA stays below their
+// count, so the rotation is a compare and wrap.
 func (ch *channel) victimBA(mod int) uint8 {
-	n := uint8(ch.cfg.Params.NumRAB - 1)
-	if n == 0 {
-		return 0
+	ba := ch.nextBA[mod]
+	if next := ba + 1; int(next) < ch.cfg.Params.NumRAB-1 {
+		ch.nextBA[mod] = next
+	} else {
+		ch.nextBA[mod] = 0
 	}
-	ba := ch.nextBA[mod] % n
-	ch.nextBA[mod] = (ba + 1) % n
 	return ba
 }
 
@@ -282,11 +283,8 @@ func (ch *channel) readBatch(at sim.Time, reqs []rowReq) error {
 	// appended to the tail waves - so the free partitions' senses and
 	// bursts overlap the busy partitions' writes instead of queuing
 	// behind them.
-	perMod := ch.cfg.Params.NumRAB - 1
-	if perMod < 1 {
-		perMod = 1
-	}
-	seen := ch.resetSeen()
+	perMod := max(ch.cfg.Params.NumRAB-1, 1)
+	waveOf, inWave := ch.resetWaves()
 	waves, used := ch.rWaves, 0
 	deferring := ch.pol.partitionOverlap
 	for pass := 0; pass < 2; pass++ {
@@ -300,8 +298,13 @@ func (ch *channel) readBatch(at sim.Time, reqs []rowReq) error {
 					ch.stats.PartitionOverlapWins++
 				}
 			}
-			w := seen[reqs[i].mod] / perMod
-			seen[reqs[i].mod]++
+			mod := reqs[i].mod
+			if inWave[mod] == perMod {
+				waveOf[mod]++
+				inWave[mod] = 0
+			}
+			w := waveOf[mod]
+			inWave[mod]++
 			for used <= w {
 				if used == len(waves) {
 					waves = append(waves, nil)
@@ -333,12 +336,11 @@ func (ch *channel) partitionBusy(at sim.Time, mod int, rowAddr uint64) bool {
 	return ch.modules[mod].PartitionFreeAt(ch.cfg.Geometry.PartitionOf(rowAddr)) > at
 }
 
-// resetSeen returns the per-module wave counter scratch, zeroed.
-func (ch *channel) resetSeen() []int {
-	for i := range ch.seenScratch {
-		ch.seenScratch[i] = 0
-	}
-	return ch.seenScratch
+// resetWaves returns the per-module wave counter scratch, zeroed.
+func (ch *channel) resetWaves() (waveOf, inWave []int) {
+	clear(ch.waveOf)
+	clear(ch.inWave)
+	return ch.waveOf, ch.inWave
 }
 
 // readWave issues one wave phase by phase. A wave may carry several rows
@@ -572,11 +574,11 @@ func (ch *channel) writeBatch(at sim.Time, reqs []writeReq) error {
 		return nil
 	}
 	// Waves: at most one row per module per wave.
-	seen := ch.resetSeen()
+	waveOf, _ := ch.resetWaves()
 	waves, used := ch.wWaves, 0
 	for i := range reqs {
-		w := seen[reqs[i].mod]
-		seen[reqs[i].mod] = w + 1
+		w := waveOf[reqs[i].mod]
+		waveOf[reqs[i].mod] = w + 1
 		for used <= w {
 			if used == len(waves) {
 				waves = append(waves, nil)
@@ -609,7 +611,7 @@ func (ch *channel) writeWave(at sim.Time, wave []*writeReq) error {
 	for _, r := range wave {
 		m := ch.modules[r.mod]
 		start := sim.Max(at, m.ProgBufFreeAt())
-		d, err := m.WindowWrite(ch.issue(start), ba, pram.RegCode, pram.ProgramHeader(r.row, len(r.data)))
+		d, err := m.StageProgram(ch.issue(start), ba, r.row, len(r.data))
 		if err != nil {
 			return err
 		}
@@ -625,7 +627,7 @@ func (ch *channel) writeWave(at sim.Time, wave []*writeReq) error {
 	}
 	// Step 3: execute per module; the array program is posted.
 	for _, r := range wave {
-		d, err := ch.modules[r.mod].WindowWrite(ch.issue(r.t), ba, pram.RegExec, ch.execBuf[:])
+		d, err := ch.modules[r.mod].Execute(ch.issue(r.t), ba)
 		if err != nil {
 			return err
 		}

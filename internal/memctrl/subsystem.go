@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dramless/internal/lpddr"
 	"dramless/internal/mem"
@@ -27,6 +28,10 @@ type Subsystem struct {
 	pkgs     uint64
 	chans    uint64
 	size     uint64
+	// locate's shifts and masks: row bytes, packages and channels are
+	// powers of two (pram.Geometry.Validate, lpddr.Params.Validate).
+	rowShift, pkgShift, stripeShift uint
+	pkgMask, chanMask               uint64
 
 	// intents are the declared write-intent address ranges (selective
 	// erasing targets): [addr, addr+n), in logical addresses.
@@ -87,6 +92,10 @@ func New(cfg Config) (*Subsystem, error) {
 		pkgs:     uint64(cfg.Params.Packages),
 		chans:    uint64(cfg.Params.Channels),
 	}
+	s.rowShift = uint(bits.TrailingZeros64(s.rowBytes))
+	s.pkgShift = uint(bits.TrailingZeros64(s.pkgs))
+	s.stripeShift = s.pkgShift + uint(bits.TrailingZeros64(s.chans))
+	s.pkgMask, s.chanMask = s.pkgs-1, s.chans-1
 	for c := 0; c < cfg.Params.Channels; c++ {
 		ch, err := newChannel(c, cfg)
 		if err != nil {
@@ -144,12 +153,12 @@ type location struct {
 }
 
 func (s *Subsystem) locate(addr uint64) location {
-	chunk := addr / s.rowBytes
+	chunk := addr >> s.rowShift
 	return location{
-		ch:  int(chunk / s.pkgs % s.chans),
-		pkg: int(chunk % s.pkgs),
-		row: chunk / (s.pkgs * s.chans),
-		col: int(addr % s.rowBytes),
+		ch:  int(chunk >> s.pkgShift & s.chanMask),
+		pkg: int(chunk & s.pkgMask),
+		row: chunk >> s.stripeShift,
+		col: int(addr & (s.rowBytes - 1)),
 	}
 }
 
@@ -236,10 +245,13 @@ func (s *Subsystem) ReadInto(at sim.Time, addr uint64, dst []byte) (done sim.Tim
 		if take > n-off {
 			take = n - off
 		}
-		batches[loc.ch] = append(batches[loc.ch], rowReq{
-			mod: loc.pkg, row: loc.row, col: loc.col,
-			dst: dst[off : off+take : off+take],
-		})
+		// Fill the appended request in place: building it as a literal
+		// first would copy the whole struct.
+		b := append(batches[loc.ch], rowReq{})
+		r := &b[len(b)-1]
+		r.mod, r.row, r.col = loc.pkg, loc.row, loc.col
+		r.dst = dst[off : off+take : off+take]
+		batches[loc.ch] = b
 		off += take
 	}
 	for c, batch := range batches {
@@ -372,30 +384,58 @@ func (s *Subsystem) PreErase(at sim.Time, addr uint64, n int) (done sim.Time, er
 // Populate stores data at addr with no protocol or timing cost, marking
 // the touched words programmed. It is the offline-initialization path
 // experiments use to place inputs in persistent storage before the
-// measured run; it must never appear on a measured path.
+// measured run; it must never appear on a measured path. Full rows whose
+// physical rows follow one another (all of them without wear leveling)
+// load as one run; a partial row at either edge merges into the stored
+// row.
 func (s *Subsystem) Populate(addr uint64, data []byte) error {
 	if err := s.checkRange(addr, len(data)); err != nil {
 		return err
 	}
+	rb := int(s.rowBytes)
 	for off := 0; off < len(data); {
-		loc := s.locate(s.translate(addr + uint64(off)))
-		take := int(s.rowBytes) - loc.col
-		if take > len(data)-off {
-			take = len(data) - off
-		}
+		paddr := s.translate(addr + uint64(off))
+		loc := s.locate(paddr)
+		take := min(rb-loc.col, len(data)-off)
 		m := s.channels[loc.ch].modules[loc.pkg]
-		if loc.col == 0 {
-			if err := m.LoadRow(loc.row, data[off:off+take]); err != nil {
-				return err
-			}
-		} else {
+		switch {
+		case loc.col != 0:
 			row := m.PeekRow(loc.row)
 			copy(row[loc.col:], data[off:off+take])
 			if err := m.LoadRow(loc.row, row); err != nil {
 				return err
 			}
+		case take < rb:
+			if err := m.LoadRow(loc.row, data[off:off+take]); err != nil {
+				return err
+			}
+		default:
+			take = rb
+			for off+take+rb <= len(data) && s.translate(addr+uint64(off+take)) == paddr+uint64(take) {
+				take += rb
+			}
+			if err := s.loadRun(paddr, data[off:off+take]); err != nil {
+				return err
+			}
 		}
 		off += take
+	}
+	return nil
+}
+
+// loadRun loads whole rows at the row-aligned physical address paddr.
+// The rows stripe across every module of the subsystem, so each module
+// takes every stripe-th row of data as consecutive module rows.
+func (s *Subsystem) loadRun(paddr uint64, data []byte) error {
+	rb := int(s.rowBytes)
+	rows := len(data) / rb
+	stripe := int(s.pkgs * s.chans)
+	for j := 0; j < min(stripe, rows); j++ {
+		loc := s.locate(paddr + uint64(j*rb))
+		count := (rows - j + stripe - 1) / stripe
+		if err := s.channels[loc.ch].modules[loc.pkg].LoadRows(loc.row, count, data[j*rb:], stripe*rb); err != nil {
+			return err
+		}
 	}
 	return nil
 }

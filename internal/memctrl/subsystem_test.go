@@ -486,3 +486,86 @@ func MustNew(cfg Config) *Subsystem {
 	}
 	return s
 }
+
+// TestPopulateMatchesRowByRowLoad checks the run-loading Populate
+// against loading the same bytes one row at a time, with and without
+// wear leveling (whose moved gaps split the runs): the stored bytes
+// agree, and so do the cell states, which set the timing and program
+// counts of a write sweep over the range afterwards.
+func TestPopulateMatchesRowByRowLoad(t *testing.T) {
+	const addr, n = 1000, 70001 // unaligned at both ends
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	rowByRow := func(s *Subsystem) {
+		for off := 0; off < n; {
+			loc := s.locate(s.translate(addr + uint64(off)))
+			take := min(int(s.rowBytes)-loc.col, n-off)
+			m := s.channels[loc.ch].modules[loc.pkg]
+			row := m.PeekRow(loc.row)
+			if loc.col == 0 {
+				row = row[:take]
+			}
+			copy(row[loc.col:], data[off:off+take])
+			if err := m.LoadRow(loc.row, row); err != nil {
+				t.Fatal(err)
+			}
+			off += take
+		}
+	}
+	for _, wear := range []bool{false, true} {
+		build := func() *Subsystem {
+			cfg := testConfig(Final)
+			if wear {
+				cfg.Wear = WearConfig{Enabled: true, GapWritePeriod: 1, RegionRows: 64}
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Move some gaps away from their starting rows.
+			for a := uint64(0); a < 4096; a += 96 {
+				if _, err := s.Write(0, a, bytes.Repeat([]byte{0xEE}, 32)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s
+		}
+		got, want := build(), build()
+		if err := got.Populate(addr, data); err != nil {
+			t.Fatal(err)
+		}
+		rowByRow(want)
+		for c := range got.channels {
+			for p := range got.channels[c].modules {
+				for r := uint64(0); r < 4096; r++ {
+					if g, w := got.Module(c, p).PeekRow(r), want.Module(c, p).PeekRow(r); !bytes.Equal(g, w) {
+						t.Fatalf("wear %t: module %d/%d row %d holds %x, want %x", wear, c, p, r, g, w)
+					}
+				}
+			}
+		}
+		at := sim.Max(got.Drain(), want.Drain())
+		for a := uint64(addr); a < addr+n; a += 512 {
+			row := bytes.Repeat([]byte{byte(a) | 1}, 32)
+			dg, err := got.Write(at, a, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dw, err := want.Write(at, a, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dg != dw {
+				t.Fatalf("wear %t: write at %#x done %v, want %v", wear, a, dg, dw)
+			}
+		}
+		if g, w := got.ModuleStats(), want.ModuleStats(); g != w {
+			t.Fatalf("wear %t: module stats after the sweep %+v, want %+v", wear, g, w)
+		}
+		if wear && got.WearStats().GapMoves == 0 {
+			t.Fatal("no gap moved")
+		}
+	}
+}

@@ -172,8 +172,7 @@ func (s *Subsystem) translate(addr uint64) uint64 {
 	if s.wear == nil {
 		return addr
 	}
-	row := addr / s.rowBytes
-	return s.wear.mapRow(row)*s.rowBytes + addr%s.rowBytes
+	return s.wear.mapRow(addr>>s.rowShift)<<s.rowShift | addr&(s.rowBytes-1)
 }
 
 // noteProgram counts a program against physical row p and moves the gap

@@ -135,6 +135,11 @@ func (c *Counters) Entries() []Entry { return c.reg().all() }
 // Names returns every registered name in registration order.
 func (c *Counters) Names() []string { return c.reg().names() }
 
+// Reserve sizes an empty registry for n entries, so registering them
+// allocates its index and entry list once instead of growing both by
+// doubling. It does nothing to a registry that holds entries. Nil-safe.
+func (c *Counters) Reserve(n int) { c.reg().reserve(n) }
+
 // Merge accumulates other into c: counters add, gauges overwrite. New
 // names register at the tail in other's order.
 func (c *Counters) Merge(other *Counters) {

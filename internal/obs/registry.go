@@ -72,6 +72,17 @@ func put[E accumulating[E]](r *registry[E], e E, adopt func(E) E) {
 	r.list[i] = r.list[i].merge(e)
 }
 
+// reserve sizes an empty registry's index and list for n entries, so
+// registering them does not grow either by doubling. A registry that
+// holds entries is left as it is.
+func (r *registry[E]) reserve(n int) {
+	if r == nil || len(r.list) > 0 || n <= 0 {
+		return
+	}
+	r.idx = make(map[string]int, n)
+	r.list = make([]E, 0, n)
+}
+
 func (r *registry[E]) add(e E) int {
 	if r.idx == nil {
 		r.idx = make(map[string]int)
@@ -103,9 +114,10 @@ func (r *registry[E]) names() []string {
 	return out
 }
 
-// merge puts every element of o into r, in o's order. Nil-safe on both
-// sides.
+// merge puts every element of o into r, in o's order; an empty r is
+// sized for o's elements first. Nil-safe on both sides.
 func merge[E accumulating[E]](r, o *registry[E], adopt func(E) E) {
+	r.reserve(o.len())
 	for _, e := range o.all() {
 		put(r, e, adopt)
 	}

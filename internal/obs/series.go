@@ -35,6 +35,11 @@ type Series[T int64 | float64] struct {
 	// over is the time of the first dropped sample, 0 while none was
 	// (a sample past the cap is always at t > 0).
 	over sim.Time
+	// [lo, hi) is the window the last sample landed in and cur its
+	// index (empty until the first sample). Samples within it, the
+	// common case, skip the division that picks a window.
+	lo, hi sim.Time
+	cur    int
 }
 
 // NewSeries returns an empty series named name, accumulating over
@@ -111,10 +116,19 @@ func (s *Series[T]) grow(i int) {
 	}
 }
 
+// remember makes window i, which exists, the one samples test first.
+func (s *Series[T]) remember(i sim.Time) {
+	s.cur, s.lo, s.hi = int(i), i*s.window, (i+1)*s.window
+}
+
 // Add accumulates v into the window containing simulated time t.
 // Negative times clamp to window 0. Nil-safe.
 func (s *Series[T]) Add(t sim.Time, v T) {
 	if s == nil {
+		return
+	}
+	if t >= s.lo && t < s.hi {
+		s.vals[s.cur] += v
 		return
 	}
 	i := max(t, 0) / s.window
@@ -123,6 +137,7 @@ func (s *Series[T]) Add(t sim.Time, v T) {
 	}
 	s.grow(int(i))
 	s.vals[i] += v
+	s.remember(i)
 }
 
 // AddSpan distributes the interval [t0, t1) across the windows it
@@ -135,6 +150,10 @@ func (s *Series[T]) Add(t sim.Time, v T) {
 // whole. Nil-safe.
 func (s *Series[T]) AddSpan(t0, t1 sim.Time) {
 	if s == nil || t1 <= t0 {
+		return
+	}
+	if t0 >= s.lo && t1 <= s.hi {
+		s.vals[s.cur] += T(t1 - t0)
 		return
 	}
 	if t0 < 0 {
@@ -151,6 +170,7 @@ func (s *Series[T]) AddSpan(t0, t1 sim.Time) {
 		s.vals[i] += T(end - t0)
 		t0 = end
 	}
+	s.remember(last)
 }
 
 // Spread distributes v over [t0, t1) in proportion to each window's

@@ -1,6 +1,7 @@
 package pram
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dramless/internal/sim"
@@ -59,19 +60,18 @@ func (m *Module) WindowWrite(at sim.Time, ba uint8, off uint64, data []byte) (do
 	return done, nil
 }
 
-// ProgramHeader returns the register-row image a controller bursts to
-// OWBA+RegCode to stage a program of n bytes at rowAddr: command code,
-// target address and burst size in one write, with reserved gaps zero.
-func ProgramHeader(rowAddr uint64, n int) []byte {
-	hdr := make([]byte, RegMulti+2-RegCode)
-	hdr[0] = CmdProgram
-	for i := 0; i < 4; i++ {
-		hdr[RegAddr-RegCode+i] = byte(rowAddr >> (8 * i))
-	}
-	hdr[RegMulti-RegCode] = byte(n)
-	hdr[RegMulti-RegCode+1] = byte(n >> 8)
-	return hdr
+// putProgramHeader fills hdr with the register-row image a controller
+// bursts to OWBA+RegCode to stage a program of n bytes at rowAddr:
+// command code, target address and burst size in one write, with
+// reserved gaps zero.
+func putProgramHeader(hdr *[progHeaderLen]byte, rowAddr uint64, n int) {
+	*hdr = [progHeaderLen]byte{0: CmdProgram}
+	binary.LittleEndian.PutUint32(hdr[RegAddr-RegCode:], uint32(rowAddr))
+	binary.LittleEndian.PutUint16(hdr[RegMulti-RegCode:], uint16(n))
 }
+
+// execTouch is the byte Execute writes to RegExec; its value is ignored.
+var execTouch = [1]byte{1}
 
 // ProgramRow performs the complete overlay-window program flow for one
 // row: stage the command code, the target row address and the burst size
@@ -91,23 +91,30 @@ func (m *Module) ProgramRow(at sim.Time, ba uint8, rowAddr uint64, data []byte) 
 	if rowAddr > 0xFFFFFFFF {
 		return 0, fmt.Errorf("pram: row %#x exceeds the 32-bit address register", rowAddr)
 	}
-
-	// 1. command code, target row address and burst size in one
-	//    register-row burst (RegCode..RegMulti share a 32 B row; the
-	//    reserved gaps ignore writes).
-	done, err = m.WindowWrite(at, ba, RegCode, ProgramHeader(rowAddr, len(data)))
-	if err != nil {
+	if done, err = m.StageProgram(at, ba, rowAddr, len(data)); err != nil {
 		return 0, err
 	}
-	// 2. data -> program buffer (0x800+)
+	// data -> program buffer (0x800+)
 	if done, err = m.WindowWrite(done, ba, ProgBufOffset, data); err != nil {
 		return 0, err
 	}
-	// 3. execute -> RegExec (0xC0)
-	if done, err = m.WindowWrite(done, ba, RegExec, []byte{1}); err != nil {
-		return 0, err
-	}
-	return done, nil
+	return m.Execute(done, ba)
+}
+
+// StageProgram is the first step of the program flow: one register-row
+// burst (RegCode..RegMulti share a 32 B row; the reserved gaps ignore
+// writes) stages the command code, target row address rowAddr and burst
+// size n. It returns when the burst completes.
+func (m *Module) StageProgram(at sim.Time, ba uint8, rowAddr uint64, n int) (done sim.Time, err error) {
+	putProgramHeader(&m.hdr, rowAddr, n)
+	return m.WindowWrite(at, ba, RegCode, m.hdr[:])
+}
+
+// Execute is the last step of the program flow: it touches RegExec,
+// which starts the staged operation, and returns when the burst
+// completes.
+func (m *Module) Execute(at sim.Time, ba uint8) (done sim.Time, err error) {
+	return m.WindowWrite(at, ba, RegExec, execTouch[:])
 }
 
 // PollStatus reads the status register via the window until it reports

@@ -111,15 +111,18 @@ func (g Geometry) Size() uint64 { return g.RowsPerModule * uint64(g.RowBytes) }
 // WordsPerRow returns how many program units one row holds.
 func (g Geometry) WordsPerRow() int { return g.RowBytes / g.WordBytes }
 
+// RowOf, ColOf and PartitionOf shift and mask: Validate requires
+// RowBytes and Partitions to be powers of two.
+
 // RowOf returns the row address containing byte address addr.
-func (g Geometry) RowOf(addr uint64) uint64 { return addr / uint64(g.RowBytes) }
+func (g Geometry) RowOf(addr uint64) uint64 { return addr >> bits.TrailingZeros(uint(g.RowBytes)) }
 
 // ColOf returns the byte offset of addr within its row.
-func (g Geometry) ColOf(addr uint64) int { return int(addr % uint64(g.RowBytes)) }
+func (g Geometry) ColOf(addr uint64) int { return int(addr & uint64(g.RowBytes-1)) }
 
 // PartitionOf returns the partition serving the given row. Rows stripe
 // across partitions on their low bits.
-func (g Geometry) PartitionOf(row uint64) int { return int(row % uint64(g.Partitions)) }
+func (g Geometry) PartitionOf(row uint64) int { return int(row & uint64(g.Partitions-1)) }
 
 // SplitRow splits a full row address into the upper part (stored in a RAB
 // by PREACTIVE) and the lower part (delivered with ACTIVATE).

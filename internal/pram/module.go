@@ -1,7 +1,9 @@
 package pram
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dramless/internal/lpddr"
 	"dramless/internal/sim"
@@ -60,12 +62,25 @@ type Module struct {
 	rabValid [4]bool
 	rabUpper [4]uint32
 
+	// An RDB holds no copy of its row: a valid array RDB refers to row
+	// rdbRow of the array, and every content mutator (program, erase,
+	// PreEraseBackground, LoadRow/LoadRows) drops the pairs holding a row it
+	// changes, so the array bytes a burst reads are the sensed bytes.
 	rdbValid  [4]bool
 	rdbRow    [4]uint64
 	rdbWindow [4]bool
-	rdbData   [4][]byte
 
 	ow *overlay
+	// hdr is the register-row image StageProgram bursts, reused so a
+	// program flow allocates nothing.
+	hdr [progHeaderLen]byte
+
+	// Fixed per module by its geometry and timing: program units per
+	// row, and a word's program time indexed by its cell state before
+	// the write.
+	wordsPerRow int
+	wordShift   uint // log2 WordBytes, a power of two as a divisor of RowBytes
+	progTime    [3]sim.Duration
 
 	// Array content, segmented: segs maps a segment number to its entry
 	// in ents (see rowSeg). memoSeg short-circuits the map for the
@@ -78,8 +93,8 @@ type Module struct {
 	memoSeg *rowSeg
 	memoID  uint64
 
-	partitions []*sim.Resource // one per array partition
-	bus        *sim.Resource   // 16-bit DQ bus shared by all bursts
+	partitions []sim.Resource // one per array partition, held inline
+	bus        *sim.Resource  // 16-bit DQ bus shared by all bursts
 
 	busyUntil sim.Time // in-flight program/erase completion (RegStatus)
 	bufFreeAt sim.Time // program buffer availability: the write drivers
@@ -128,13 +143,16 @@ func NewModule(geo Geometry, par lpddr.Params) (*Module, error) {
 		memoID: noSeg,
 		bus:    sim.NewResource("pram.dq"),
 	}
-	for i := 0; i < geo.Partitions; i++ {
-		m.partitions = append(m.partitions, sim.NewResource(fmt.Sprintf("pram.part%d", i)))
+	m.partitions = make([]sim.Resource, geo.Partitions)
+	for i := range m.partitions {
+		m.partitions[i] = *sim.NewResource(fmt.Sprintf("pram.part%d", i))
 	}
 	m.progEndPart = make([]sim.Time, geo.Partitions)
 	m.ow = newOverlay(geo.Size() - WindowSize)
-	for i := range m.rdbData {
-		m.rdbData[i] = make([]byte, geo.RowBytes)
+	m.wordsPerRow = geo.WordsPerRow()
+	m.wordShift = uint(bits.TrailingZeros(uint(geo.WordBytes)))
+	for st := range m.progTime {
+		m.progTime[st] = par.ProgramTime(lpddr.CellState(st))
 	}
 	return m, nil
 }
@@ -313,7 +331,7 @@ func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, e
 		return at + m.par.TRCD, nil
 	}
 	partIdx := m.geo.PartitionOf(rowAddr)
-	part := m.partitions[partIdx]
+	part := &m.partitions[partIdx]
 	var done2 sim.Time
 	if m.pausing && at < m.progEndPart[partIdx] {
 		// Pause the in-flight program: the sense proceeds after the
@@ -339,11 +357,6 @@ func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, e
 	m.rdbWindow[ba] = false
 	m.rdbRow[ba] = rowAddr
 	seg, idx := m.seg(rowAddr)
-	if seg.content.data != nil {
-		copy(m.rdbData[ba], seg.content.rowData(idx, m.geo.RowBytes))
-	} else {
-		clear(m.rdbData[ba])
-	}
 	m.stats.Activates++
 	seg.writableStamps().lastRead[idx] = done
 	return done, nil
@@ -352,7 +365,9 @@ func (m *Module) Activate(at sim.Time, ba uint8, lower uint32) (done sim.Time, e
 // ReadBurstInto pulls len(dst) bytes starting at column col out of RDB
 // ba into dst (third addressing phase, read flavour). The DQ bus is
 // occupied for the burst after the read preamble (RL + tDQSCK). It
-// returns the time the last byte is on the bus.
+// returns the time the last byte is on the bus. An array RDB's bytes
+// are its row's array bytes (see Module.rdbRow); a row whose segment
+// holds no content reads as zeros.
 func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done sim.Time, err error) {
 	n := len(dst)
 	data := dst
@@ -379,8 +394,10 @@ func (m *Module) ReadBurstInto(at sim.Time, ba uint8, col int, dst []byte) (done
 			}
 			data[i] = b
 		}
+	} else if seg, idx := m.peek(m.rdbRow[ba]); seg != nil && seg.content.data != nil {
+		copy(data, seg.content.rowData(idx, m.geo.RowBytes)[col:])
 	} else {
-		copy(data, m.rdbData[ba][col:col+n])
+		clear(data)
 	}
 	busStart := m.bus.Acquire(at+m.par.ReadPreamble(), m.par.TBurst())
 	m.stats.ReadBursts++
@@ -468,7 +485,7 @@ func (m *Module) PreEraseBackground(from sim.Time, rowAddr uint64, contractDead 
 		return nil // never written: already pristine
 	}
 	needs := false
-	for _, st := range seg.content.rowState(idx, m.geo.WordsPerRow()) {
+	for _, st := range seg.content.rowState(idx, m.wordsPerRow) {
 		if st == lpddr.CellProgrammed {
 			needs = true
 			break
@@ -483,7 +500,7 @@ func (m *Module) PreEraseBackground(from sim.Time, rowAddr uint64, contractDead 
 	if !contractDead && seg.lastRead(idx) > seg.lastProg(idx) {
 		return nil
 	}
-	part := m.partitions[m.geo.PartitionOf(rowAddr)]
+	part := &m.partitions[m.geo.PartitionOf(rowAddr)]
 	start := part.Acquire(sim.Max(from, seg.lastProg(idx)), m.par.CellOverwriteExtra)
 	end := start + m.par.CellOverwriteExtra
 	if end > m.busyUntil {
@@ -491,10 +508,7 @@ func (m *Module) PreEraseBackground(from sim.Time, rowAddr uint64, contractDead 
 	}
 	c := seg.writableContent(m.geo)
 	clear(c.rowData(idx, m.geo.RowBytes))
-	state := c.rowState(idx, m.geo.WordsPerRow())
-	for i := range state {
-		state[i] = lpddr.CellErased
-	}
+	fillState(c.rowState(idx, m.wordsPerRow), lpddr.CellErased)
 	seg.writableStamps().lastProg[idx] = end
 	m.dropRow(rowAddr)
 	return nil
@@ -526,7 +540,7 @@ func (m *Module) program(at sim.Time) error {
 	if n <= 0 || n > m.geo.RowBytes || n > ProgBufSize {
 		return fmt.Errorf("pram: program size %d outside 1..%d", n, m.geo.RowBytes)
 	}
-	if n%m.geo.WordBytes != 0 {
+	if n&(m.geo.WordBytes-1) != 0 {
 		return fmt.Errorf("pram: program size %d not word-aligned (%d-byte words)", n, m.geo.WordBytes)
 	}
 	rowBase := rowAddr * uint64(m.geo.RowBytes)
@@ -537,53 +551,39 @@ func (m *Module) program(at sim.Time) error {
 	seg, idx := m.seg(rowAddr)
 	c := seg.writableContent(m.geo)
 	c.written[idx] = true
-	state := c.rowState(idx, m.geo.WordsPerRow())
-	data := c.rowData(idx, m.geo.RowBytes)
+	state := c.rowState(idx, m.wordsPerRow)
+	src := m.ow.progBuf[:n]
 
-	// Determine the op time from the slowest word, then commit data and
-	// new cell states.
+	// Determine the op time from the slowest word and set the new cell
+	// states, then commit the data.
 	var opTime sim.Duration
 	slowest := lpddr.CellErased
 	wb := m.geo.WordBytes
-	for w := 0; w < n/wb; w++ {
-		src := m.ow.progBuf[w*wb : (w+1)*wb]
-		zero := true
-		for _, b := range src {
-			if b != 0 {
-				zero = false
-				break
-			}
-		}
+	for w := range n >> m.wordShift {
 		st := state[w]
-		var wt sim.Duration
-		if zero {
+		if zeroWord(src[w*wb : (w+1)*wb]) {
 			// Programming all-zero data is a pure RESET of the word: the
-			// selective-erasing primitive. Cost: the RESET sequence.
-			if st == lpddr.CellProgrammed {
-				wt = m.par.CellOverwriteExtra
-			} else {
-				wt = 0 // already pristine; drivers idle for this word
+			// selective-erasing primitive. Cost: the RESET sequence, none
+			// when the word is already pristine (its drivers idle).
+			if st == lpddr.CellProgrammed && m.par.CellOverwriteExtra > opTime {
+				opTime = m.par.CellOverwriteExtra
 			}
 			state[w] = lpddr.CellErased
-		} else {
-			wt = m.par.ProgramTime(st)
-			state[w] = lpddr.CellProgrammed
+			continue
 		}
-		if wt > opTime {
-			opTime = wt
-			if !zero {
-				slowest = st
-			}
+		if wt := m.progTime[st]; wt > opTime {
+			opTime, slowest = wt, st
 		}
-		copy(data[w*wb:], src)
+		state[w] = lpddr.CellProgrammed
 	}
+	copy(c.rowData(idx, m.geo.RowBytes), src)
 	if opTime == 0 {
 		// Writing zeros over pristine cells still costs one driver pulse.
 		opTime = m.par.TCK
 	}
 
 	partIdx := m.geo.PartitionOf(rowAddr)
-	part := m.partitions[partIdx]
+	part := &m.partitions[partIdx]
 	// A new program also waits for the (possibly pause-stretched) program
 	// already on this partition.
 	start := part.Acquire(sim.Max(at, m.progEndPart[partIdx]), opTime)
@@ -603,11 +603,38 @@ func (m *Module) program(at sim.Time) error {
 	return nil
 }
 
-// dropRow invalidates any RDB still holding array row rowAddr: a program,
-// erase or pre-erase of the row makes its sensed snapshot stale.
-func (m *Module) dropRow(rowAddr uint64) {
+// zeroWord reports whether a program unit holds only zero bytes.
+func zeroWord(w []byte) bool {
+	switch len(w) {
+	case 4:
+		return binary.LittleEndian.Uint32(w) == 0
+	case 8:
+		return binary.LittleEndian.Uint64(w) == 0
+	}
+	for _, b := range w {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// fillState sets every word state of a row to st.
+func fillState(state []lpddr.CellState, st lpddr.CellState) {
+	for i := range state {
+		state[i] = st
+	}
+}
+
+// dropRow invalidates any RDB still holding array row rowAddr. Every
+// content mutator calls it: an RDB refers to its row's array bytes, so
+// after a program, erase, pre-erase or load the pair holds no sensed row.
+func (m *Module) dropRow(rowAddr uint64) { m.dropRows(rowAddr, rowAddr+1) }
+
+// dropRows is dropRow for every array row in [lo, hi).
+func (m *Module) dropRows(lo, hi uint64) {
 	for i := range m.rdbValid {
-		if m.rdbValid[i] && !m.rdbWindow[i] && m.rdbRow[i] == rowAddr {
+		if m.rdbValid[i] && !m.rdbWindow[i] && m.rdbRow[i] >= lo && m.rdbRow[i] < hi {
 			m.rdbValid[i] = false
 		}
 	}
@@ -622,31 +649,29 @@ func (m *Module) erase(at sim.Time) error {
 		return err
 	}
 	base := m.geo.EraseBase(rowAddr)
-	part := m.partitions[m.geo.PartitionOf(rowAddr)]
+	part := &m.partitions[m.geo.PartitionOf(rowAddr)]
 	start := part.Acquire(at, m.par.CellErase)
 	end := start + m.par.CellErase
 	if end > m.busyUntil {
 		m.busyUntil = end
 	}
-	for rowA := base; rowA < base+uint64(m.geo.EraseRows) && rowA < m.geo.RowsPerModule; rowA++ {
+	last := min(base+uint64(m.geo.EraseRows), m.geo.RowsPerModule)
+	for rowA := base; rowA < last; rowA++ {
 		if seg, idx := m.peek(rowA); seg != nil && seg.written(idx) {
 			c := seg.writableContent(m.geo)
 			clear(c.rowData(idx, m.geo.RowBytes))
-			state := c.rowState(idx, m.geo.WordsPerRow())
-			for i := range state {
-				state[i] = lpddr.CellErased
-			}
+			fillState(c.rowState(idx, m.wordsPerRow), lpddr.CellErased)
 		}
-		m.dropRow(rowA)
 	}
+	m.dropRows(base, last)
 	m.stats.Erases++
 	return nil
 }
 
 // LoadRow stores data into a row bypassing protocol and timing, marking
-// its words programmed. It models factory/offline initialization ("we
-// initialize the data and place it in the persistent storages" before
-// measurement) and must not be used on a measured path.
+// the words it covers programmed. It models factory/offline
+// initialization ("we initialize the data and place it in the persistent
+// storages" before measurement) and must not be used on a measured path.
 func (m *Module) LoadRow(rowAddr uint64, data []byte) error {
 	if err := m.geo.CheckRow(rowAddr); err != nil {
 		return err
@@ -654,16 +679,52 @@ func (m *Module) LoadRow(rowAddr uint64, data []byte) error {
 	if len(data) > m.geo.RowBytes {
 		return fmt.Errorf("pram: %d bytes exceed the row", len(data))
 	}
-	seg, idx := m.seg(rowAddr)
-	c := seg.writableContent(m.geo)
-	c.written[idx] = true
-	copy(c.rowData(idx, m.geo.RowBytes), data)
-	state := c.rowState(idx, m.geo.WordsPerRow())
-	wb := m.geo.WordBytes
-	for w := 0; w*wb < len(data); w++ {
-		state[w] = lpddr.CellProgrammed
-	}
+	m.load(rowAddr, 1, data, len(data), 0)
 	return nil
+}
+
+// LoadRows is LoadRow over count consecutive full rows from rowAddr on:
+// row rowAddr+i takes the RowBytes bytes at data[i*stride:]. The
+// bookkeeping runs once per segment, not once per row, which makes it
+// the bulk initialization path.
+func (m *Module) LoadRows(rowAddr uint64, count int, data []byte, stride int) error {
+	if count <= 0 {
+		return nil
+	}
+	if err := m.geo.CheckRow(rowAddr); err != nil {
+		return err
+	}
+	if err := m.geo.CheckRow(rowAddr + uint64(count-1)); err != nil {
+		return err
+	}
+	if stride < m.geo.RowBytes || len(data) < (count-1)*stride+m.geo.RowBytes {
+		return fmt.Errorf("pram: %d rows at a %d-byte stride need more than the %d bytes given", count, stride, len(data))
+	}
+	m.load(rowAddr, count, data, m.geo.RowBytes, stride)
+	return nil
+}
+
+// load stores the first n bytes at data[i*stride:] into row rowAddr+i for
+// count in-range rows, marks the words they cover programmed and drops
+// any RDB holding one of the rows.
+func (m *Module) load(rowAddr uint64, count int, data []byte, n, stride int) {
+	rb, wpr := m.geo.RowBytes, m.wordsPerRow
+	words := (n + m.geo.WordBytes - 1) >> m.wordShift
+	m.dropRows(rowAddr, rowAddr+uint64(count))
+	off := 0
+	for count > 0 {
+		seg, idx := m.seg(rowAddr)
+		k := min(count, segRows-idx)
+		c := seg.writableContent(m.geo)
+		for r := idx; r < idx+k; r++ {
+			c.written[r] = true
+			copy(c.data[r*rb:r*rb+n], data[off:])
+			fillState(c.state[r*wpr:r*wpr+words], lpddr.CellProgrammed)
+			off += stride
+		}
+		rowAddr += uint64(k)
+		count -= k
+	}
 }
 
 // PeekRow returns a copy of the stored row (zeroes when never written),

@@ -315,6 +315,81 @@ func TestProgramInvalidatesStaleRDB(t *testing.T) {
 	}
 }
 
+// TestContentMutatorsDropSensedRow pins what lets an RDB refer to its
+// array row instead of holding a copy of it: every content mutator drops
+// the buffer pairs holding a row it changes, so no burst ever reads
+// bytes that were not there at the sense.
+func TestContentMutatorsDropSensedRow(t *testing.T) {
+	const row = 40
+	old, next := bytes.Repeat([]byte{0x11}, 32), bytes.Repeat([]byte{0x22}, 32)
+	cases := []struct {
+		name   string
+		mutate func(m *Module, at sim.Time) error
+	}{
+		{"ProgramRow", func(m *Module, at sim.Time) error {
+			_, err := m.ProgramRow(at, 1, row, next)
+			return err
+		}},
+		{"staged erase", func(m *Module, at sim.Time) error {
+			_, err := eraseSegment(m, at, 1, row)
+			return err
+		}},
+		{"PreEraseBackground", func(m *Module, at sim.Time) error {
+			return m.PreEraseBackground(at, row, true)
+		}},
+		{"LoadRow", func(m *Module, at sim.Time) error {
+			return m.LoadRow(row, next)
+		}},
+		{"LoadRows", func(m *Module, at sim.Time) error {
+			return m.LoadRows(row-1, 3, bytes.Repeat(next, 3), 32)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := testModule(t)
+			if err := m.LoadRow(row, old); err != nil {
+				t.Fatal(err)
+			}
+			_, at := readRow(t, m, 0, row) // RDB 0 holds the row
+			if _, ok := m.RDBHit(row); !ok {
+				t.Fatal("row not in RDB 0 after a read")
+			}
+			if err := c.mutate(m, at); err != nil {
+				t.Fatal(err)
+			}
+			if ba, ok := m.RDBHit(row); ok {
+				t.Fatalf("RDB %d still hits after the row changed", ba)
+			}
+			_, _, err := readBurst(m, at, 0, 0, 32)
+			if err == nil || !strings.Contains(err.Error(), "holds no sensed row") {
+				t.Fatalf("burst from the dropped pair: err %v, want a no-sensed-row error", err)
+			}
+		})
+	}
+	t.Run("pristine segment", func(t *testing.T) {
+		// Leave a stale slab in the pool, so the segment's first write
+		// below takes a recycled one.
+		stale := testModule(t)
+		if err := stale.LoadRow(row+1, old); err != nil {
+			t.Fatal(err)
+		}
+		stale.Release()
+		m := testModule(t)
+		_, at := readRow(t, m, 0, row+1) // sensed before its segment holds content
+		at = programRow(t, m, at, row, next)
+		if _, ok := m.RDBHit(row + 1); !ok {
+			t.Fatal("programming a neighbouring row dropped the pair")
+		}
+		got, _, err := readBurst(m, at, 0, 0, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, 32)) {
+			t.Fatalf("row sensed pristine reads %x after a neighbour's program, want zeros", got)
+		}
+	})
+}
+
 func TestDirectArrayWriteRejected(t *testing.T) {
 	m := testModule(t)
 	g := m.geo

@@ -83,13 +83,28 @@ func (o *overlay) containsRow(rowBase uint64, rowBytes int) bool {
 	return rowBase+uint64(rowBytes) > o.base && rowBase < o.base+WindowSize
 }
 
+// progHeaderLen is the length of the register-row image that stages a
+// program: RegCode through the last byte of RegMulti.
+const progHeaderLen = RegMulti + 2 - RegCode
+
 // write stores a burst of data at window offset off and reports whether
 // it covered RegExec, whose write starts the staged operation (the module
-// runs it). Program-buffer bytes move with one copy; register bytes go
-// through writeReg one at a time. Bytes before a rejected offset stay
-// written, as they would on a device that latches each beat.
+// runs it). Program-buffer bytes move with one copy, and a burst covering
+// the whole register-row image from RegCode on is decoded in one step;
+// other register bytes go through writeReg one at a time. Bytes before a
+// rejected offset stay written, as they would on a device that latches
+// each beat.
 func (o *overlay) write(off uint64, data []byte) (exec bool, err error) {
 	for len(data) > 0 {
+		if off == RegCode && len(data) >= progHeaderLen {
+			// The bytes writeReg would store one by one; the reserved
+			// gaps between the fields ignore writes.
+			o.code = data[0]
+			o.addr = binary.LittleEndian.Uint32(data[RegAddr-RegCode:])
+			o.multi = binary.LittleEndian.Uint16(data[RegMulti-RegCode:])
+			data, off = data[progHeaderLen:], off+progHeaderLen
+			continue
+		}
 		if off >= ProgBufOffset && off < ProgBufOffset+ProgBufSize {
 			n := copy(o.progBuf[off-ProgBufOffset:], data)
 			data, off = data[n:], off+uint64(n)

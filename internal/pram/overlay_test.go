@@ -56,15 +56,38 @@ func TestOverlayProgramBufferBursts(t *testing.T) {
 	}
 }
 
+// programHeader returns the register-row image staging a program of n
+// bytes at rowAddr.
+func programHeader(rowAddr uint64, n int) []byte {
+	var hdr [progHeaderLen]byte
+	putProgramHeader(&hdr, rowAddr, n)
+	return hdr[:]
+}
+
 func TestOverlayProgramHeaderBurst(t *testing.T) {
 	m := testModule(t)
-	hdr := ProgramHeader(0x1234, 24)
+	hdr := programHeader(0x1234, 24)
 	if _, err := windowBurst(t, m, 0, 0, RegCode, hdr); err != nil {
 		t.Fatal(err)
 	}
 	if m.ow.code != CmdProgram || m.ow.addr != 0x1234 || m.ow.multi != 24 {
 		t.Fatalf("registers code=%#x addr=%#x multi=%d, want %#x/0x1234/24",
 			m.ow.code, m.ow.addr, m.ow.multi, CmdProgram)
+	}
+	// The same image in two bursts goes through writeReg byte by byte
+	// and must land in the same registers.
+	split := testModule(t)
+	for _, part := range []struct {
+		off  uint64
+		data []byte
+	}{{RegCode, hdr[:6]}, {RegCode + 6, hdr[6:]}} {
+		if _, err := windowBurst(t, split, 0, 0, part.off, part.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if split.ow.code != m.ow.code || split.ow.addr != m.ow.addr || split.ow.multi != m.ow.multi {
+		t.Fatalf("split bursts: code=%#x addr=%#x multi=%d, want %#x/%#x/%d",
+			split.ow.code, split.ow.addr, split.ow.multi, m.ow.code, m.ow.addr, m.ow.multi)
 	}
 	if got := m.Stats().WriteBursts; got != 1 {
 		t.Fatalf("WriteBursts = %d, want 1", got)
@@ -83,7 +106,7 @@ func TestOverlayProgramHeaderBurst(t *testing.T) {
 func TestOverlayExecBurstStartsOneProgram(t *testing.T) {
 	m := testModule(t)
 	data := bytes.Repeat([]byte{0x5A}, 32)
-	d, err := windowBurst(t, m, 0, 0, RegCode, ProgramHeader(9, len(data)))
+	d, err := windowBurst(t, m, 0, 0, RegCode, programHeader(9, len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,24 @@ func NewResource(name string) *Resource { return &Resource{name: name} }
 // returns the actual start time.
 func (r *Resource) Acquire(earliest Time, dur Duration) (start Time) {
 	if dur < 0 {
-		panic(fmt.Sprintf("sim: negative duration %v on %s", dur, r.name))
+		panic(negativeDuration{dur, r.name})
 	}
 	start = Max(earliest, r.nextFree)
 	r.nextFree = start + dur
 	r.busy += dur
 	return start
+}
+
+// negativeDuration is the panic value of a reservation of negative
+// length. Formatting its message only when the panic prints keeps
+// Acquire within the inlining budget.
+type negativeDuration struct {
+	dur  Duration
+	name string
+}
+
+func (e negativeDuration) Error() string {
+	return fmt.Sprintf("sim: negative duration %v on %s", e.dur, e.name)
 }
 
 // AcquireUntil reserves the resource from max(earliest, free) for dur and
@@ -78,7 +90,7 @@ func NewPool(name string, k int) *Pool {
 // the unit that frees soonest, and returns the actual start time.
 func (p *Pool) Acquire(earliest Time, dur Duration) (start Time) {
 	if dur < 0 {
-		panic(fmt.Sprintf("sim: negative duration %v on %s", dur, p.name))
+		panic(negativeDuration{dur, p.name})
 	}
 	start = Max(earliest, p.free.peek())
 	p.free.replaceTop(start + dur)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +123,22 @@ func TestPoolConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNegativeDurationPanics(t *testing.T) {
+	for _, acquire := range []func(){
+		func() { NewResource("bus").Acquire(0, -1) },
+		func() { NewPool("cores", 2).Acquire(0, -1) },
+	} {
+		func() {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !strings.HasPrefix(err.Error(), "sim: negative duration") {
+					t.Errorf("recovered %v, want a negative-duration error", err)
+				}
+			}()
+			acquire()
+		}()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dramless/internal/accel"
 	"dramless/internal/energy"
@@ -332,6 +333,12 @@ func newBuild(cfg Config) (*build, error) {
 	return b, nil
 }
 
+// countersHint is, per system kind, the most counters a run of that
+// kind registered so far: runs size their registry by it, so after the
+// first run of a kind the registry is allocated once instead of grown
+// by doubling. The entries do not depend on it, only the capacity.
+var countersHint [numKinds]atomic.Int32
+
 // collectCounters snapshots every built component into one registry, in
 // fixed code order so identical runs register identical entry sequences.
 func (b *build) collectCounters(rep *accel.Report, c *obs.Counters) {
@@ -501,8 +508,13 @@ func run(cfg Config, k workload.Kernel, prefixCounter string) (*Result, error) {
 	rep.Spans = nil // per-op data: the energy account is its only reader
 	res.Blame = b.accountBlame(rep, &snap, &loadSnap, &kernSnap, &storeSnap, runStart, loadEnd, kernelEnd, storeEnd)
 
+	hint := &countersHint[cfg.Kind]
+	res.Counters.Reserve(int(hint.Load()))
 	b.collectCounters(rep, &res.Counters)
 	res.Counters.Add(prefixCounter, 1)
+	if n := int32(res.Counters.Len()); n > hint.Load() {
+		hint.Store(n)
+	}
 	if hs := cfg.Obs.Histograms(); hs != nil {
 		hs.Get(obs.HistSystemLoad).Record(int64(loadEnd - runStart))
 		hs.Get(obs.HistSystemKernel).Record(int64(kernelEnd - loadEnd))
